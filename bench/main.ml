@@ -8,24 +8,22 @@
    experiment family), so regressions in the simulation infrastructure
    show up here.
 
-   `main.exe simulate [--smoke] [--out FILE] [-j N] [--cache-dir DIR |
-   --no-cache]` instead runs the simulator self-benchmark
-   (Ninja_core.Selfbench): simulated-ops/s of the fast path, of the
-   optimizer pass pipeline and of the closure-compiled backend against
-   the reference baseline over the benchmark suite on both machines,
-   plus a cold-then-warm timing of the experiment grid against the
+   `main.exe simulate [--smoke] [--out FILE] [-j N] [--no-cache]` instead
+   runs the simulator self-benchmark (Ninja_core.Selfbench):
+   simulated-ops/s of the closure-compiled backend against the reference
+   baseline over the benchmark suite on both machines, plus a
+   cold-then-warm timing of the experiment grid against a throwaway
    persistent result store, written as a JSON report
-   (BENCH_simulator.json by default). `--smoke` shrinks the throughput
-   grid to one job and the store grid to experiment F1 against a
-   throwaway cache directory, then asserts the warm pass executed zero
-   simulations at least 5x faster than cold — the @bench-smoke CI gate,
-   which also fails when the compiled geomean falls below the optimized
-   one.
+   (BENCH_simulator.json by default). The grid must run cold (every job
+   simulated) then warm (zero simulations, at least 5x faster), and the
+   compiled geomean must not fall below the baseline's. `--smoke` shrinks
+   the throughput grid to one job and the store grid to experiment F1 —
+   the @bench-smoke CI gate, which tolerates a 10% inversion of the
+   backend order; `--no-cache` skips the store grid.
 
-   `--backend tree|decoded|optimized|compiled` selects the process-wide
-   execution backend for the experiment tables and the Bechamel loops
-   (the self-benchmark always times all four configurations
-   explicitly). *)
+   `--backend tree|compiled` selects the process-wide execution backend
+   for the experiment tables and the Bechamel loops (the self-benchmark
+   always times both configurations explicitly). *)
 
 module E = Ninja_core.Experiments
 module Jobs = Ninja_core.Jobs
@@ -69,7 +67,7 @@ let install_backend () =
       | None ->
           Fmt.epr
             "main.exe: error bad_backend: --backend: unknown backend %S (try: \
-             tree, decoded, optimized, compiled)@."
+             tree, compiled)@."
             name;
           exit 1)
 
@@ -157,7 +155,7 @@ let run_bechamel () =
 
 (* ---- the simulator self-benchmark (`main.exe simulate`) ---- *)
 
-(* [slack] relaxes the backend-ordering gates: the 1-job smoke run's
+(* [slack] relaxes the backend-ordering gate: the 1-job smoke run's
    timings are noisy under parallel `dune runtest` rule execution, so it
    tolerates a 10% inversion; the full-grid run stays strict. *)
 let validate_report ?(slack = 0.) ~expect_grid path =
@@ -170,36 +168,23 @@ let validate_report ?(slack = 0.) ~expect_grid path =
   let num k = Option.bind (Json.member k j) Json.to_float in
   if str "schema" <> Some Selfbench.schema_version then
     failwith (path ^ ": bad or missing schema field");
-  (match num "geomean_ops_per_s" with
-  | Some x when x > 0. -> ()
-  | _ -> failwith (path ^ ": geomean_ops_per_s missing or not positive"));
-  (* v3: the optimized pipeline must be present and at least as fast as
-     the tree-walking baseline — the @bench-smoke regression gate for
-     the optimizer *)
-  (match (num "opt_geomean_ops_per_s", num "baseline_geomean_ops_per_s") with
-  | Some o, Some b when o > 0. && b > 0. ->
-      if o < b *. (1. -. slack) then
+  (* the compiled backend must be present and at least as fast as the
+     tree-walking baseline — the @bench-smoke regression gate for the
+     engine *)
+  (match (num "compiled_geomean_ops_per_s", num "baseline_geomean_ops_per_s") with
+  | Some c, Some b when c > 0. && b > 0. ->
+      if c < b *. (1. -. slack) then
         failwith
-          (Fmt.str "%s: optimized geomean %.0f ops/s below baseline %.0f" path
-             o b)
+          (Fmt.str "%s: compiled geomean %.0f ops/s below baseline %.0f" path
+             c b)
   | _ ->
       failwith
-        (path ^ ": opt/baseline geomean_ops_per_s missing or not positive"));
-  (* v4: the compiled backend must be present and at least as fast as the
-     optimized pipeline it compiles — the regression gate for the
-     closure-threaded executor *)
-  (match (num "compiled_geomean_ops_per_s", num "opt_geomean_ops_per_s") with
-  | Some c, Some o when c > 0. && o > 0. ->
-      if c < o *. (1. -. slack) then
-        failwith
-          (Fmt.str "%s: compiled geomean %.0f ops/s below optimized %.0f" path
-             c o)
-  | _ -> failwith (path ^ ": compiled_geomean_ops_per_s missing or not positive"));
+        (path ^ ": compiled/baseline geomean_ops_per_s missing or not positive"));
   (match Option.bind (Json.member "benchmarks" j) Json.to_list with
   | Some (_ :: _) -> ()
   | _ -> failwith (path ^ ": empty benchmarks list"));
-  (* v2: scheduler stats always present; the grid object whenever the
-     store ran, with a warm pass that loaded everything from disk *)
+  (* scheduler stats always present; the grid object whenever the store
+     ran, with a warm pass that loaded everything from disk *)
   (match
      Option.bind (Json.member "sched" j) (fun s ->
          Option.bind (Json.member "steals" s) Json.to_float)
@@ -213,20 +198,34 @@ let validate_report ?(slack = 0.) ~expect_grid path =
       | Some 0. -> ()
       | _ -> failwith (path ^ ": grid.warm_executed missing or nonzero"))
 
-(* A fresh scratch directory for the smoke run's store, so cold means
-   cold whatever state the build directory is in. *)
-let fresh_cache_dir () =
-  let f = Filename.temp_file "ninja-smoke-cache" "" in
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
+(* Cold-then-warm over [experiments] against a throwaway store, so cold
+   means cold whatever state the working directory's cache is in: the
+   cold pass must simulate every job, the warm pass none — pure disk
+   reads, and decisively faster. *)
+let run_store_grid ?domains ?experiments () =
+  let store = Ninja_core.Store.scratch () in
+  Fun.protect
+    ~finally:(fun () -> Ninja_core.Store.destroy store)
+    (fun () ->
+      let g = Selfbench.run_grid ?domains ?experiments ~store () in
+      Fmt.epr "%a@." Selfbench.pp_grid g;
+      if g.Selfbench.g_cold_executed <> g.Selfbench.g_jobs then
+        failwith
+          (Fmt.str "cold grid run simulated %d of %d jobs"
+             g.Selfbench.g_cold_executed g.Selfbench.g_jobs);
+      if g.Selfbench.g_warm_executed <> 0 then
+        failwith
+          (Fmt.str "warm grid rerun simulated %d jobs; store failed"
+             g.Selfbench.g_warm_executed);
+      if g.Selfbench.g_warm_store_hits <> g.Selfbench.g_jobs then
+        failwith
+          (Fmt.str "warm grid rerun served %d of %d jobs from the store"
+             g.Selfbench.g_warm_store_hits g.Selfbench.g_jobs);
+      if g.Selfbench.g_warm_speedup < 5. then
+        failwith
+          (Fmt.str "warm grid rerun only %.1fx faster than cold (need 5x)"
+             g.Selfbench.g_warm_speedup);
+      g)
 
 let run_simulate () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -243,69 +242,26 @@ let run_simulate () =
          estimator needs the extra samples to shake it off *)
       Selfbench.run ?domains ~repeats:4
         ~progress:(fun j ->
-          Fmt.epr
-            "  %-16s %-14s %-14s %8.1fs fast %8.1fs opt %8.1fs compiled \
-             %8.1fs baseline@."
+          Fmt.epr "  %-16s %-14s %-14s %8.1fs compiled %8.1fs baseline@."
             j.Selfbench.j_bench j.Selfbench.j_machine j.Selfbench.j_step
-            j.Selfbench.j_fast_s j.Selfbench.j_opt_s j.Selfbench.j_compiled_s
-            j.Selfbench.j_baseline_s)
+            j.Selfbench.j_compiled_s j.Selfbench.j_baseline_s)
         ()
   in
-  let no_cache = Array.exists (( = ) "--no-cache") Sys.argv in
   let grid =
-    if no_cache then None
-    else if smoke then begin
-      (* cold-then-warm over the F1 grid against a throwaway store; the
-         warm pass must be pure disk reads, and decisively faster *)
-      let dir = fresh_cache_dir () in
-      Fun.protect
-        ~finally:(fun () -> rm_rf dir)
-        (fun () ->
-          let store = Ninja_core.Store.open_ ~dir () in
-          let g =
-            Selfbench.run_grid ?domains ~experiments:[ E.find "f1" ] ~store ()
-          in
-          Fmt.epr "%a@." Selfbench.pp_grid g;
-          if g.Selfbench.g_cold_executed <> g.Selfbench.g_jobs then
-            failwith
-              (Fmt.str "cold grid run simulated %d of %d jobs"
-                 g.Selfbench.g_cold_executed g.Selfbench.g_jobs);
-          if g.Selfbench.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.Selfbench.g_warm_executed);
-          if g.Selfbench.g_warm_store_hits <> g.Selfbench.g_jobs then
-            failwith
-              (Fmt.str "warm grid rerun served %d of %d jobs from the store"
-                 g.Selfbench.g_warm_store_hits g.Selfbench.g_jobs);
-          if g.Selfbench.g_warm_speedup < 5. then
-            failwith
-              (Fmt.str "warm grid rerun only %.1fx faster than cold (need 5x)"
-                 g.Selfbench.g_warm_speedup);
-          Some g)
-    end
+    if Array.exists (( = ) "--no-cache") Sys.argv then None
     else
-      match install_store () with
-      | None -> None
-      | Some store ->
-          let g = Selfbench.run_grid ?domains ~store () in
-          Fmt.epr "%a@." Selfbench.pp_grid g;
-          if g.Selfbench.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.Selfbench.g_warm_executed);
-          Some g
+      Some
+        (run_store_grid ?domains
+           ?experiments:(if smoke then Some [ E.find "f1" ] else None)
+           ())
   in
   Selfbench.write_json ?grid ~path:out r;
   Fmt.epr "%a@." Selfbench.pp_result r;
   validate_report
     ~slack:(if smoke then 0.1 else 0.)
     ~expect_grid:(grid <> None) out;
-  Fmt.pr
-    "wrote %s (%d jobs, geomean %.0f ops/s, %.2fx over baseline; optimized \
-     %.2fx, compiled %.2fx)@."
-    out (List.length r.jobs) r.geomean_ops_per_s r.speedup r.opt_speedup
-    r.compiled_speedup
+  Fmt.pr "wrote %s (%d jobs, compiled geomean %.0f ops/s, %.2fx over baseline)@."
+    out (List.length r.jobs) r.compiled_geomean_ops_per_s r.compiled_speedup
 
 let () =
   install_backend ();

@@ -14,29 +14,18 @@ let machine_arg =
   let doc = "Machine preset (westmere, mic, kentsfield, nehalem, future1..3)." in
   Arg.(value & opt string "westmere" & info [ "m"; "machine" ] ~doc)
 
-(* ---- optimizer pass selection (ladder, bench) ---- *)
+(* ---- execution backend and pass selection ---- *)
 
-(* The pass pipeline changes no reported number (the simulated machine
-   is oblivious to it), so the flags only pick which host executor runs:
-   plain decoded arrays or decoded-then-optimized ones. *)
-
-let opt_arg =
-  let doc =
-    "Run the optimizer pass pipeline over the decoded op arrays before \
-     interpretation (the default). Reported numbers are identical either \
-     way; only the simulator's own speed changes."
-  in
-  Arg.(value & flag & info [ "opt" ] ~doc)
-
-let no_opt_arg =
-  let doc = "Interpret the plain decoded arrays; disables the optimizer." in
-  Arg.(value & flag & info [ "no-opt" ] ~doc)
+(* The backend and its pass pipeline change no reported number (the
+   simulated machine is oblivious to both), so the flags only pick which
+   host executor runs and how its op arrays are rewritten first. *)
 
 let passes_arg =
   let doc =
-    "Comma-separated optimizer pass list, applied in the given order \
-     (fold, moves, imm, dce, peephole; $(b,all) and $(b,none) are \
-     accepted). Overrides $(b,--opt)/$(b,--no-opt)."
+    "Comma-separated optimizer pass list the compiled backend runs, in the \
+     given order (fold, moves, imm, dce, peephole; $(b,all) — the default \
+     — and $(b,none) are accepted). Reported numbers are identical for \
+     every list; only the simulator's own speed changes."
   in
   Arg.(value & opt (some string) None & info [ "passes" ] ~doc ~docv:"LIST")
 
@@ -50,58 +39,41 @@ let flag_error code fmt =
       exit 1)
     fmt
 
-let opt_config_of_flags ~opt:_ ~no_opt ~passes =
-  match passes with
-  | Some spec -> (
-      match Ninja_vm.Optimize.parse_passes spec with
-      | Ok c -> Some c
-      | Error msg -> flag_error "bad_pass_list" "--passes: %s" msg)
-  | None -> if no_opt then None else Some Ninja_vm.Optimize.default
-
 let backend_arg =
   let doc =
-    "Host execution backend for simulations: $(b,tree) (reference \
-     walker), $(b,decoded) (indexed dispatch), $(b,optimized) (decoded + \
-     optimizer passes), or $(b,compiled) (closure-threaded code; the \
-     default). Reported numbers are identical for every backend; only \
+    "Host execution backend for simulations: $(b,tree) (reference walker) \
+     or $(b,compiled) (closure-threaded code over the optimized op \
+     arrays; the default). Reported numbers are identical for both; only \
      the simulator's own speed changes."
   in
   Arg.(value & opt (some string) None & info [ "backend" ] ~doc ~docv:"NAME")
 
-(* --backend names the executor; --passes/--no-opt pick the pass list the
-   optimizing backends run. Without --backend, --no-opt falls back to the
-   plain decoded executor and everything else gets the compiled default. *)
-let strategy_of_flags ?backend ~opt ~no_opt ~passes () =
-  let config () =
-    Option.value
-      (opt_config_of_flags ~opt ~no_opt ~passes)
-      ~default:Ninja_vm.Optimize.none
+(* --backend names the executor; --passes picks the pass list the
+   compiled backend runs. *)
+let strategy_of_flags ?backend ?passes () =
+  let config =
+    match passes with
+    | None -> Ninja_vm.Optimize.default
+    | Some spec -> (
+        match Ninja_vm.Optimize.parse_passes spec with
+        | Ok c -> c
+        | Error msg -> flag_error "bad_pass_list" "--passes: %s" msg)
   in
   match backend with
+  | None -> Ninja_vm.Interp.Compiled config
   | Some name -> (
       match Ninja_vm.Interp.strategy_of_name name with
+      | Some (Ninja_vm.Interp.Compiled _) -> Ninja_vm.Interp.Compiled config
       | Some Ninja_vm.Interp.Tree -> Ninja_vm.Interp.Tree
-      | Some Ninja_vm.Interp.Decoded -> Ninja_vm.Interp.Decoded
-      | Some (Ninja_vm.Interp.Optimized _) ->
-          Ninja_vm.Interp.Optimized (config ())
-      | Some (Ninja_vm.Interp.Compiled _) ->
-          Ninja_vm.Interp.Compiled (config ())
       | None ->
           flag_error "bad_backend"
-            "--backend: unknown backend %S (try: tree, decoded, optimized, \
-             compiled)"
-            name)
-  | None -> (
-      match opt_config_of_flags ~opt ~no_opt ~passes with
-      | Some c -> Ninja_vm.Interp.Compiled c
-      | None -> Ninja_vm.Interp.Decoded)
+            "--backend: unknown backend %S (try: tree, compiled)" name)
 
 (* Commands whose simulations flow through Timing.simulate's default
-   strategy (experiments, bench, serve) install the chosen backend
-   process-wide instead of threading it through every call. *)
-let install_backend ?backend ?(opt = false) ?(no_opt = false) ?passes () =
-  Ninja_vm.Interp.set_default_strategy
-    (strategy_of_flags ?backend ~opt ~no_opt ~passes ())
+   strategy (experiments, serve) install the chosen backend process-wide
+   instead of threading it through every call. *)
+let install_backend ?backend () =
+  Ninja_vm.Interp.set_default_strategy (strategy_of_flags ?backend ())
 
 (* ---- experiments ---- *)
 
@@ -113,7 +85,7 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
-(* Persistent result store: shared by `experiments` and `bench`. The store
+(* Persistent result store: shared by `experiments` and `serve`. The store
    is content-addressed (program + machine + step + simulator version), so
    reusing a cache directory across code changes is always sound — stale
    entries simply miss. *)
@@ -226,11 +198,11 @@ let ladder_cmd =
     let doc = "Print each variant's per-pass optimizer rewrite report." in
     Arg.(value & flag & info [ "opt-report" ] ~doc)
   in
-  let run machine bench scale validate backend opt no_opt passes opt_report =
+  let run machine bench scale validate backend passes opt_report =
     let machine = machine_of_name machine in
     let b = Ninja_kernels.Registry.find bench in
     let scale = Option.value scale ~default:b.default_scale in
-    let strategy = strategy_of_flags ?backend ~opt ~no_opt ~passes () in
+    let strategy = strategy_of_flags ?backend ?passes () in
     Ninja_vm.Interp.set_default_strategy strategy;
     Fmt.pr "%s at scale %d on %a@.@." b.b_name scale Ninja_arch.Machine.pp machine;
     let steps = b.steps ~scale in
@@ -251,8 +223,8 @@ let ladder_cmd =
         if opt_report then begin
           let config =
             match strategy with
-            | Ninja_vm.Interp.Optimized c | Ninja_vm.Interp.Compiled c -> c
-            | Tree | Decoded -> Ninja_vm.Optimize.default
+            | Ninja_vm.Interp.Compiled c -> c
+            | Tree -> Ninja_vm.Optimize.default
           in
           let d = Ninja_vm.Decode.decode (step.make ~machine) in
           let _, rep = Ninja_vm.Optimize.run_report ~config d in
@@ -264,7 +236,7 @@ let ladder_cmd =
     (Cmd.info "ladder" ~doc:"Run one benchmark's naive-to-ninja performance ladder")
     Term.(
       const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg
-      $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg $ opt_report_arg)
+      $ backend_arg $ passes_arg $ opt_report_arg)
 
 (* ---- list ---- *)
 
@@ -603,88 +575,6 @@ let tune_cmd =
       const run $ machine_arg $ bench_arg $ json_arg $ jobs_arg $ cache_dir_arg
       $ no_cache_arg)
 
-(* ---- bench (simulator self-benchmark) ---- *)
-
-let bench_cmd =
-  let module S = Ninja_core.Selfbench in
-  let mode_arg =
-    let doc = "What to benchmark; only $(b,simulate) exists today." in
-    Arg.(value & pos 0 string "simulate" & info [] ~doc ~docv:"MODE")
-  in
-  let out_arg =
-    let doc = "Output file for the JSON report." in
-    Arg.(value & opt string "BENCH_simulator.json" & info [ "o"; "out" ] ~doc ~docv:"FILE")
-  in
-  let smoke_arg =
-    let doc =
-      "Tiny run (one benchmark, one machine, one step) to validate the \
-       harness, not to produce meaningful numbers."
-    in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let run mode out smoke jobs cache_dir no_cache backend opt no_opt passes =
-    if mode <> "simulate" then begin
-      Fmt.epr "unknown bench mode %S (try: simulate)@." mode;
-      exit 1
-    end;
-    install_backend ?backend ~opt ~no_opt ?passes ();
-    (* the self-benchmark always times all four configurations; the
-       flags pick which pass list the *optimized* and *compiled* ones
-       run (--no-opt degenerates both to the plain decoded pass list) *)
-    let opt =
-      Option.value
-        (opt_config_of_flags ~opt ~no_opt ~passes)
-        ~default:Ninja_vm.Optimize.none
-    in
-    let r =
-      if smoke then
-        S.run ?domains:jobs ~opt
-          ~benchmarks:[ Ninja_kernels.Registry.find "BlackScholes" ]
-          ~machines:[ Ninja_arch.Machine.westmere ]
-          ~steps:[ "ninja" ] ()
-      else
-        S.run ?domains:jobs ~opt
-          ~progress:(fun j ->
-            Fmt.epr
-              "  %-16s %-14s %-14s %8.1fs fast %8.1fs opt %8.1fs compiled \
-               %8.1fs baseline@."
-              j.S.j_bench j.S.j_machine j.S.j_step j.S.j_fast_s j.S.j_opt_s
-              j.S.j_compiled_s j.S.j_baseline_s)
-          ()
-    in
-    (* cold/warm experiment-grid timing against the persistent store
-       (skipped under --no-cache); the smoke run uses the F1 grid only *)
-    let grid =
-      match install_store ~cache_dir ~no_cache with
-      | None -> None
-      | Some st ->
-          let experiments =
-            if smoke then [ Ninja_core.Experiments.find "f1" ]
-            else Ninja_core.Experiments.all
-          in
-          let g = S.run_grid ?domains:jobs ~experiments ~store:st () in
-          Fmt.epr "%a@." S.pp_grid g;
-          Fmt.epr "%a@." pp_store_stats st;
-          if g.S.g_warm_executed <> 0 then
-            failwith
-              (Fmt.str "warm grid rerun simulated %d jobs; store failed"
-                 g.S.g_warm_executed);
-          Some g
-    in
-    S.write_json ?grid ~path:out r;
-    Fmt.epr "%a@." S.pp_result r;
-    Fmt.pr "wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Benchmark the simulator itself (simulated ops/s, fast path vs \
-          reference baseline; cold vs warm result store) and write a JSON \
-          report")
-    Term.(
-      const run $ mode_arg $ out_arg $ smoke_arg $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ backend_arg $ opt_arg $ no_opt_arg $ passes_arg)
-
 (* ---- serve (concurrent simulation service) ---- *)
 
 let serve_cmd =
@@ -751,6 +641,6 @@ let main_cmd =
   Cmd.group info
     [ experiments_cmd; ladder_cmd; list_cmd; compile_cmd; profile_cmd;
       report_cmd; vec_report_cmd; analyze_cmd; verify_cmd; tune_cmd;
-      bench_cmd; serve_cmd ]
+      serve_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

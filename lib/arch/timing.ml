@@ -131,16 +131,12 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
   in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
-  (* an absent strategy means "whatever backend the process selected"
-     (Interp.default_strategy, steered by the CLI --backend flag), not
-     Interp.run's own bare default *)
-  let strategy =
-    match strategy with Some s -> s | None -> Interp.default_strategy ()
-  in
   (* one session for all launches: decode/optimize/compile run once,
-     each loop iteration is a bare launch *)
+     each loop iteration is a bare launch; an absent strategy means
+     whatever backend the process selected (Interp.default_strategy,
+     steered by the CLI --backend flag) *)
   let launch =
-    Interp.session ~n_threads ~width:m.simd_width ~sink ?trace ~strategy prog
+    Interp.session ~n_threads ~width:m.simd_width ~sink ?trace ?strategy prog
       mem
   in
   for run = 0 to runs - 1 do

@@ -41,7 +41,7 @@ val simulate :
     not exceed the machine's cores) and report modeled time. The memory is
     mutated exactly as by {!Ninja_vm.Interp.run}.
 
-    [strategy] selects the interpreter dispatch (default: the
+    [strategy] selects the execution backend (default: the
     process-wide {!Ninja_vm.Interp.default_strategy}, normally the
     compiled backend) and
     [fast_path] the cache-simulation fast-hit path (default on); both are

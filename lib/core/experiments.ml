@@ -24,8 +24,11 @@ let gap (naive : Timing.report) (best : Timing.report) = Timing.speedup ~baselin
 (* The memo cache is shared by the domain pool (Jobs.prefill) and by the
    serial fallback below, so every read and write takes [cache_mu]. The
    simulation itself runs outside the lock: jobs are pure (fresh memory,
-   deterministic workloads), so a racy double-compute of the same key just
-   stores the identical report twice. *)
+   deterministic workloads), so a racy double-compute of the same key
+   (e.g. a tuning session reading a rung another domain is simulating)
+   just produces the identical report twice. Only the first insert is
+   kept and counted (see [memoize]), so the hit/miss counters tally
+   distinct jobs whatever the interleaving. *)
 
 let cache : (string * string * string, Timing.report) Hashtbl.t = Hashtbl.create 64
 
@@ -53,6 +56,13 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mu) f
 
 let cache_stats () = locked (fun () -> (!cache_hits, !cache_misses))
+
+let memoize key r counter =
+  locked (fun () ->
+      if not (Hashtbl.mem cache key) then begin
+        incr counter;
+        Hashtbl.replace cache key r
+      end)
 let store_hit_count () = locked (fun () -> !store_hits)
 
 let reset_cache () =
@@ -118,10 +128,8 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
          warm grid rerun still reports zero simulations executed. *)
       let tr = tuned_result ~machine bench in
       let r = tr.Tuner.t_report in
-      locked (fun () ->
-          if tr.Tuner.t_simulated = 0 then incr store_hits
-          else incr cache_misses;
-          Hashtbl.replace cache key r);
+      memoize key r
+        (if tr.Tuner.t_simulated = 0 then store_hits else cache_misses);
       r
   | None -> (
       let step = find_step bench step_name in
@@ -145,9 +153,7 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
       in
       match from_store with
       | Some (_, _, Some r) ->
-          locked (fun () ->
-              incr store_hits;
-              Hashtbl.replace cache key r);
+          memoize key r store_hits;
           r
       | (None | Some (_, _, None)) as probed ->
           let t0 = Unix.gettimeofday () in
@@ -157,9 +163,7 @@ let rec run_step_cached ~machine (bench : Driver.benchmark) step_name =
           | Some (st, skey, None) ->
               Store.save st ~key:skey ~machine ~step_name ~cost_s r
           | _ -> ());
-          locked (fun () ->
-              incr cache_misses;
-              Hashtbl.replace cache key r);
+          memoize key r cache_misses;
           r)
 
 and tuned_result ?(domains = 1) ~machine (bench : Driver.benchmark) =

@@ -3,26 +3,21 @@
    Every experiment number in this repository is deterministic, so the
    only performance that can regress is the wall-clock cost of producing
    them. This module measures simulated-ops-per-second over a grid of
-   (benchmark, machine, ladder step) jobs, running each job in four
+   (benchmark, machine, ladder step) jobs, running each job in two
    configurations:
 
-   - the *fast* configuration — the pre-decoded [Interp.Decoded] executor
-     over the fast-path cache hierarchy;
-   - the *optimized* configuration — [Interp.Optimized], the fast path
-     plus the {!Ninja_vm.Optimize} pass pipeline over the decoded
-     arrays;
-   - the *compiled* configuration — [Interp.Compiled], the optimized
-     arrays threaded into chained closures by {!Ninja_vm.Compile} (the
-     simulation default since that backend landed); and
+   - the *compiled* configuration — [Interp.Compiled Optimize.default]
+     over the fast-path cache hierarchy, the simulation default: the
+     decoded and optimized op arrays threaded into chained closures by
+     {!Ninja_vm.Compile}; and
    - the *baseline* configuration — [Interp.Tree] over the reference
      hierarchy ([~fast_path:false]), i.e. the simulator as it was before
      the fast path existed.
 
-   All four produce bit-identical reports (the optimized and compiled
-   ones are checked structurally against the fast one on every job); the
-   per-job instruction counts are asserted equal, so the ops/s ratios are
-   a pure like-for-like measure of the interpreter and cache-model
-   overhead. Results aggregate per
+   Both produce bit-identical reports: the whole timing report of the
+   compiled run is checked structurally against the baseline's on every
+   job, so the ops/s ratio is a pure like-for-like measure of the
+   interpreter and cache-model overhead. Results aggregate per
    benchmark (summing ops and seconds across machines and steps) and the
    headline number is the geometric mean of per-benchmark ops/s, matching
    how the paper reports performance summaries. *)
@@ -34,7 +29,12 @@ module Stats = Ninja_util.Stats
 module Pool = Ninja_util.Pool
 module Json = Ninja_report.Json
 
-let schema_version = "ninja-selfbench/v4"
+let schema_version = "ninja-selfbench/v5"
+
+(* both configurations name their strategy explicitly: the bare default
+   is the process-wide backend, which is exactly what this benchmark must
+   not depend on *)
+let compiled_strategy = Ninja_vm.Interp.Compiled Ninja_vm.Optimize.default
 
 type job = { bench : Driver.benchmark; machine : Machine.t; step : Driver.step }
 
@@ -42,9 +42,7 @@ type job_result = {
   j_bench : string;
   j_machine : string;
   j_step : string;
-  j_ops : int;  (** simulated instructions, identical in all configurations *)
-  j_fast_s : float;
-  j_opt_s : float;
+  j_ops : int;  (** simulated instructions, identical in both configurations *)
   j_compiled_s : float;
   j_baseline_s : float;
 }
@@ -52,12 +50,8 @@ type job_result = {
 type bench_result = {
   b_name : string;
   b_ops : int;
-  b_fast_s : float;
-  b_opt_s : float;
   b_compiled_s : float;
   b_baseline_s : float;
-  b_ops_per_s : float;
-  b_opt_ops_per_s : float;
   b_compiled_ops_per_s : float;
   b_baseline_ops_per_s : float;
 }
@@ -69,12 +63,8 @@ type result = {
   configurations : (string * string) list;
   jobs : job_result list;
   benchmarks : bench_result list;
-  geomean_ops_per_s : float;
-  opt_geomean_ops_per_s : float;
   compiled_geomean_ops_per_s : float;
   baseline_geomean_ops_per_s : float;
-  speedup : float;
-  opt_speedup : float;
   compiled_speedup : float;
 }
 
@@ -135,50 +125,21 @@ let time_round_robin ~repeats fs =
   done;
   (reports, best)
 
-let run_job ~opt ~repeats { bench; machine; step } =
-  (* every configuration names its strategy explicitly: the bare default
-     is the process-wide backend, which is exactly what this benchmark
-     must not depend on *)
+let run_job ~repeats { bench; machine; step } =
   let reports, best =
     time_round_robin ~repeats
       [|
-        (fun () ->
-          Driver.run_step ~strategy:Ninja_vm.Interp.Decoded ~machine step);
-        (fun () ->
-          Driver.run_step ~strategy:(Ninja_vm.Interp.Optimized opt) ~machine
-            step);
-        (fun () ->
-          Driver.run_step ~strategy:(Ninja_vm.Interp.Compiled opt) ~machine
-            step);
+        (fun () -> Driver.run_step ~strategy:compiled_strategy ~machine step);
         (fun () ->
           Driver.run_step ~strategy:Ninja_vm.Interp.Tree ~fast_path:false
             ~machine step);
       |]
   in
-  let fast = reports.(0)
-  and optimized = reports.(1)
-  and compiled = reports.(2)
-  and baseline = reports.(3) in
-  let j_fast_s = best.(0)
-  and j_opt_s = best.(1)
-  and j_compiled_s = best.(2)
-  and j_baseline_s = best.(3) in
-  if fast.Ninja_arch.Timing.instructions <> baseline.Ninja_arch.Timing.instructions
-  then
-    invalid_arg
-      (Fmt.str "Selfbench: %s/%s/%s: fast path simulated %d ops, baseline %d"
-         bench.Driver.b_name machine.Machine.name step.Driver.step_name
-         fast.Ninja_arch.Timing.instructions
-         baseline.Ninja_arch.Timing.instructions);
-  (* the optimizer must not move a single reported number: the whole
-     timing report — cycles, stalls, DRAM traffic, per-class counts —
-     is compared structurally, not just the instruction total *)
-  if compare optimized fast <> 0 then
-    invalid_arg
-      (Fmt.str
-         "Selfbench: %s/%s/%s: optimized pipeline changed the timing report"
-         bench.Driver.b_name machine.Machine.name step.Driver.step_name);
-  if compare compiled fast <> 0 then
+  let compiled = reports.(0) and baseline = reports.(1) in
+  (* the engine must not move a single reported number: the whole timing
+     report — cycles, stalls, DRAM traffic, per-class counts — is
+     compared structurally, not just the instruction total *)
+  if compare compiled baseline <> 0 then
     invalid_arg
       (Fmt.str
          "Selfbench: %s/%s/%s: compiled backend changed the timing report"
@@ -187,11 +148,9 @@ let run_job ~opt ~repeats { bench; machine; step } =
     j_bench = bench.Driver.b_name;
     j_machine = machine.Machine.name;
     j_step = step.Driver.step_name;
-    j_ops = fast.Ninja_arch.Timing.instructions;
-    j_fast_s;
-    j_opt_s;
-    j_compiled_s;
-    j_baseline_s;
+    j_ops = compiled.Ninja_arch.Timing.instructions;
+    j_compiled_s = best.(0);
+    j_baseline_s = best.(1);
   }
 
 let aggregate ~benchmarks jobs =
@@ -204,28 +163,22 @@ let aggregate ~benchmarks jobs =
           let ops =
             List.fold_left (fun acc j -> acc + j.j_ops) 0 mine
           in
-          let fast_s = sum (fun j -> j.j_fast_s) in
-          let opt_s = sum (fun j -> j.j_opt_s) in
           let compiled_s = sum (fun j -> j.j_compiled_s) in
           let baseline_s = sum (fun j -> j.j_baseline_s) in
           Some
             {
               b_name = b.Driver.b_name;
               b_ops = ops;
-              b_fast_s = fast_s;
-              b_opt_s = opt_s;
               b_compiled_s = compiled_s;
               b_baseline_s = baseline_s;
-              b_ops_per_s = Stats.ratio (float_of_int ops) fast_s;
-              b_opt_ops_per_s = Stats.ratio (float_of_int ops) opt_s;
               b_compiled_ops_per_s = Stats.ratio (float_of_int ops) compiled_s;
               b_baseline_ops_per_s = Stats.ratio (float_of_int ops) baseline_s;
             })
     benchmarks
 
-let run ?domains ?(repeats = 2) ?(opt = Ninja_vm.Optimize.default)
-    ?(benchmarks = Registry.all) ?(machines = default_machines)
-    ?(steps = default_steps) ?(progress = fun _ -> ()) () =
+let run ?domains ?(repeats = 2) ?(benchmarks = Registry.all)
+    ?(machines = default_machines) ?(steps = default_steps)
+    ?(progress = fun _ -> ()) () =
   let domains =
     match domains with Some d -> max 1 d | None -> Pool.default_domains ()
   in
@@ -238,19 +191,13 @@ let run ?domains ?(repeats = 2) ?(opt = Ninja_vm.Optimize.default)
     Pool.map_list ~domains
       ~on_stats:(fun s -> sched := Some s)
       (fun j ->
-        let r = run_job ~opt ~repeats j in
+        let r = run_job ~repeats j in
         progress r;
         r)
       jobs
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let per_bench = aggregate ~benchmarks results in
-  let geomean_ops_per_s =
-    Stats.geomean (List.map (fun b -> b.b_ops_per_s) per_bench)
-  in
-  let opt_geomean_ops_per_s =
-    Stats.geomean (List.map (fun b -> b.b_opt_ops_per_s) per_bench)
-  in
   let compiled_geomean_ops_per_s =
     Stats.geomean (List.map (fun b -> b.b_compiled_ops_per_s) per_bench)
   in
@@ -259,9 +206,7 @@ let run ?domains ?(repeats = 2) ?(opt = Ninja_vm.Optimize.default)
   in
   let configurations =
     [
-      ("fast", Ninja_vm.Interp.strategy_tag Ninja_vm.Interp.Decoded);
-      ("optimized", Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.Optimized opt));
-      ("compiled", Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.Compiled opt));
+      ("compiled", Ninja_vm.Interp.strategy_tag compiled_strategy);
       ("baseline", Ninja_vm.Interp.strategy_tag Ninja_vm.Interp.Tree);
     ]
   in
@@ -284,12 +229,8 @@ let run ?domains ?(repeats = 2) ?(opt = Ninja_vm.Optimize.default)
     configurations;
     jobs = results;
     benchmarks = per_bench;
-    geomean_ops_per_s;
-    opt_geomean_ops_per_s;
     compiled_geomean_ops_per_s;
     baseline_geomean_ops_per_s;
-    speedup = Stats.ratio geomean_ops_per_s baseline_geomean_ops_per_s;
-    opt_speedup = Stats.ratio opt_geomean_ops_per_s baseline_geomean_ops_per_s;
     compiled_speedup =
       Stats.ratio compiled_geomean_ops_per_s baseline_geomean_ops_per_s;
   }
@@ -367,12 +308,8 @@ let to_json ?grid r =
       ("wall_s", Json.Num r.wall_s);
       ( "configurations",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.configurations) );
-      ("geomean_ops_per_s", Json.Num r.geomean_ops_per_s);
-      ("opt_geomean_ops_per_s", Json.Num r.opt_geomean_ops_per_s);
       ("compiled_geomean_ops_per_s", Json.Num r.compiled_geomean_ops_per_s);
       ("baseline_geomean_ops_per_s", Json.Num r.baseline_geomean_ops_per_s);
-      ("speedup", Json.Num r.speedup);
-      ("opt_speedup", Json.Num r.opt_speedup);
       ("compiled_speedup", Json.Num r.compiled_speedup);
       (* per-job timings so external checkers (tools/bench_check.ml) can
          compare like-for-like jobs across reports with different grids *)
@@ -386,8 +323,6 @@ let to_json ?grid r =
                    ("machine", Json.Str j.j_machine);
                    ("step", Json.Str j.j_step);
                    ("ops", Json.Num (float_of_int j.j_ops));
-                   ("fast_s", Json.Num j.j_fast_s);
-                   ("opt_s", Json.Num j.j_opt_s);
                    ("compiled_s", Json.Num j.j_compiled_s);
                    ("baseline_s", Json.Num j.j_baseline_s);
                  ])
@@ -400,14 +335,9 @@ let to_json ?grid r =
                  [
                    ("name", Json.Str b.b_name);
                    ("ops", Json.Num (float_of_int b.b_ops));
-                   ("ops_per_s", Json.Num b.b_ops_per_s);
-                   ("opt_ops_per_s", Json.Num b.b_opt_ops_per_s);
                    ("compiled_ops_per_s", Json.Num b.b_compiled_ops_per_s);
                    ("baseline_ops_per_s", Json.Num b.b_baseline_ops_per_s);
-                   ( "wall_s",
-                     Json.Num
-                       (b.b_fast_s +. b.b_opt_s +. b.b_compiled_s
-                      +. b.b_baseline_s) );
+                   ("wall_s", Json.Num (b.b_compiled_s +. b.b_baseline_s));
                  ])
              r.benchmarks) );
     ]
@@ -426,20 +356,13 @@ let pp_result ppf r =
     r.wall_s;
   List.iter
     (fun b ->
-      Fmt.pf ppf
-        "  %-16s %10.0f ops/s  opt %10.0f  compiled %10.0f  (baseline %10.0f, \
-         %.2fx/%.2fx/%.2fx)@."
-        b.b_name b.b_ops_per_s b.b_opt_ops_per_s b.b_compiled_ops_per_s
-        b.b_baseline_ops_per_s
-        (b.b_ops_per_s /. b.b_baseline_ops_per_s)
-        (b.b_opt_ops_per_s /. b.b_baseline_ops_per_s)
+      Fmt.pf ppf "  %-16s %10.0f ops/s  (baseline %10.0f, %.2fx)@." b.b_name
+        b.b_compiled_ops_per_s b.b_baseline_ops_per_s
         (b.b_compiled_ops_per_s /. b.b_baseline_ops_per_s))
     r.benchmarks;
-  Fmt.pf ppf
-    "  geomean: %.0f ops/s (optimized %.0f, compiled %.0f) over %.0f baseline \
-     — %.2fx, optimized %.2fx, compiled %.2fx@."
-    r.geomean_ops_per_s r.opt_geomean_ops_per_s r.compiled_geomean_ops_per_s
-    r.baseline_geomean_ops_per_s r.speedup r.opt_speedup r.compiled_speedup;
+  Fmt.pf ppf "  geomean: %.0f ops/s compiled over %.0f baseline — %.2fx@."
+    r.compiled_geomean_ops_per_s r.baseline_geomean_ops_per_s
+    r.compiled_speedup;
   Fmt.pf ppf "  %a" Pool.pp_stats r.sched
 
 let pp_grid ppf g =

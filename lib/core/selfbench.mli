@@ -2,26 +2,21 @@
 
     Measures the simulator's own wall-clock throughput — simulated
     instructions per second — over a grid of (benchmark, machine, ladder
-    step) jobs, in four configurations: the fast path (pre-decoded
-    dispatch over the fast cache hierarchy), the optimized pipeline
-    (fast path plus the {!Ninja_vm.Optimize} passes over the decoded
-    arrays), the compiled backend (optimized arrays threaded into
-    chained closures by {!Ninja_vm.Compile} — the simulation default),
-    and the reference baseline (tree-walking interpreter over the
-    reference hierarchy). All four produce bit-identical simulation
-    reports — the optimized and compiled reports are compared
-    structurally against the fast one on every job, and instruction
-    counts are asserted equal — so the ratios are a pure measure of
-    simulator overhead. Results are written as [BENCH_simulator.json]
-    (schema {!schema_version}) by the [bench simulate] harness mode. *)
+    step) jobs, in two configurations: the compiled backend
+    ([Compiled Optimize.default] over the fast cache hierarchy — the
+    simulation default) and the reference baseline (tree-walking
+    interpreter over the reference hierarchy). Both produce bit-identical
+    simulation reports — the whole compiled report is compared
+    structurally against the baseline's on every job — so the ratio is a
+    pure measure of simulator overhead. Results are written as
+    [BENCH_simulator.json] (schema {!schema_version}) by the
+    [bench/main.exe simulate] harness mode. *)
 
 type job_result = {
   j_bench : string;
   j_machine : string;
   j_step : string;
-  j_ops : int;  (** simulated instructions (identical in all configurations) *)
-  j_fast_s : float;  (** wall seconds, fast configuration *)
-  j_opt_s : float;  (** wall seconds, optimized configuration *)
+  j_ops : int;  (** simulated instructions (identical in both configurations) *)
   j_compiled_s : float;  (** wall seconds, compiled configuration *)
   j_baseline_s : float;  (** wall seconds, baseline configuration *)
 }
@@ -29,12 +24,8 @@ type job_result = {
 type bench_result = {
   b_name : string;
   b_ops : int;  (** summed over the benchmark's jobs *)
-  b_fast_s : float;
-  b_opt_s : float;
   b_compiled_s : float;
   b_baseline_s : float;
-  b_ops_per_s : float;
-  b_opt_ops_per_s : float;
   b_compiled_ops_per_s : float;
   b_baseline_ops_per_s : float;
 }
@@ -47,15 +38,11 @@ type result = {
           single-domain snapshot when the serial path ran) *)
   configurations : (string * string) list;
       (** (configuration name, {!Ninja_vm.Interp.strategy_tag}) pairs for
-          the four timed configurations, recorded in the JSON report *)
+          the two timed configurations, recorded in the JSON report *)
   jobs : job_result list;
   benchmarks : bench_result list;  (** aggregated across machines and steps *)
-  geomean_ops_per_s : float;
-  opt_geomean_ops_per_s : float;
   compiled_geomean_ops_per_s : float;
   baseline_geomean_ops_per_s : float;
-  speedup : float;  (** fast over baseline geomean *)
-  opt_speedup : float;  (** optimized over baseline geomean *)
   compiled_speedup : float;  (** compiled over baseline geomean *)
 }
 
@@ -75,7 +62,7 @@ type grid_result = {
     {!Store} (see {!run_grid}). *)
 
 val schema_version : string
-(** ["ninja-selfbench/v4"], the ["schema"] field of the JSON report.
+(** ["ninja-selfbench/v5"], the ["schema"] field of the JSON report.
     v2 added ["domains"]-aware defaults, the ["sched"] scheduler-stats
     object, and the optional ["grid"] cold/warm store object; v3 added
     the optimized-pipeline configuration (["opt_geomean_ops_per_s"],
@@ -84,7 +71,12 @@ val schema_version : string
     ["compiled_speedup"], per-benchmark ["compiled_ops_per_s"]), the
     ["configurations"] object recording each configuration's backend
     tag, and the per-job ["job_times"] array that [tools/bench_check.ml]
-    uses to compare like-for-like jobs across reports. *)
+    uses to compare like-for-like jobs across reports; v5 dropped the
+    fast (decoded) and optimized configurations with their executors,
+    leaving compiled and baseline (and with them ["geomean_ops_per_s"],
+    ["opt_geomean_ops_per_s"], ["speedup"], ["opt_speedup"], the
+    per-benchmark ["ops_per_s"]/["opt_ops_per_s"] and the per-job
+    ["fast_s"]/["opt_s"] fields). *)
 
 val default_steps : string list
 (** Both ladder endpoints, ["naive serial"] and ["ninja"] — the scalar and
@@ -96,7 +88,6 @@ val default_machines : Ninja_arch.Machine.t list
 val run :
   ?domains:int ->
   ?repeats:int ->
-  ?opt:Ninja_vm.Optimize.config ->
   ?benchmarks:Ninja_kernels.Driver.benchmark list ->
   ?machines:Ninja_arch.Machine.t list ->
   ?steps:string list ->
@@ -107,17 +98,14 @@ val run :
     {!Ninja_util.Pool.default_domains} — on a multi-core host jobs time
     in parallel (minimum-of-repeats absorbs most of the interference;
     pass [~domains:1] when per-job seconds must be maximally clean).
-    [opt] is the pass list the optimized configuration runs (default
-    {!Ninja_vm.Optimize.default}, all passes).
     Each configuration of each job runs once untimed (warm-up) plus
     [repeats] timed times (default 2); the reported seconds are the
     minimum, the standard low-noise estimator for deterministic work.
     Steps a benchmark does not have are skipped. [progress] is called
     once per finished job (from worker domains when [domains > 1]).
-    @raise Invalid_argument on an empty grid, a fast/baseline
-    instruction-count mismatch, or an optimized or compiled timing
-    report that is not structurally identical to the fast one (any
-    would mean the interpreter strategies diverged — a bug). *)
+    @raise Invalid_argument on an empty grid, or a compiled timing report
+    that is not structurally identical to the baseline's (which would
+    mean the backends diverged — a bug). *)
 
 val run_grid :
   ?domains:int ->

@@ -45,8 +45,10 @@ module Json = Ninja_report.Json
    by optimized op arrays can never alias unoptimized ones.
    v4: keys gained an execution-backend component
    ({!Ninja_vm.Interp.strategy_tag}), so entries produced by the
-   closure-compiled executor can never alias interpreted ones. *)
-let version_salt = "ninja-store/v4"
+   closure-compiled executor can never alias interpreted ones.
+   v5: the optimizer-pass-list component went away with the optimized
+   executor — the backend tag ("compiled:<passes>") carries the pass list. *)
+let version_salt = "ninja-store/v5"
 
 let default_dir = "_ninja_cache"
 
@@ -135,21 +137,18 @@ let machine_fingerprint (m : Machine.t) =
     m.dram_latency m.dram_bw_gbs m.barrier_cycles m.spawn_cycles costs
     (Machine.gather_cost m)
 
-let key ?(opt = "") ?(backend = "") t ~machine ~step_name prog =
-  (* [opt] is the {!Ninja_vm.Optimize.tag} of the pass list the
-     interpreter ran ("" = plain decoded arrays), [backend] the
-     {!Ninja_vm.Interp.strategy_tag} of the execution backend ("" =
-     backend-agnostic). The fingerprint hashes the *unoptimized* decode,
-     so without these components an entry simulated through a buggy
-     pass — or a buggy compiled executor — could satisfy a later
-     unoptimized lookup (and vice versa); mixing the tags in keeps the
-     key spaces disjoint. *)
+let key ?(backend = "") t ~machine ~step_name prog =
+  (* [backend] is the {!Ninja_vm.Interp.strategy_tag} of the execution
+     backend ("" = backend-agnostic), pass list included. The
+     fingerprint hashes the *unoptimized* decode, so without it an entry
+     simulated through a buggy pass — or a buggy compiled executor —
+     could satisfy a later tree-walker lookup (and vice versa); mixing
+     the tag in keeps the key spaces disjoint. *)
   let prog_fp = Decode.fingerprint (Decode.decode prog) in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ t.salt; machine_fingerprint machine; step_name; prog_fp; opt;
-            backend ]))
+          [ t.salt; machine_fingerprint machine; step_name; prog_fp; backend ]))
 
 (* ------------------------------------------------------------------ *)
 (* Report (de)serialization                                            *)

@@ -57,19 +57,16 @@ val destroy : t -> unit
     the handle must not be used afterwards. *)
 
 val key :
-  ?opt:string ->
   ?backend:string ->
   t -> machine:Ninja_arch.Machine.t -> step_name:string ->
   Ninja_vm.Isa.program -> string
 (** The content address of one simulation: a hex digest over the store's
     salt, the machine fingerprint, [step_name], the decoded program's
-    fingerprint, [opt] — the {!Ninja_vm.Optimize.tag} of the pass
-    list the interpreter ran (default [""], plain decoded arrays) —
-    and [backend], the {!Ninja_vm.Interp.strategy_tag} of the execution
-    backend that produced the report (default [""]). Because the
-    program fingerprint always hashes the unoptimized decode, the tags
-    are what keep optimized-run and compiled-run entries from aliasing
-    plain decoded ones. *)
+    fingerprint, and [backend] — the {!Ninja_vm.Interp.strategy_tag} of
+    the execution backend that produced the report, pass list included
+    (default [""]). Because the program fingerprint always hashes the
+    unoptimized decode, the tag is what keeps tree-walker entries and
+    entries compiled under different pass lists from aliasing. *)
 
 val load :
   t -> key:string -> machine:Ninja_arch.Machine.t ->

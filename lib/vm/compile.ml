@@ -1,11 +1,12 @@
 (* Closure-compiled execution backend: threaded code for decoded op arrays.
 
-   [Interp]'s [Decoded]/[Optimized] strategies still pay, per dynamic op, a
+   An indexed dispatch loop over these arrays would pay, per dynamic op, a
    [match] over the [Decode.dop] tag, a second [match] over [Isa.instr] for
    straight-line ops, the register-wrapper field reads, and the full
-   count/instructions/fuel bookkeeping. This module removes all of that by
-   compiling each phase's op array once per run into chained OCaml
-   closures (classic threaded code):
+   count/instructions/fuel bookkeeping. This module — the engine behind
+   [Interp]'s [Compiled] strategy — removes all of that by compiling each
+   phase's op array once per run into chained OCaml closures (classic
+   threaded code):
 
    - every straight-line op becomes a pre-resolved action closure: operand
      indices, the operator, the mask slot and the memory hook are resolved
@@ -30,10 +31,10 @@
 
    Observable equivalence. The compiled program produces bit-identical
    registers, memory, {!Counts} rows, totals, event streams, traces and
-   traps to [Interp]'s flat executor. Bookkeeping batching follows the
-   fuel waiver documented at [Interp]'s [Dphantom]/[Dfor] arms: a batched
-   fuel decrement may trap up to n-1 ops early only when the observable
-   state at the trap is identical (counts die with the exception). To keep
+   traps to [Interp]'s tree walker. Bookkeeping batching relies on one
+   fuel waiver: a batched fuel decrement may trap up to n-1 ops early
+   only when the observable state at the trap is identical (counts die
+   with the exception, and no memory write sits inside the batch). To keep
    trap *messages* and event prefixes exact, a batch segment never extends
    past an op that can trap or emit memory events — such ops terminate
    their segment, so "fuel exhausted" still wins exactly when the
@@ -41,11 +42,12 @@
    that the reference would have refused. When a trace sink is attached,
    compilation falls back to per-op bookkeeping closures so the
    [Trace.Op] stream keeps its exact per-op order (same rule as the
-   interpreter's traced [Dphantom] arm); execution is still threaded.
+   tree walker's per-op counting); execution is still threaded.
 
-   Equivalence is property-tested four ways (Tree vs Decoded vs Optimized
-   vs Compiled) in test/test_compile.ml, including seeded miscompilation
-   mutants that the differential must refute. *)
+   Equivalence with the tree walker is property-tested under every pass
+   list (test/test_fastpath.ml, test/test_optimize.ml), and
+   test/test_compile.ml adds fuel-trap differentials and seeded
+   miscompilation mutants that the differential must refute. *)
 
 type tctx = {
   si : int array;
@@ -136,8 +138,8 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           f (Trace.Lanes { thread = t.thread; active; width })
   in
   (* Semantic effect of one straight-line instruction, with operands,
-     operators and masks resolved now. Arm for arm the bodies are
-     Interp.run_flat's [exec_instr]. *)
+     operators and masks resolved now. Arm for arm the semantics are the
+     tree walker's. *)
   let action_of_instr (instr : Isa.instr) : tctx -> unit =
     match instr with
     | Iconst (Si d, n) -> fun t -> t.si.(d) <- n

@@ -2,10 +2,10 @@
     arrays.
 
     The per-phase compiler behind {!Interp}'s [Compiled] strategy. Where
-    the [Decoded]/[Optimized] executor pays, per dynamic op, a [match]
-    over the op tag, a second [match] over the instruction, register
-    index field reads and five bookkeeping memory operations, this
-    module compiles each flat op array once per run into chained OCaml
+    an indexed dispatch loop would pay, per dynamic op, a [match] over
+    the op tag, a second [match] over the instruction, register index
+    field reads and five bookkeeping memory operations, this module
+    compiles each flat op array once per run into chained OCaml
     closures:
 
     - every straight-line op becomes a pre-resolved action closure
@@ -14,8 +14,8 @@
       count/instruction/fuel bookkeeping is batched per segment — a
       segment never extends past an op that can trap or emit a memory
       event, which keeps trap messages and event prefixes bit-identical
-      to the interpreter (the same fuel waiver as [Interp]'s fused loop
-      edges);
+      to the tree walker (a batched fuel charge may trap early only when
+      the observable state is identical);
     - control ops tail-call their successors through a node table, so a
       loop iteration is one compare plus a direct jump to the body's
       block closure.
@@ -28,9 +28,11 @@
     speed is unchanged.
 
     Registers, memory, {!Counts} rows, totals, event streams, traces and
-    traps are bit-identical to the flat interpreter by construction;
-    test/test_compile.ml pins this with a four-way qcheck differential
-    and seeded miscompilation mutants. When a trace sink is attached,
+    traps are bit-identical to the tree walker by construction;
+    test/test_fastpath.ml and test/test_optimize.ml pin this with a
+    Tree-vs-Compiled qcheck differential under every pass list, and
+    test/test_compile.ml with fuel-trap differentials and seeded
+    miscompilation mutants. When a trace sink is attached,
     compilation falls back to per-op bookkeeping closures so the
     [Trace.Op] stream keeps its exact per-op order. *)
 

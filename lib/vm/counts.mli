@@ -12,7 +12,7 @@ val add : t -> thread:int -> Isa.op_class -> int -> unit
 
 val thread_row : t -> thread:int -> int array
 (** One thread's mutable count row, indexed by {!Isa.op_class_index} —
-    the interpreter's fast dispatch loop counts directly into it, skipping
+    the compiled backend counts directly into it, skipping
     the per-instruction class-to-index translation. Writes through the row
     are equivalent to {!add}. *)
 

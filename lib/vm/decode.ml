@@ -1,5 +1,5 @@
 (* Pre-decode pass: flatten a structured Isa.program into contiguous arrays
-   of resolved operations executed by Interp's indexed dispatch loop.
+   of resolved operations, the input of Optimize and Compile.
 
    The tree walker re-traverses statement lists, re-reads register wrappers
    and re-classifies every instruction on each dynamic execution. Decoding
@@ -10,17 +10,18 @@
    - structured control flow ([For]/[While]/[If]) becomes conditional
      jumps with absolute targets inside one flat [dop array] per phase;
    - [For] headers get a dense [id] into per-activation state arrays (the
-     interpreter reads [lo]/[hi]/[step] once at entry, exactly like the
+     compiled code reads [lo]/[hi]/[step] once at entry, exactly like the
      tree walker), valid because a given [For] op cannot be re-entered
      before it exits (the ISA has no calls or gotos);
    - [Region] markers become paired enter/exit ops carrying their
      pre-built {!Trace.scope} value, so the profiling hooks allocate
      nothing per encounter.
 
-   Decoding performs no semantic transformation: Interp executes a decoded
-   program with bit-identical registers, memory, {!Counts} and event
-   streams to the tree walker (property-tested in test/test_fastpath.ml,
-   and pinned suite-wide by the experiments golden). *)
+   Decoding performs no semantic transformation: [Interp.Compiled
+   Optimize.none] executes a decoded program with bit-identical
+   registers, memory, {!Counts} and event streams to the tree walker
+   (property-tested in test/test_fastpath.ml, and pinned suite-wide by
+   the experiments golden). *)
 
 (* The constructors below Dexit are never produced by [decode]: they are
    the specialized forms {!Optimize} rewrites decoded ops into. They are

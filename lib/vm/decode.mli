@@ -1,12 +1,13 @@
-(** Pre-decode pass for the interpreter's fast dispatch loop.
+(** Pre-decode pass for the compiled backend.
 
     Flattens a structured {!Isa.program} into one contiguous [dop array]
     per phase: operands resolved to plain register indices, structured
     control flow lowered to conditional jumps with absolute targets,
     instruction classes pre-classified and [Region] profiling scopes
-    pre-built. {!Interp.run} executes the decoded form by default
-    (strategy [Decoded]) with results bit-identical to the tree walker
-    (strategy [Tree]); decoding itself changes no semantics. *)
+    pre-built. The decoded form is what {!Optimize} rewrites and
+    {!Compile} threads into closures ({!Interp}'s [Compiled] strategy),
+    with results bit-identical to the tree walker (strategy [Tree]);
+    decoding itself changes no semantics. *)
 
 (** One decoded operation. Jump targets are absolute indices into the
     enclosing phase's op array; a [pc] past the end halts the phase. *)

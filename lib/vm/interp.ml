@@ -11,63 +11,49 @@
    property (any location written by one thread and touched by another
    within the same phase is reported).
 
-   Four execution strategies produce bit-identical registers, memory,
+   Two execution strategies produce bit-identical registers, memory,
    counts, event streams and traps:
 
    - [Tree] walks the structured statement lists through small per-register
      accessor closures — the original, obviously-correct reference,
      deliberately left structurally untouched so it doubles as the
      performance baseline the self-benchmark measures against.
-   - [Decoded] (the bare-[run] default) runs {!Decode}'s flat op arrays
-     with an indexed program counter and a specialized executor: registers
-     are plain array reads (no accessor closures), instruction classes are
-     counted through a pre-resolved index straight into the thread's
-     {!Counts} row, operator dispatch is hoisted out of vector lane loops,
-     and loop bounds live in dense per-loop state slots.
-   - [Optimized] additionally runs the {!Optimize} pass pipeline over the
-     decoded arrays before dispatch.
-   - [Compiled] (the simulation default, see [default_strategy]) runs the
-     optimized arrays through {!Compile}: each phase becomes chained
-     pre-resolved closures — threaded code with basic-block
-     superinstructions — eliminating the dispatch [match]es entirely.
+   - [Compiled config] (the simulation default, see [default_strategy])
+     decodes the program into {!Decode}'s flat op arrays, runs the
+     configured {!Optimize} passes over them, and compiles each phase
+     through {!Compile} into chained pre-resolved closures — threaded code
+     with basic-block superinstructions. [Compiled Optimize.none] executes
+     the plain decoded arrays.
 
    Equivalence is property-tested instruction-by-instruction in
-   test/test_fastpath.ml (three-way) and test/test_compile.ml (four-way),
-   and pinned suite-wide by the experiments golden. The event/trace hooks
-   are devirtualized in all paths: emit closures are selected once per
-   phase on tracker/sink presence, so the no-profiler case pays no
-   per-access option matching. *)
+   test/test_fastpath.ml, test/test_optimize.ml (every pass config) and
+   test/test_compile.ml, and pinned suite-wide by the experiments golden.
+   The compiled path's memory-event hook is devirtualized: its emit
+   closure is selected once per phase on tracker/sink presence, so the
+   no-profiler case pays no per-access option matching. *)
 
 exception Trap = Memory.Trap
 
 type result = { counts : Counts.t; instructions : int }
 
-type strategy =
-  | Tree
-  | Decoded
-  | Optimized of Optimize.config
-  | Compiled of Optimize.config
+type strategy = Tree | Compiled of Optimize.config
 
-(* The strategy the simulation surfaces (Timing.simulate, and through it
-   experiments, ladder, bench and serve) resolve an absent ?strategy to.
-   A process-wide cell rather than a [run] default so one --backend flag
-   can steer every simulation a command performs; bare [run] keeps its
-   own [Decoded] default. *)
+(* The strategy every run resolves an absent ?strategy to — bare [run]
+   and the simulation surfaces (Timing.simulate, and through it
+   experiments, ladder, bench and serve) alike. A process-wide cell
+   rather than a [run] default so one --backend flag can steer every
+   simulation a command performs. *)
 let default_strategy_ref = ref (Compiled Optimize.default)
 let default_strategy () = !default_strategy_ref
 let set_default_strategy s = default_strategy_ref := s
 
 let strategy_tag = function
   | Tree -> "tree"
-  | Decoded -> "decoded"
-  | Optimized c -> "optimized:" ^ Optimize.tag c
   | Compiled c -> "compiled:" ^ Optimize.tag c
 
 let strategy_of_name name =
   match name with
   | "tree" -> Some Tree
-  | "decoded" -> Some Decoded
-  | "optimized" -> Some (Optimized Optimize.default)
   | "compiled" -> Some (Compiled Optimize.default)
   | _ -> None
 
@@ -172,28 +158,17 @@ let track_access rt ~thread ~addr ~(kind : Event.kind) =
 exception Race of string list
 
 (* The work one thread performs in one phase: the structured block (tree
-   walk) or the decoded flat op array (indexed dispatch). *)
-type work =
-  | Wtree of Isa.block
-  | Wflat of Decode.dop array
-  | Wcomp of (Compile.tctx -> unit)
-      (* a phase pre-compiled by {!Compile.compile}: one compilation,
-         shared by every thread that executes the phase *)
-
-(* Pre-resolved count-row indices for the decoded loop's bookkeeping. *)
-let salu_idx = Isa.op_class_index Isa.Salu
-let branch_idx = Isa.op_class_index Isa.Branch
-let sfp_idx = Isa.op_class_index Isa.Sfp
-let vfp_idx = Isa.op_class_index Isa.Vfp
-let sload_idx = Isa.op_class_index Isa.Sload
-let sstore_idx = Isa.op_class_index Isa.Sstore
+   walk) or a phase pre-compiled by {!Compile.compile} — one compilation,
+   shared by every thread that executes the phase. *)
+type work = Wtree of Isa.block | Wcomp of (Compile.tctx -> unit)
 
 let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
-    ?(check_races = false) ?(strategy = Decoded) ?decoded ?on_states
+    ?(check_races = false) ?strategy ?decoded ?on_states
     (prog : Isa.program) (mem : Memory.t) =
   Isa.validate prog;
   if n_threads < 1 then invalid_arg "Interp.run: n_threads < 1";
   if width < 1 then invalid_arg "Interp.run: width < 1";
+  let strategy = match strategy with Some s -> s | None -> default_strategy () in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
   let remaining_fuel = ref (Option.value fuel ~default:max_int) in
@@ -201,51 +176,31 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
   let scratch = Array.make width 0. in
   let all_true = Array.make width true in
   let tracker = if check_races then Some (race_tracker ()) else None in
-  (* Phase work list and loop-state slots, per strategy. The decoded
-     per-loop slots are safe as plain arrays: threads run one after
-     another and a [Dfor] cannot be re-entered before it exits. *)
-  let phase_work, n_fors =
-    match decoded with
-    | Some (d : Decode.t) ->
-        (* pre-supplied flat form (possibly hand-transformed): the
-           substrate for the optimizer's mutation tests, which must
-           execute deliberately broken arrays *)
-        ( Array.to_list
-            (Array.map (fun (ph : Decode.phase) -> (ph.parallel, Wflat ph.code)) d.phases),
-          d.n_fors )
-    | None ->
-    match strategy with
-    | Tree ->
-        ( List.map
-            (function
-              | Isa.Par b -> (true, Wtree b)
-              | Isa.Seq b -> (false, Wtree b))
-            prog.phases,
-          0 )
-    | Decoded | Optimized _ | Compiled _ ->
-        let d = Decode.decode prog in
-        let d =
-          match strategy with
-          | Optimized config | Compiled config -> Optimize.run ~config d
-          | _ -> d
-        in
-        ( Array.to_list
-            (Array.map (fun (ph : Decode.phase) -> (ph.parallel, Wflat ph.code)) d.phases),
-          d.n_fors )
+  (* The flat form to compile, if any: a pre-supplied one (possibly
+     hand-transformed or deliberately broken — the substrate of the
+     optimizer's and compiler's mutation tests) always runs compiled, as
+     is; otherwise [Compiled config] decodes and optimizes [prog]. *)
+  let flat =
+    match (decoded, strategy) with
+    | Some d, _ -> Some d
+    | None, Tree -> None
+    | None, Compiled config -> Some (Optimize.run ~config (Decode.decode prog))
   in
-  let for_cur = Array.make (max n_fors 1) 0 in
-  let for_hi = Array.make (max n_fors 1) 0 in
-  let for_step = Array.make (max n_fors 1) 0 in
-
-  (* Compiled strategy: compile each flat phase once, up front — the
-     closures take the per-thread state as an argument ({!Compile.tctx}),
-     so a parallel phase's n_threads executions share one compilation.
-     Selected even when [?decoded] supplies the arrays, so the
-     compiler-mutation differentials can execute deliberately broken
-     arrays through the compiled backend too. *)
+  (* Compile each flat phase once, up front — the closures take the
+     per-thread state as an argument ({!Compile.tctx}), so a parallel
+     phase's n_threads executions share one compilation. The per-loop
+     slots are safe as plain arrays: threads run one after another and a
+     loop cannot be re-entered before it exits. *)
   let phase_work =
-    match strategy with
-    | Compiled _ ->
+    match flat with
+    | None ->
+        List.map
+          (function
+            | Isa.Par b -> (true, Wtree b)
+            | Isa.Seq b -> (false, Wtree b))
+          prog.phases
+    | Some (d : Decode.t) ->
+        let slots () = Array.make (max d.n_fors 1) 0 in
         let cctx =
           {
             Compile.mem;
@@ -255,41 +210,16 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
             instructions;
             fuel = remaining_fuel;
             prog_name = prog.prog_name;
-            for_cur;
-            for_hi;
-            for_step;
+            for_cur = slots ();
+            for_hi = slots ();
+            for_step = slots ();
             trace;
           }
         in
-        List.map
-          (fun (parallel, w) ->
-            match w with
-            | Wflat code -> (parallel, Wcomp (Compile.compile cctx code))
-            | w -> (parallel, w))
-          phase_work
-    | _ -> phase_work
-  in
-
-  (* Memory-access hook, devirtualized: selected once per (thread, phase)
-     on sink/tracker presence so the common no-instrumentation case is a
-     constant no-op closure rather than two option matches per access. *)
-  let make_emit ~thread =
-    match (tracker, sink) with
-    | None, None -> fun ~nt:_ ~buf:_ ~idx:_ ~bytes:_ ~kind:_ ~chain:_ -> ()
-    | _ ->
-        fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-          (match tracker with
-          | Some rt ->
-              let base = Memory.address mem buf idx in
-              let n = bytes / 4 in
-              for k = 0 to n - 1 do
-                track_access rt ~thread ~addr:(base + (k * 4)) ~kind
-              done
-          | None -> ());
-          (match sink with
-          | Some f ->
-              f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-          | None -> ())
+        Array.to_list
+          (Array.map
+             (fun (ph : Decode.phase) -> (ph.parallel, Wcomp (Compile.compile cctx ph.code)))
+             d.phases)
   in
 
   (* ---- tree walker: the reference implementation, kept structurally
@@ -618,639 +548,28 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
     exec_block block
   in
 
-  (* ---- decoded executor: the fast path. Same semantics as [run_tree],
-     op for op — registers read straight out of the state arrays, counts
-     written through the pre-resolved class index, operator dispatch
-     hoisted out of the lane loops. ---- *)
-  let run_flat ~thread st (code : Decode.dop array) =
-    let si = st.si and sf = st.sf and vf = st.vf and vi = st.vi and vm = st.vm in
-    let row = Counts.thread_row counts ~thread in
-    let cnt cls cls_idx n =
-      row.(cls_idx) <- row.(cls_idx) + n;
-      instructions := !instructions + n;
-      remaining_fuel := !remaining_fuel - n;
-      if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-      match trace with
-      | Some f -> for _ = 1 to n do f (Trace.Op { thread; cls }) done
-      | None -> ()
-    in
-    (* For headers / back edges count one Salu + one Branch. The untraced
-       case is inlined at the Dfor/Dforback arms with the two updates
-       fused into one bookkeeping step: fuel can only trap one op earlier,
-       with identical observable state — counts die with the exception and
-       no memory write sits between the two. This traced version keeps the
-       per-op Trace.Op emission order. *)
-    let cnt_loop_edge () =
-      cnt Isa.Salu salu_idx 1;
-      cnt Isa.Branch branch_idx 1
-    in
-    let emit =
-      (* the common configuration — event sink, no race tracker — skips
-         make_emit's per-call option matches *)
-      match (tracker, sink) with
-      | None, Some f ->
-          fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-            f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-      | _ -> make_emit ~thread
-    in
-    let act_of = function None -> all_true | Some (Isa.Vm m) -> vm.(m) in
-    let emit_lanes_act =
-      match trace with
-      | None -> fun _ -> ()
-      | Some f ->
-          fun act ->
-            let active = Array.fold_left (fun a b -> if b then a + 1 else a) 0 act in
-            f (Trace.Lanes { thread; active; width })
-    in
-    let exec_instr instr =
-      match (instr : Isa.instr) with
-      | Iconst (Si d, n) -> si.(d) <- n
-      | Fconst (Sf d, x) -> sf.(d) <- x
-      | Imov (Si d, Si a) -> si.(d) <- si.(a)
-      | Fmov (Sf d, Sf a) -> sf.(d) <- sf.(a)
-      | Ibin (op, Si d, Si a, Si b) ->
-          let a = si.(a) and b = si.(b) in
-          si.(d) <-
-            (match op with
-            | Iadd -> a + b
-            | Isub -> a - b
-            | Imul -> a * b
-            | Idiv -> if b = 0 then Memory.trap "integer division by zero" else a / b
-            | Imod -> if b = 0 then Memory.trap "integer modulo by zero" else a mod b
-            | Iand -> a land b
-            | Ior -> a lor b
-            | Ixor -> a lxor b
-            | Ishl -> a lsl b
-            | Ishr -> a asr b
-            | Imin -> if a <= b then a else b
-            | Imax -> if a >= b then a else b)
-      | Fbin (op, Sf d, Sf a, Sf b) ->
-          let a = sf.(a) and b = sf.(b) in
-          sf.(d) <-
-            (match op with
-            | Fadd -> a +. b
-            | Fsub -> a -. b
-            | Fmul -> a *. b
-            | Fdiv -> a /. b
-            | Fmin -> Float.min a b
-            | Fmax -> Float.max a b)
-      | Fma (Sf d, Sf a, Sf b, Sf c) -> sf.(d) <- (sf.(a) *. sf.(b)) +. sf.(c)
-      | Funop (op, Sf d, Sf a) ->
-          let a = sf.(a) in
-          sf.(d) <-
-            (match op with
-            | Fneg -> -.a
-            | Fabs -> Float.abs a
-            | Fsqrt -> Float.sqrt a
-            | Frsqrt -> 1. /. Float.sqrt a
-            | Fexp -> Float.exp a
-            | Flog -> Float.log a
-            | Ffloor -> Float.floor a)
-      | Icmp (op, Si d, Si a, Si b) ->
-          let a = si.(a) and b = si.(b) in
-          let c =
-            match op with
-            | Ceq -> a = b
-            | Cne -> a <> b
-            | Clt -> a < b
-            | Cle -> a <= b
-            | Cgt -> a > b
-            | Cge -> a >= b
-          in
-          si.(d) <- (if c then 1 else 0)
-      | Fcmp (op, Si d, Sf a, Sf b) ->
-          let a = sf.(a) and b = sf.(b) in
-          let c =
-            match op with
-            | Ceq -> Float.equal a b
-            | Cne -> not (Float.equal a b)
-            | Clt -> a < b
-            | Cle -> a <= b
-            | Cgt -> a > b
-            | Cge -> a >= b
-          in
-          si.(d) <- (if c then 1 else 0)
-      | Iselect (Si d, Si c, Si a, Si b) ->
-          si.(d) <- (if si.(c) <> 0 then si.(a) else si.(b))
-      | Fselect (Sf d, Si c, Sf a, Sf b) ->
-          sf.(d) <- (if si.(c) <> 0 then sf.(a) else sf.(b))
-      | Fofi (Sf d, Si a) -> sf.(d) <- float_of_int si.(a)
-      | Ioff (Si d, Sf a) -> si.(d) <- int_of_float sf.(a)
-      | Loadf { dst = Sf dst; buf; idx = Si idx; chain } ->
-          let i = si.(idx) in
-          sf.(dst) <- Memory.get_f mem buf i;
-          emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
-      | Loadi { dst = Si dst; buf; idx = Si idx; chain } ->
-          let i = si.(idx) in
-          si.(dst) <- Memory.get_i mem buf i;
-          emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
-      | Storef { buf; idx = Si idx; src = Sf src } ->
-          let i = si.(idx) in
-          Memory.set_f mem buf i sf.(src);
-          emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
-      | Storei { buf; idx = Si idx; src = Si src } ->
-          let i = si.(idx) in
-          Memory.set_i mem buf i si.(src);
-          emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
-      | Vmovf (Vf d, Vf a) -> Array.blit vf.(a) 0 vf.(d) 0 width
-      | Vmovi (Vi d, Vi a) -> Array.blit vi.(a) 0 vi.(d) 0 width
-      | Vbroadcastf (Vf d, Sf a) -> Array.fill vf.(d) 0 width sf.(a)
-      | Vbroadcasti (Vi d, Si a) -> Array.fill vi.(d) 0 width si.(a)
-      | Viota (Vi d) ->
-          let v = vi.(d) in
-          for l = 0 to width - 1 do v.(l) <- l done
-      | Vfbin (op, Vf d, Vf a, Vf b) ->
-          let d = vf.(d) and a = vf.(a) and b = vf.(b) in
-          (match op with
-          | Fadd -> for l = 0 to width - 1 do d.(l) <- a.(l) +. b.(l) done
-          | Fsub -> for l = 0 to width - 1 do d.(l) <- a.(l) -. b.(l) done
-          | Fmul -> for l = 0 to width - 1 do d.(l) <- a.(l) *. b.(l) done
-          | Fdiv -> for l = 0 to width - 1 do d.(l) <- a.(l) /. b.(l) done
-          | Fmin -> for l = 0 to width - 1 do d.(l) <- Float.min a.(l) b.(l) done
-          | Fmax -> for l = 0 to width - 1 do d.(l) <- Float.max a.(l) b.(l) done)
-      | Vfma (Vf d, Vf a, Vf b, Vf c) ->
-          let d = vf.(d) and a = vf.(a) and b = vf.(b) and c = vf.(c) in
-          for l = 0 to width - 1 do d.(l) <- (a.(l) *. b.(l)) +. c.(l) done
-      | Vfunop (op, Vf d, Vf a) ->
-          let d = vf.(d) and a = vf.(a) in
-          (match op with
-          | Fneg -> for l = 0 to width - 1 do d.(l) <- -.a.(l) done
-          | Fabs -> for l = 0 to width - 1 do d.(l) <- Float.abs a.(l) done
-          | Fsqrt -> for l = 0 to width - 1 do d.(l) <- Float.sqrt a.(l) done
-          | Frsqrt -> for l = 0 to width - 1 do d.(l) <- 1. /. Float.sqrt a.(l) done
-          | Fexp -> for l = 0 to width - 1 do d.(l) <- Float.exp a.(l) done
-          | Flog -> for l = 0 to width - 1 do d.(l) <- Float.log a.(l) done
-          | Ffloor -> for l = 0 to width - 1 do d.(l) <- Float.floor a.(l) done)
-      | Vibin (op, Vi d, Vi a, Vi b) ->
-          let d = vi.(d) and a = vi.(a) and b = vi.(b) in
-          (match op with
-          | Iadd -> for l = 0 to width - 1 do d.(l) <- a.(l) + b.(l) done
-          | Isub -> for l = 0 to width - 1 do d.(l) <- a.(l) - b.(l) done
-          | Imul -> for l = 0 to width - 1 do d.(l) <- a.(l) * b.(l) done
-          | Idiv ->
-              for l = 0 to width - 1 do
-                d.(l) <-
-                  (if b.(l) = 0 then Memory.trap "integer division by zero"
-                   else a.(l) / b.(l))
-              done
-          | Imod ->
-              for l = 0 to width - 1 do
-                d.(l) <-
-                  (if b.(l) = 0 then Memory.trap "integer modulo by zero"
-                   else a.(l) mod b.(l))
-              done
-          | Iand -> for l = 0 to width - 1 do d.(l) <- a.(l) land b.(l) done
-          | Ior -> for l = 0 to width - 1 do d.(l) <- a.(l) lor b.(l) done
-          | Ixor -> for l = 0 to width - 1 do d.(l) <- a.(l) lxor b.(l) done
-          | Ishl -> for l = 0 to width - 1 do d.(l) <- a.(l) lsl b.(l) done
-          | Ishr -> for l = 0 to width - 1 do d.(l) <- a.(l) asr b.(l) done
-          | Imin ->
-              for l = 0 to width - 1 do
-                d.(l) <- (if a.(l) <= b.(l) then a.(l) else b.(l))
-              done
-          | Imax ->
-              for l = 0 to width - 1 do
-                d.(l) <- (if a.(l) >= b.(l) then a.(l) else b.(l))
-              done)
-      | Vfcmp (op, Vm d, Vf a, Vf b) ->
-          let d = vm.(d) and a = vf.(a) and b = vf.(b) in
-          (match op with
-          | Ceq -> for l = 0 to width - 1 do d.(l) <- Float.equal a.(l) b.(l) done
-          | Cne ->
-              for l = 0 to width - 1 do d.(l) <- not (Float.equal a.(l) b.(l)) done
-          | Clt -> for l = 0 to width - 1 do d.(l) <- a.(l) < b.(l) done
-          | Cle -> for l = 0 to width - 1 do d.(l) <- a.(l) <= b.(l) done
-          | Cgt -> for l = 0 to width - 1 do d.(l) <- a.(l) > b.(l) done
-          | Cge -> for l = 0 to width - 1 do d.(l) <- a.(l) >= b.(l) done)
-      | Vicmp (op, Vm d, Vi a, Vi b) ->
-          let d = vm.(d) and a = vi.(a) and b = vi.(b) in
-          (match op with
-          | Ceq -> for l = 0 to width - 1 do d.(l) <- a.(l) = b.(l) done
-          | Cne -> for l = 0 to width - 1 do d.(l) <- a.(l) <> b.(l) done
-          | Clt -> for l = 0 to width - 1 do d.(l) <- a.(l) < b.(l) done
-          | Cle -> for l = 0 to width - 1 do d.(l) <- a.(l) <= b.(l) done
-          | Cgt -> for l = 0 to width - 1 do d.(l) <- a.(l) > b.(l) done
-          | Cge -> for l = 0 to width - 1 do d.(l) <- a.(l) >= b.(l) done)
-      | Vselectf (Vf d, Vm m, Vf a, Vf b) ->
-          let d = vf.(d) and m = vm.(m) and a = vf.(a) and b = vf.(b) in
-          for l = 0 to width - 1 do d.(l) <- (if m.(l) then a.(l) else b.(l)) done
-      | Vselecti (Vi d, Vm m, Vi a, Vi b) ->
-          let d = vi.(d) and m = vm.(m) and a = vi.(a) and b = vi.(b) in
-          for l = 0 to width - 1 do d.(l) <- (if m.(l) then a.(l) else b.(l)) done
-      | Vfofi (Vf d, Vi a) ->
-          let d = vf.(d) and a = vi.(a) in
-          for l = 0 to width - 1 do d.(l) <- float_of_int a.(l) done
-      | Vioff (Vi d, Vf a) ->
-          let d = vi.(d) and a = vf.(a) in
-          for l = 0 to width - 1 do d.(l) <- int_of_float a.(l) done
-      | Vpermutef (Vf d, Vf a, pat) ->
-          let d = vf.(d) and a = vf.(a) in
-          let n = Array.length pat in
-          for l = 0 to width - 1 do
-            let s = pat.(l mod n) in
-            if s < 0 || s >= width then Memory.trap "vperm lane %d out of range" s;
-            scratch.(l) <- a.(s)
-          done;
-          Array.blit scratch 0 d 0 width
-      | Vextractf (Sf d, Vf a, Si lane) ->
-          let l = si.(lane) in
-          if l < 0 || l >= width then Memory.trap "vextract lane %d out of range" l;
-          sf.(d) <- vf.(a).(l)
-      | Vinsertf (Vf d, Si lane, Sf a) ->
-          let l = si.(lane) in
-          if l < 0 || l >= width then Memory.trap "vinsert lane %d out of range" l;
-          vf.(d).(l) <- sf.(a)
-      | Vreducef (r, Sf d, Vf a) ->
-          let a = vf.(a) in
-          let acc = ref a.(0) in
-          (match r with
-          | Rsum -> for l = 1 to width - 1 do acc := !acc +. a.(l) done
-          | Rmin -> for l = 1 to width - 1 do acc := Float.min !acc a.(l) done
-          | Rmax -> for l = 1 to width - 1 do acc := Float.max !acc a.(l) done);
-          sf.(d) <- !acc
-      | Vreducei (r, Si d, Vi a) ->
-          let a = vi.(a) in
-          let acc = ref a.(0) in
-          (match r with
-          | Rsum -> for l = 1 to width - 1 do acc := !acc + a.(l) done
-          | Rmin -> for l = 1 to width - 1 do if a.(l) < !acc then acc := a.(l) done
-          | Rmax -> for l = 1 to width - 1 do if a.(l) > !acc then acc := a.(l) done);
-          si.(d) <- !acc
-      | Mconst (Vm d, v) -> Array.fill vm.(d) 0 width v
-      | Mpattern (Vm d, pat) ->
-          let d = vm.(d) in
-          let n = Array.length pat in
-          for l = 0 to width - 1 do d.(l) <- pat.(l mod n) done
-      | Mfirst (Vm d, Si n) ->
-          let d = vm.(d) and n = si.(n) in
-          for l = 0 to width - 1 do d.(l) <- l < n done
-      | Mnot (Vm d, Vm a) ->
-          let d = vm.(d) and a = vm.(a) in
-          for l = 0 to width - 1 do d.(l) <- not a.(l) done
-      | Mand (Vm d, Vm a, Vm b) ->
-          let d = vm.(d) and a = vm.(a) and b = vm.(b) in
-          for l = 0 to width - 1 do d.(l) <- a.(l) && b.(l) done
-      | Mor (Vm d, Vm a, Vm b) ->
-          let d = vm.(d) and a = vm.(a) and b = vm.(b) in
-          for l = 0 to width - 1 do d.(l) <- a.(l) || b.(l) done
-      | Many (Si d, Vm a) -> si.(d) <- (if Array.exists Fun.id vm.(a) then 1 else 0)
-      | Mall (Si d, Vm a) -> si.(d) <- (if Array.for_all Fun.id vm.(a) then 1 else 0)
-      | Mcount (Si d, Vm a) ->
-          si.(d) <- Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 vm.(a)
-      | Vloadf { dst = Vf dst; buf; idx = Si idx; mask = None } ->
-          (* unmasked: every lane is active, so the whole vector moves with
-             one bounds/type check (identical traps via the block fallback) *)
-          emit_lanes_act all_true;
-          let base = si.(idx) in
-          Memory.get_f_block mem buf base vf.(dst) width;
-          emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read ~chain:false
-      | Vloadf { dst = Vf dst; buf; idx = Si idx; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let base = si.(idx) in
-          let d = vf.(dst) in
-          let any = ref false in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              d.(l) <- Memory.get_f mem buf (base + l);
-              any := true
-            end
-          done;
-          if !any then emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read ~chain:false
-      | Vloadi { dst = Vi dst; buf; idx = Si idx; mask = None } ->
-          emit_lanes_act all_true;
-          let base = si.(idx) in
-          Memory.get_i_block mem buf base vi.(dst) width;
-          emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read ~chain:false
-      | Vloadi { dst = Vi dst; buf; idx = Si idx; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let base = si.(idx) in
-          let d = vi.(dst) in
-          let any = ref false in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              d.(l) <- Memory.get_i mem buf (base + l);
-              any := true
-            end
-          done;
-          if !any then emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read ~chain:false
-      | Vloadf_strided { dst = Vf dst; buf; idx = Si idx; stride = Si stride } ->
-          let base = si.(idx) and s = si.(stride) in
-          let d = vf.(dst) in
-          for l = 0 to width - 1 do
-            let i = base + (l * s) in
-            d.(l) <- Memory.get_f mem buf i;
-            emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain:false
-          done
-      | Vgatherf { dst = Vf dst; buf; idx = Vi idx; mask; chain } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let d = vf.(dst) and ix = vi.(idx) in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              d.(l) <- Memory.get_f mem buf ix.(l);
-              emit ~nt:false ~buf ~idx:ix.(l) ~bytes:4 ~kind:Read ~chain
-            end
-          done
-      | Vgatheri { dst = Vi dst; buf; idx = Vi idx; mask; chain } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let d = vi.(dst) and ix = vi.(idx) in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              d.(l) <- Memory.get_i mem buf ix.(l);
-              emit ~nt:false ~buf ~idx:ix.(l) ~bytes:4 ~kind:Read ~chain
-            end
-          done
-      | Vstoref { buf; idx = Si idx; src = Vf src; mask = None } ->
-          emit_lanes_act all_true;
-          let base = si.(idx) in
-          Memory.set_f_block mem buf base vf.(src) width;
-          emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write ~chain:false
-      | Vstoref { buf; idx = Si idx; src = Vf src; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let base = si.(idx) in
-          let s = vf.(src) in
-          let any = ref false in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              Memory.set_f mem buf (base + l) s.(l);
-              any := true
-            end
-          done;
-          if !any then emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write ~chain:false
-      | Vstorei { buf; idx = Si idx; src = Vi src; mask = None } ->
-          emit_lanes_act all_true;
-          let base = si.(idx) in
-          Memory.set_i_block mem buf base vi.(src) width;
-          emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write ~chain:false
-      | Vstorei { buf; idx = Si idx; src = Vi src; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let base = si.(idx) in
-          let s = vi.(src) in
-          let any = ref false in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              Memory.set_i mem buf (base + l) s.(l);
-              any := true
-            end
-          done;
-          if !any then emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write ~chain:false
-      | Vstoref_nt { buf; idx = Si idx; src = Vf src } ->
-          let base = si.(idx) in
-          Memory.set_f_block mem buf base vf.(src) width;
-          emit ~nt:true ~buf ~idx:base ~bytes:(width * 4) ~kind:Write ~chain:false
-      | Vstoref_strided { buf; idx = Si idx; stride = Si stride; src = Vf src } ->
-          let base = si.(idx) and st' = si.(stride) in
-          let s = vf.(src) in
-          for l = 0 to width - 1 do
-            let i = base + (l * st') in
-            Memory.set_f mem buf i s.(l);
-            emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
-          done
-      | Vscatterf { buf; idx = Vi idx; src = Vf src; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let ix = vi.(idx) and s = vf.(src) in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              Memory.set_f mem buf ix.(l) s.(l);
-              emit ~nt:false ~buf ~idx:ix.(l) ~bytes:4 ~kind:Write ~chain:false
-            end
-          done
-      | Vscatteri { buf; idx = Vi idx; src = Vi src; mask } ->
-          let act = act_of mask in
-          emit_lanes_act act;
-          let ix = vi.(idx) and s = vi.(src) in
-          for l = 0 to width - 1 do
-            if act.(l) then begin
-              Memory.set_i mem buf ix.(l) s.(l);
-              emit ~nt:false ~buf ~idx:ix.(l) ~bytes:4 ~kind:Write ~chain:false
-            end
-          done
-    in
-    let len = Array.length code in
-    let pc = ref 0 in
-    while !pc < len do
-      match Array.unsafe_get code !pc with
-      | Decode.Dinstr { i; cls; cls_idx } ->
-          (* cnt's body, inlined in the hottest arm of the dispatch loop *)
-          row.(cls_idx) <- row.(cls_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with Some f -> f (Trace.Op { thread; cls }) | None -> ());
-          exec_instr i;
-          incr pc
-      | Decode.Dfor { idx; lo; hi; step; id; exit } ->
-          let lo = si.(lo) and hi = si.(hi) and step = si.(step) in
-          if step <= 0 then Memory.trap "for loop with non-positive step %d" step;
-          if lo < hi then begin
-            for_cur.(id) <- lo;
-            for_hi.(id) <- hi;
-            for_step.(id) <- step;
-            si.(idx) <- lo;
-            (match trace with
-            | None ->
-                row.(salu_idx) <- row.(salu_idx) + 1;
-                row.(branch_idx) <- row.(branch_idx) + 1;
-                instructions := !instructions + 2;
-                remaining_fuel := !remaining_fuel - 2;
-                if !remaining_fuel < 0 then
-                  Memory.trap "fuel exhausted in %s" prog.prog_name
-            | Some _ -> cnt_loop_edge ());
-            incr pc
-          end
-          else pc := exit
-      | Decode.Dforback { idx; id; body } ->
-          let i = for_cur.(id) + for_step.(id) in
-          if i < for_hi.(id) then begin
-            for_cur.(id) <- i;
-            si.(idx) <- i;
-            (match trace with
-            | None ->
-                row.(salu_idx) <- row.(salu_idx) + 1;
-                row.(branch_idx) <- row.(branch_idx) + 1;
-                instructions := !instructions + 2;
-                remaining_fuel := !remaining_fuel - 2;
-                if !remaining_fuel < 0 then
-                  Memory.trap "fuel exhausted in %s" prog.prog_name
-            | Some _ -> cnt_loop_edge ());
-            pc := body
-          end
-          else incr pc
-      | Decode.Dwhile { cond; exit } ->
-          (match trace with
-          | None ->
-              row.(branch_idx) <- row.(branch_idx) + 1;
-              instructions := !instructions + 1;
-              remaining_fuel := !remaining_fuel - 1;
-              if !remaining_fuel < 0 then
-                Memory.trap "fuel exhausted in %s" prog.prog_name
-          | Some _ -> cnt Isa.Branch branch_idx 1);
-          if si.(cond) <> 0 then incr pc else pc := exit
-      | Decode.Dif { cond; else_ } ->
-          (match trace with
-          | None ->
-              row.(branch_idx) <- row.(branch_idx) + 1;
-              instructions := !instructions + 1;
-              remaining_fuel := !remaining_fuel - 1;
-              if !remaining_fuel < 0 then
-                Memory.trap "fuel exhausted in %s" prog.prog_name
-          | Some _ -> cnt Isa.Branch branch_idx 1);
-          if si.(cond) <> 0 then incr pc else pc := else_
-      | Decode.Djmp target -> pc := target
-      | Decode.Denter scope ->
-          (match trace with
-          | Some f -> f (Trace.Enter { thread; scope })
-          | None -> ());
-          incr pc
-      | Decode.Dexit scope ->
-          (match trace with
-          | Some f -> f (Trace.Exit { thread; scope })
-          | None -> ());
-          incr pc
-      (* ---- optimizer-specialized forms (Optimize). Each arm keeps the
-         counts, fuel, Trace.Op emission and memory events of the ops it
-         replaces, in the same order. ---- *)
-      | Decode.Daddi { d; a; imm } ->
-          row.(salu_idx) <- row.(salu_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Salu })
-          | None -> ());
-          si.(d) <- si.(a) + imm;
-          incr pc
-      | Decode.Dmuli { d; a; imm } ->
-          row.(salu_idx) <- row.(salu_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Salu })
-          | None -> ());
-          si.(d) <- si.(a) * imm;
-          incr pc
-      | Decode.Dloadf_at { dst; buf; imm; chain } ->
-          row.(sload_idx) <- row.(sload_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Sload })
-          | None -> ());
-          sf.(dst) <- Memory.get_f mem buf imm;
-          emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain;
-          incr pc
-      | Decode.Dloadi_at { dst; buf; imm; chain } ->
-          row.(sload_idx) <- row.(sload_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Sload })
-          | None -> ());
-          si.(dst) <- Memory.get_i mem buf imm;
-          emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain;
-          incr pc
-      | Decode.Dstoref_at { buf; imm; src } ->
-          row.(sstore_idx) <- row.(sstore_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Sstore })
-          | None -> ());
-          Memory.set_f mem buf imm sf.(src);
-          emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write ~chain:false;
-          incr pc
-      | Decode.Dstorei_at { buf; imm; src } ->
-          row.(sstore_idx) <- row.(sstore_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Sstore })
-          | None -> ());
-          Memory.set_i mem buf imm si.(src);
-          emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write ~chain:false;
-          incr pc
-      | Decode.Dgoto target ->
-          row.(branch_idx) <- row.(branch_idx) + 1;
-          instructions := !instructions + 1;
-          remaining_fuel := !remaining_fuel - 1;
-          if !remaining_fuel < 0 then Memory.trap "fuel exhausted in %s" prog.prog_name;
-          (match trace with
-          | Some f -> f (Trace.Op { thread; cls = Isa.Branch })
-          | None -> ());
-          pc := target
-      | Decode.Dphantom { cls; cls_idx; n } ->
-          (match trace with
-          | None ->
-              (* batched bookkeeping, same fuel waiver as the loop edges:
-                 a trap can only land up to n-1 ops early, with identical
-                 observable state *)
-              row.(cls_idx) <- row.(cls_idx) + n;
-              instructions := !instructions + n;
-              remaining_fuel := !remaining_fuel - n;
-              if !remaining_fuel < 0 then
-                Memory.trap "fuel exhausted in %s" prog.prog_name
-          | Some _ ->
-              (* per-op, so the Trace.Op prefix at a fuel trap is exact *)
-              for _ = 1 to n do cnt cls cls_idx 1 done);
-          incr pc
-      | Decode.Dsmuladd { t; a; b; d; x; y } ->
-          (match trace with
-          | None ->
-              row.(sfp_idx) <- row.(sfp_idx) + 2;
-              instructions := !instructions + 2;
-              remaining_fuel := !remaining_fuel - 2;
-              if !remaining_fuel < 0 then
-                Memory.trap "fuel exhausted in %s" prog.prog_name
-          | Some _ ->
-              cnt Isa.Sfp sfp_idx 1;
-              cnt Isa.Sfp sfp_idx 1);
-          sf.(t) <- sf.(a) *. sf.(b);
-          sf.(d) <- sf.(x) +. sf.(y);
-          incr pc
-      | Decode.Dvmuladd { t; a; b; d; x; y } ->
-          (match trace with
-          | None ->
-              row.(vfp_idx) <- row.(vfp_idx) + 2;
-              instructions := !instructions + 2;
-              remaining_fuel := !remaining_fuel - 2;
-              if !remaining_fuel < 0 then
-                Memory.trap "fuel exhausted in %s" prog.prog_name
-          | Some _ ->
-              cnt Isa.Vfp vfp_idx 1;
-              cnt Isa.Vfp vfp_idx 1);
-          (* the two lane loops of the replaced Vfbin pair, back to back *)
-          let dt = vf.(t) and la = vf.(a) and lb = vf.(b) in
-          for l = 0 to width - 1 do
-            dt.(l) <- la.(l) *. lb.(l)
-          done;
-          let dd = vf.(d) and lx = vf.(x) and ly = vf.(y) in
-          for l = 0 to width - 1 do
-            dd.(l) <- lx.(l) +. ly.(l)
-          done;
-          incr pc
-    done
-  in
-
   (* ---- compiled executor: run one thread through a phase closure
-     pre-compiled by {!Compile} (see the phase_work mapping above). ---- *)
+     pre-compiled by {!Compile} (see the phase_work mapping above). The
+     memory-access hook is devirtualized: selected once per (thread,
+     phase) on sink/tracker presence, so the common no-instrumentation
+     case is a constant no-op closure rather than two option matches per
+     access. ---- *)
   let run_compiled ~thread st (k : Compile.tctx -> unit) =
     let emit =
       match (tracker, sink) with
+      | None, None -> fun ~nt:_ ~buf:_ ~idx:_ ~bytes:_ ~kind:_ ~chain:_ -> ()
       | None, Some f ->
           fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
             f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-      | _ -> make_emit ~thread
+      | Some rt, _ ->
+          fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
+            let base = Memory.address mem buf idx in
+            for k = 0 to (bytes / 4) - 1 do
+              track_access rt ~thread ~addr:(base + (k * 4)) ~kind
+            done;
+            (match sink with
+            | Some f -> f { Event.thread; addr = base; bytes; kind; chain; nt }
+            | None -> ())
     in
     k
       {
@@ -1267,7 +586,6 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
 
   let run_block ~thread st = function
     | Wtree b -> run_tree ~thread st b
-    | Wflat code -> run_flat ~thread st code
     | Wcomp k -> run_compiled ~thread st k
   in
 

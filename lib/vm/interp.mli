@@ -8,12 +8,11 @@
     execution for race-free programs; [~check_races:true] verifies that
     property at element granularity and raises {!Race} otherwise.
 
-    Four execution strategies produce bit-identical results: [Tree] walks
-    the structured program (the reference), [Decoded] — the bare-[run]
-    default — runs {!Decode}'s flat op arrays with an indexed dispatch
-    loop, [Optimized] additionally runs the {!Optimize} pass pipeline
-    over the decoded arrays first, and [Compiled] — the simulation
-    default, see {!default_strategy} — threads the optimized arrays into
+    Two execution strategies produce bit-identical results: [Tree] walks
+    the structured program (the reference and the self-benchmark
+    baseline), and [Compiled] — the default, see {!default_strategy} —
+    decodes the program into {!Decode}'s flat op arrays, runs the
+    configured {!Optimize} passes over them and threads the result into
     chained closures via {!Compile}. *)
 
 exception Trap of string
@@ -32,40 +31,35 @@ type result = {
 
 type strategy =
   | Tree  (** walk the structured statement tree (reference walker) *)
-  | Decoded
-      (** run the {!Decode}d flat form with indexed dispatch (default;
-          bit-identical results, several times faster) *)
-  | Optimized of Optimize.config
-      (** decode, then run the configured {!Optimize} passes before
-          dispatch. Counts, traces, events, traps, memory and final
-          registers stay bit-identical to [Decoded]; only host wall-clock
-          changes *)
   | Compiled of Optimize.config
-      (** decode, optimize, then compile each phase into chained
-          pre-resolved closures ({!Compile}: threaded code, basic-block
-          superinstructions, batched bookkeeping) — the fastest backend,
-          observables still bit-identical *)
+      (** decode, run the configured {!Optimize} passes, then compile each
+          phase into chained pre-resolved closures ({!Compile}: threaded
+          code, basic-block superinstructions, batched bookkeeping).
+          Counts, traces, events, traps, memory and final registers stay
+          bit-identical to [Tree] under every pass list; only host
+          wall-clock changes. [Compiled Optimize.none] runs the plain
+          decoded arrays *)
 
 val default_strategy : unit -> strategy
-(** The strategy simulations run with when none is requested explicitly:
-    {!Timing.simulate} (and through it experiments, the ladder, the
-    benchmarks and the serve layer) resolves an absent [?strategy] to
-    this. Initially [Compiled Optimize.default]; the CLI [--backend]
-    flag overrides it process-wide via {!set_default_strategy}. Bare
-    {!run} keeps its own [Decoded] default. *)
+(** The strategy runs use when none is requested explicitly: {!run},
+    {!session} and {!Timing.simulate} (and through it experiments, the
+    ladder, the benchmarks and the serve layer) resolve an absent
+    [?strategy] to this. Initially [Compiled Optimize.default]; the CLI
+    [--backend] and [--passes] flags override it process-wide via
+    {!set_default_strategy}. *)
 
 val set_default_strategy : strategy -> unit
 (** Set {!default_strategy}. Not thread-safe: meant for CLI startup,
     before any simulation runs. *)
 
 val strategy_tag : strategy -> string
-(** Stable identity string ("tree", "decoded", "optimized:<passes>",
-    "compiled:<passes>") — disjoint per backend and per optimizer
-    config, embedded into persistent-store keys. *)
+(** Stable identity string ("tree", "compiled:<passes>") — disjoint per
+    backend and per optimizer config, embedded into persistent-store
+    keys. *)
 
 val strategy_of_name : string -> strategy option
-(** Parse a [--backend] name ("tree" | "decoded" | "optimized" |
-    "compiled"; the latter two with the default pass pipeline). *)
+(** Parse a [--backend] name ("tree" | "compiled"; the latter with the
+    default pass pipeline). *)
 
 (** Final architectural state of one thread: scalar int/float files and
     vector float/int/mask files (one array per register, one slot per
@@ -96,7 +90,7 @@ val session :
   result
 (** [session program memory] validates the program and performs all
     per-program work once — decode, optimizer passes, closure
-    compilation, executor selection — returning a launch thunk. Each call
+    compilation — returning a launch thunk. Each call
     of the thunk is one kernel launch against the same memory, with
     counts, fuel and the register files freshly reset: a sequence of
     thunk calls is observably identical to the same sequence of {!run}
@@ -130,16 +124,13 @@ val run :
       (useful to bound buggy [While] loops in tests).
     @param check_races track per-phase read/write sets and raise {!Race}
       on cross-thread conflicts (costly; meant for tests).
-    @param strategy execution strategy (default [Decoded]; note that
-      {!Timing.simulate} resolves its own absent strategy to
-      {!default_strategy} instead).
-    @param decoded run this pre-supplied flat form instead of decoding
-      [program] ([program] must be the one it was decoded from). The
-      decode/optimize side of [strategy] is bypassed, but a [Compiled _]
-      strategy still selects the compiled executor for the supplied
-      arrays. Meant for tests that execute hand-transformed — or
-      deliberately broken — op arrays, e.g. the optimizer's and
-      compiler's mutation differentials.
+    @param strategy execution strategy (default {!default_strategy}).
+    @param decoded compile and run this pre-supplied flat form instead of
+      decoding [program] ([program] must be the one it was decoded from).
+      [strategy] is then ignored: the arrays run compiled, as supplied,
+      with no optimizer pass. Meant for tests that execute
+      hand-transformed — or deliberately broken — op arrays, e.g. the
+      optimizer's and compiler's mutation differentials.
     @param on_states called once after the last phase with the final
       per-thread register state (index = thread id); meant for
       differential tests. *)

@@ -1,6 +1,6 @@
 (* Bytecode optimizer: a pass pipeline over {!Decode}'s flat op arrays.
 
-   The optimizer speeds up the *host* interpreter, never the *simulated*
+   The optimizer speeds up the *host* executor, never the *simulated*
    machine: every pass must leave the per-class instruction counts, the
    total dynamic instruction count, the {!Trace} event stream, the memory
    event stream, traps (including their messages and positions), final
@@ -21,8 +21,8 @@
 
    Each pass is independently correct on *any* valid decoded array, so
    passes compose in every order and the pipeline is idempotent —
-   property-tested per pass, pairwise-shuffled and three-way against the
-   Tree walker in test/test_optimize.ml. *)
+   property-tested per pass, pairwise-shuffled and for the full pipeline
+   as [Compiled config] against the Tree walker in test/test_optimize.ml. *)
 
 type pass = Fold | Moves | Imm | Dce | Peephole
 

@@ -1,6 +1,6 @@
 (** Bytecode optimizer: a pass pipeline over {!Decode}'s flat op arrays.
 
-    The optimizer speeds up the {e host} interpreter, never the
+    The optimizer speeds up the {e host} executor, never the
     {e simulated} machine: every pass preserves the per-class instruction
     counts, the total dynamic instruction count, the {!Trace} event
     stream (order included), the memory event stream, traps (messages
@@ -14,8 +14,9 @@
 
     Each pass is independently correct on any valid decoded array, so
     passes compose in every order and the full pipeline is idempotent
-    (property-tested in test/test_optimize.ml: per-pass, pairwise
-    shuffles, and three-way Tree-vs-Decoded-vs-Optimized). *)
+    (property-tested in test/test_optimize.ml: Tree vs
+    [Compiled config] per pass, for pairwise shuffles and for the full
+    pipeline). *)
 
 (** One optimization pass:
 

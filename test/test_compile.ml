@@ -1,109 +1,34 @@
 (* Differential pinning for the closure-compiling backend (lib/vm/compile.ml).
 
    The compiler's contract is total observational equivalence: for any
-   verifier-clean program, [Compiled config] must agree with [Optimized
-   config], [Decoded] and [Tree] on every observable — final register
-   files, memory contents, per-thread count rows, total instructions,
-   the memory-access event stream, the profiling trace, and trap
-   messages (including the memory state at the fault, which pins the
-   batched-bookkeeping fuel semantics). This suite pins that contract
-   with a four-way random-program differential (with and without the
-   optimizer pipeline in front), deterministic trap differentials, and
-   a dozen hand-seeded mutations of compiled-input op arrays — each
-   simulating a distinct compiler-bug class (wrong immediate, dropped
-   def, inflated or misattributed bookkeeping, swapped operands, wrong
-   operator, flipped dependence chain, dropped store, wrong loop bound,
-   perturbed constant, dropped trace scope) — that the observation
-   differential must refute when executed through the compiled
-   executor. *)
+   verifier-clean program, [Compiled config] must agree with [Tree] on
+   every observable — final register files, memory contents, per-thread
+   count rows, total instructions, the memory-access event stream, the
+   profiling trace, and trap messages (including the memory state at the
+   fault, which pins the batched-bookkeeping fuel semantics). The
+   random-program differential itself lives in test_fastpath.ml (no
+   passes) and test_optimize.ml (every pass list); this suite adds the
+   fuel-trap differentials and a dozen hand-seeded mutations of
+   compiled-input op arrays — each simulating a distinct compiler-bug
+   class (wrong immediate, dropped def, inflated or misattributed
+   bookkeeping, swapped operands, wrong operator, flipped dependence
+   chain, dropped store, wrong loop bound, perturbed constant, dropped
+   trace scope) — that the observation differential must refute when
+   executed through the compiled executor. *)
 
 open Ninja_vm
 module F = Test_fastpath
 
 (* ------------------------------------------------------------------ *)
-(* Four-way differential: Tree vs Decoded vs Optimized vs Compiled.    *)
-
-let four_way ~name ~count config =
-  QCheck.Test.make ~count ~name F.seed_arb (fun seed ->
-      let prog, n_threads, width = F.build_program seed in
-      List.for_all
-        (fun tracing ->
-          let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let d = F.observe ~strategy:Interp.Decoded ~tracing ~n_threads ~width prog in
-          let o =
-            F.observe ~strategy:(Interp.Optimized config) ~tracing ~n_threads
-              ~width prog
-          in
-          let c =
-            F.observe ~strategy:(Interp.Compiled config) ~tracing ~n_threads
-              ~width prog
-          in
-          match
-            (F.diff_observations t d, F.diff_observations d o,
-             F.diff_observations o c)
-          with
-          | None, None, None -> true
-          | Some what, _, _ ->
-              QCheck.Test.fail_reportf "Tree vs Decoded diverge (tracing=%b) on: %s"
-                tracing what
-          | _, Some what, _ ->
-              QCheck.Test.fail_reportf
-                "Decoded vs Optimized(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what
-          | _, _, Some what ->
-              QCheck.Test.fail_reportf
-                "Optimized vs Compiled(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what)
-        [ false; true ])
-
-let prop_four_way_default =
-  four_way ~count:100
-    ~name:"random programs: Tree = Decoded = Optimized = Compiled (all passes)"
-    Optimize.default
-
-let prop_four_way_unoptimized =
-  four_way ~count:60
-    ~name:"random programs: compiled plain decoded arrays preserve all observables"
-    Optimize.none
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic trap differentials: Decoded vs Compiled must fault
-   identically — same message, same memory state at the fault. The fuel
-   case is the sharp one: the compiled backend batches instruction/fuel
-   bookkeeping per straight-line segment, and these pin that a batch
-   never moves a trap across an observable effect. *)
-
-let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
-  let obs strategy =
-    let b = Builder.create ~name:"trap" in
-    build b;
-    let prog = Builder.finish b in
-    let mem = Memory.create prog (args ()) in
-    let r =
-      match Interp.run ~width ~fuel ~strategy prog mem with
-      | (_ : Interp.result) -> Error "no trap"
-      | exception Interp.Trap m -> Ok m
-    in
-    let snapshot =
-      List.map (fun (name, _) ->
-          match Memory.find mem name with
-          | _, Memory.Fbuf a -> (name, `F (Array.copy a))
-          | _, Memory.Ibuf a -> (name, `I (Array.copy a)))
-        (args ())
-    in
-    (r, snapshot)
-  in
-  let d = obs Interp.Decoded
-  and c = obs (Interp.Compiled Optimize.none) in
-  Alcotest.(check bool) "Decoded and Compiled trap identically" true
-    (compare d c = 0);
-  match fst d with
-  | Ok msg -> msg
-  | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
+(* Deterministic fuel-trap differentials: Tree and Compiled must fault
+   identically — same message, same memory state at the fault. The
+   compiled backend batches instruction/fuel bookkeeping per
+   straight-line segment, and these pin that a batch never moves a trap
+   across an observable effect. *)
 
 let test_trap_fuel_exhausted () =
   let msg =
-    trap_pair ~fuel:500
+    F.trap_pair ~fuel:500
       (fun b ->
         Builder.seq_phase b (fun () ->
             let one = Builder.iconst b 1 in
@@ -119,7 +44,7 @@ let test_trap_fuel_before_store () =
   (* fuel runs out mid-segment, after pure ops but before a store: the
      batched charge must trap without executing the store *)
   let msg =
-    trap_pair ~fuel:6
+    F.trap_pair ~fuel:6
       (fun b ->
         let buf = Builder.buffer_f b "buf" in
         Builder.seq_phase b (fun () ->
@@ -136,129 +61,14 @@ let test_trap_fuel_before_store () =
   Alcotest.(check bool) "fuel in message" true
     (Astring_contains.contains msg "fuel")
 
-let test_trap_div_by_zero () =
-  let msg =
-    trap_pair
-      (fun b ->
-        Builder.seq_phase b (fun () ->
-            let z = Builder.iconst b 0 in
-            let x = Builder.iconst b 7 in
-            ignore (Builder.ibin b Idiv x z : Isa.si_reg)))
-      (fun () -> [])
-  in
-  Alcotest.(check bool) "division in message" true
-    (Astring_contains.contains msg "division by zero")
-
-let test_trap_oob_vector_store () =
-  let msg =
-    trap_pair
-      (fun b ->
-        let buf = Builder.buffer_f b "buf" in
-        Builder.seq_phase b (fun () ->
-            let sf = Builder.fconst b 9. in
-            let v = Builder.vf b in
-            Builder.emit b (Vbroadcastf (v, sf));
-            let base = Builder.iconst b 6 in
-            Builder.emit b (Vstoref { buf; idx = base; src = v; mask = None })))
-      (fun () -> [ ("buf", Memory.Fbuf (Array.make 8 0.)) ])
-  in
-  Alcotest.(check bool) "oob in message" true
-    (Astring_contains.contains msg "out-of-bounds")
-
-let test_trap_nonpositive_step () =
-  let msg =
-    trap_pair
-      (fun b ->
-        Builder.seq_phase b (fun () ->
-            let lo = Builder.iconst b 0 in
-            let hi = Builder.iconst b 4 in
-            let step = Builder.iconst b 0 in
-            Builder.for_ b ~lo ~hi ~step (fun _ -> ())))
-      (fun () -> [])
-  in
-  Alcotest.(check bool) "step in message" true
-    (Astring_contains.contains msg "step")
-
 (* ------------------------------------------------------------------ *)
 (* Hand-seeded compiler mutations: execute deliberately broken op arrays
-   through the compiled executor via [Interp.run ~decoded
-   ~strategy:(Compiled _)] and assert the observation differential
-   refutes each one against a clean reference run. Each mutation stands
-   in for a distinct class of compiler bug; a compiled executor with any
-   of them could not pass this suite. *)
+   through the compiled executor via [Interp.run ~decoded] and assert the
+   observation differential refutes each one against a clean tree-walker
+   run. Each mutation stands in for a distinct class of compiler bug; a
+   compiled executor with any of them could not pass this suite. *)
 
-let mutate (d : Decode.t) f =
-  let found = ref false in
-  let phases =
-    Array.map
-      (fun (ph : Decode.phase) ->
-        { ph with
-          Decode.code =
-            Array.map
-              (fun op ->
-                if !found then op
-                else
-                  match f op with
-                  | Some op' ->
-                      found := true;
-                      op'
-                  | None -> op)
-              ph.Decode.code })
-      d.Decode.phases
-  in
-  if not !found then Alcotest.fail "mutation site not found in op array";
-  { d with Decode.phases }
-
-(* Like Test_fastpath.observe, but selecting the strategy explicitly and
-   optionally executing a pre-supplied (mutated) flat form. *)
-let observe_decoded ~strategy ~tracing ?decoded ~n_threads ~width prog :
-    F.observation =
-  let mem =
-    Memory.create prog
-      [ ("data", Memory.Fbuf (Array.copy F.fdata_init));
-        ("idxs", Memory.Ibuf (Array.copy F.idata_init)) ]
-  in
-  let events = ref [] and trace = ref [] and states = ref [||] in
-  let tracer =
-    if tracing then Some (fun ev -> trace := Fmt.str "%a" Trace.pp ev :: !trace)
-    else None
-  in
-  let o_outcome =
-    match
-      Interp.run ~n_threads ~width
-        ~sink:(fun ev -> events := ev :: !events)
-        ?trace:tracer ~fuel:50_000 ~strategy ?decoded
-        ~on_states:(fun s -> states := s)
-        prog mem
-    with
-    | r ->
-        Ok
-          ( r.Interp.instructions,
-            Array.init n_threads (fun thread ->
-                Array.copy (Counts.thread_row r.Interp.counts ~thread)) )
-    | exception Interp.Trap m -> Error m
-  in
-  let o_data =
-    match Memory.find mem "data" with
-    | _, Memory.Fbuf a -> Array.copy a
-    | _ -> assert false
-  in
-  let o_idxs =
-    match Memory.find mem "idxs" with
-    | _, Memory.Ibuf a -> Array.copy a
-    | _ -> assert false
-  in
-  {
-    F.o_outcome;
-    o_events = !events;
-    o_trace = !trace;
-    o_states =
-      Array.map
-        (fun (s : Interp.thread_state) -> (s.si, s.sf, s.vf, s.vi, s.vm))
-        !states;
-    o_data;
-    o_idxs;
-  }
+let mutate = F.mutate
 
 (* One program with a site for every mutation class: a Daddi (runtime x +
    const), a runtime Isub and Iadd, a dead def the DCE phantomizes, a
@@ -310,14 +120,9 @@ let assert_refuted ?(tracing_modes = [ false; true ]) ~what prog mutated =
   List.iter
     (fun tracing ->
       let good =
-        observe_decoded ~strategy:Interp.Decoded ~tracing ~n_threads:1 ~width:4
-          prog
+        F.observe ~strategy:Interp.Tree ~tracing ~n_threads:1 ~width:4 prog
       in
-      let bad =
-        observe_decoded
-          ~strategy:(Interp.Compiled Optimize.none)
-          ~tracing ~decoded:mutated ~n_threads:1 ~width:4 prog
-      in
+      let bad = F.observe ~decoded:mutated ~tracing ~n_threads:1 ~width:4 prog in
       match F.diff_observations good bad with
       | Some _ -> ()
       | None ->
@@ -336,14 +141,9 @@ let test_compiled_clean_arrays_agree () =
   List.iter
     (fun tracing ->
       let good =
-        observe_decoded ~strategy:Interp.Decoded ~tracing ~n_threads:1 ~width:4
-          prog
+        F.observe ~strategy:Interp.Tree ~tracing ~n_threads:1 ~width:4 prog
       in
-      let compiled =
-        observe_decoded
-          ~strategy:(Interp.Compiled Optimize.none)
-          ~tracing ~decoded:opt ~n_threads:1 ~width:4 prog
-      in
+      let compiled = F.observe ~decoded:opt ~tracing ~n_threads:1 ~width:4 prog in
       match F.diff_observations good compiled with
       | None -> ()
       | Some what ->
@@ -485,17 +285,9 @@ let suite =
     List.concat
       [
         [
-          QCheck_alcotest.to_alcotest prop_four_way_default;
-          QCheck_alcotest.to_alcotest prop_four_way_unoptimized;
           Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
           Alcotest.test_case "trap: fuel runs out before a store" `Quick
             test_trap_fuel_before_store;
-          Alcotest.test_case "trap: integer division by zero" `Quick
-            test_trap_div_by_zero;
-          Alcotest.test_case "trap: partial oob vector store" `Quick
-            test_trap_oob_vector_store;
-          Alcotest.test_case "trap: non-positive loop step" `Quick
-            test_trap_nonpositive_step;
           Alcotest.test_case "clean compiled arrays match the reference" `Quick
             test_compiled_clean_arrays_agree;
         ];

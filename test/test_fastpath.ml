@@ -1,11 +1,11 @@
 (* Differential properties for the fast paths introduced alongside the
    self-benchmark:
 
-   - random verifier-clean programs run under both interpreter strategies
-     ([Tree] vs [Decoded]) must agree on every observable: final register
-     files, memory, per-thread instruction counts, the memory-access event
-     stream, the profiling trace, and — for programs that fault — the trap
-     message and the memory state at the fault;
+   - random verifier-clean programs run under both execution strategies
+     ([Tree] vs [Compiled config]) must agree on every observable: final
+     register files, memory, per-thread instruction counts, the
+     memory-access event stream, the profiling trace, and — for programs
+     that fault — the trap message and the memory state at the fault;
    - the cache and hierarchy fast layouts ([~fast_path:true], the default)
      must produce access-by-access identical outcomes and end-of-run
      counters to the reference layouts, including evictions, dirty lines
@@ -252,7 +252,9 @@ type observation = {
 let fdata_init = Array.init data_len (fun i -> (float_of_int (i mod 7) /. 2.) -. 1.)
 let idata_init = Array.init data_len (fun i -> ((i * 5) + 3) mod data_len)
 
-let observe ~strategy ~tracing ~n_threads ~width prog =
+(* [decoded] executes a pre-supplied (e.g. deliberately broken) flat form
+   instead, always through the compiled backend. *)
+let observe ?strategy ?decoded ~tracing ~n_threads ~width prog =
   let mem =
     Memory.create prog
       [ ("data", Memory.Fbuf (Array.copy fdata_init));
@@ -263,8 +265,8 @@ let observe ~strategy ~tracing ~n_threads ~width prog =
   let tracer = if tracing then Some (fun ev -> trace := Fmt.str "%a" Trace.pp ev :: !trace) else None in
   let o_outcome =
     match
-      Interp.run ~n_threads ~width ~sink ?trace:tracer ~fuel:50_000 ~strategy
-        ~on_states:(fun s -> states := s)
+      Interp.run ~n_threads ~width ~sink ?trace:tracer ~fuel:50_000 ?strategy
+        ?decoded ~on_states:(fun s -> states := s)
         prog mem
     with
     | r ->
@@ -310,9 +312,12 @@ let seed_arb =
     ~shrink:QCheck.Shrink.array
     QCheck.Gen.(array_size (4 -- 48) (int_bound 1_000_000))
 
-let prop_tree_vs_decoded =
-  QCheck.Test.make ~count:150 ~name:"random programs: Tree and Decoded agree on all observables"
-    seed_arb (fun seed ->
+(* The backend differential: [Tree] vs [Compiled config] on random
+   programs, with and without tracing. The optimized flat form must also
+   lint clean. The optimizer's per-pass properties (test_optimize.ml)
+   instantiate it with every pass list. *)
+let tree_vs_compiled ~name ~count config =
+  QCheck.Test.make ~count ~name seed_arb (fun seed ->
       let prog, n_threads, width = build_program seed in
       let issues =
         Verify.verify ~width ~n_threads
@@ -323,27 +328,66 @@ let prop_tree_vs_decoded =
         QCheck.Test.fail_reportf "generator produced a non-verifier-clean program:@ %a"
           Fmt.(list ~sep:semi Verify.pp_issue)
           issues;
+      (match Verify.check_flat (Optimize.run ~config (Decode.decode prog)) with
+      | [] -> ()
+      | issues ->
+          QCheck.Test.fail_reportf "optimized array fails check_flat:@ %a"
+            Fmt.(list ~sep:semi Verify.pp_issue)
+            issues);
       List.for_all
         (fun tracing ->
           let t = observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let d = observe ~strategy:Interp.Decoded ~tracing ~n_threads ~width prog in
-          match diff_observations t d with
+          let c =
+            observe ~strategy:(Interp.Compiled config) ~tracing ~n_threads ~width prog
+          in
+          match diff_observations t c with
           | None -> true
           | Some what ->
-              QCheck.Test.fail_reportf "strategies diverge (tracing=%b) on: %s" tracing what)
+              QCheck.Test.fail_reportf "Tree vs Compiled(%s) diverge (tracing=%b) on: %s"
+                (Optimize.tag config) tracing what)
         [ false; true ])
 
-(* ---- deterministic trap differentials (not verifier-clean on purpose:
-   they fault, and both strategies must fault identically) ---- *)
+let prop_tree_vs_compiled_plain =
+  tree_vs_compiled ~count:210
+    ~name:"random programs: Tree and Compiled(no passes) agree on all observables"
+    Optimize.none
 
-let trap_pair ?(width = 4) build args =
+(* Replace the first op [f] maps to [Some op'] — a hand-seeded bug in a
+   flat form, for the optimizer's and compiler's mutation tests. *)
+let mutate (d : Decode.t) f =
+  let found = ref false in
+  let phases =
+    Array.map
+      (fun (ph : Decode.phase) ->
+        { ph with
+          Decode.code =
+            Array.map
+              (fun op ->
+                if !found then op
+                else
+                  match f op with
+                  | Some op' ->
+                      found := true;
+                      op'
+                  | None -> op)
+              ph.Decode.code })
+      d.Decode.phases
+  in
+  if not !found then Alcotest.fail "mutation site not found in op array";
+  { d with Decode.phases }
+
+(* ---- deterministic trap differentials (not verifier-clean on purpose:
+   they fault, and every backend must fault identically — same message,
+   same memory state at the fault) ---- *)
+
+let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
   let obs strategy =
     let b = Builder.create ~name:"trap" in
     build b;
     let prog = Builder.finish b in
     let mem = Memory.create prog (args ()) in
     let r =
-      match Interp.run ~width ~fuel:1_000 ~strategy prog mem with
+      match Interp.run ~width ~fuel ~strategy prog mem with
       | (_ : Interp.result) -> Error "no trap"
       | exception Interp.Trap m -> Ok m
     in
@@ -356,8 +400,14 @@ let trap_pair ?(width = 4) build args =
     in
     (r, snapshot)
   in
-  let t = obs Interp.Tree and d = obs Interp.Decoded in
-  Alcotest.(check bool) "Tree and Decoded trap identically" true (compare t d = 0);
+  let t = obs Interp.Tree in
+  List.iter
+    (fun config ->
+      Alcotest.(check bool)
+        (Fmt.str "Tree and Compiled(%s) trap identically" (Optimize.tag config))
+        true
+        (compare t (obs (Interp.Compiled config)) = 0))
+    [ Optimize.none; Optimize.default ];
   match fst t with
   | Ok msg -> msg
   | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
@@ -392,20 +442,6 @@ let test_trap_div_by_zero () =
   in
   Alcotest.(check bool) "division in message" true
     (Astring_contains.contains msg "division by zero")
-
-let test_trap_fuel_exhausted () =
-  let obs strategy =
-    let b = Builder.create ~name:"spin" in
-    Builder.seq_phase b (fun () ->
-        let one = Builder.iconst b 1 in
-        Builder.while_ b ~cond:(fun () -> one) (fun () -> ignore (Builder.iconst b 0 : Isa.si_reg)));
-    let prog = Builder.finish b in
-    let mem = Memory.create prog [] in
-    match Interp.run ~fuel:500 ~strategy prog mem with
-    | (_ : Interp.result) -> Alcotest.fail "expected fuel trap"
-    | exception Interp.Trap m -> m
-  in
-  Alcotest.(check string) "same fuel trap" (obs Interp.Tree) (obs Interp.Decoded)
 
 let test_trap_nonpositive_step () =
   let msg =
@@ -553,10 +589,9 @@ let prop_hierarchy_fast_matches_reference =
 
 let suite =
   ( "fastpath",
-    [ QCheck_alcotest.to_alcotest prop_tree_vs_decoded;
+    [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled_plain;
       Alcotest.test_case "trap: partial oob vector store" `Quick test_trap_oob_vector_store;
       Alcotest.test_case "trap: integer division by zero" `Quick test_trap_div_by_zero;
-      Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
       Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
       QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
       QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference ] )

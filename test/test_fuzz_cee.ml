@@ -12,8 +12,8 @@
 
    Mutants that survive to a compiled program additionally run through
    the [Ninja_vm.Optimize] pass pipeline and the closure-compiling
-   [Interp.Compiled] backend: both the optimized op arrays and their
-   compiled form must behave bit-identically to the plain decoded ones
+   [Interp.Compiled] backend: the compiled form of both the plain and the
+   optimized op arrays must behave bit-identically to the tree walker
    (values, traps, events, traces, final registers and memory) on every
    survivor. *)
 
@@ -264,9 +264,9 @@ let run_pipeline ~flags src =
    A mutant that still compiles is exactly the odd-shaped input the
    {!Ninja_vm.Optimize} pipeline never sees from the curated registry:
    shifted constants, duplicated statements, swapped operators. Each
-   survivor's program is executed under the plain decoded executor and
-   the fully optimized one against the same deterministic buffers, and
-   everything observable — result, counts, trap message, memory events,
+   survivor's program is executed under the tree walker and the compiled
+   backend, without and with the full optimizer pipeline, against the
+   same deterministic buffers, and everything observable — result, counts, trap message, memory events,
    profiling trace, final registers, final memory — must match. The
    optimized array must also stay clean under the static lint whenever
    the unoptimized decode is. *)
@@ -330,23 +330,21 @@ let check_optimizer_agrees name (prog : Isa.program) =
       (Verify.check_flat opt);
   List.iter
     (fun tracing ->
-      let plain = opt_observe ~strategy:Interp.Decoded ~tracing prog in
-      let optimized =
-        opt_observe ~strategy:(Interp.Optimized Optimize.default) ~tracing prog
-      in
-      if compare plain optimized <> 0 then
-        QCheck.Test.fail_reportf
-          "%s: optimizer diverged from the decoded executor (tracing %b)" name
-          tracing;
-      (* clean-implies-clean held above, so the compiled backend runs the
-         same clean arrays: its observations must match too *)
-      let compiled =
-        opt_observe ~strategy:(Interp.Compiled Optimize.default) ~tracing prog
-      in
-      if compare plain compiled <> 0 then
-        QCheck.Test.fail_reportf
-          "%s: compiled backend diverged from the decoded executor (tracing %b)"
-          name tracing)
+      let reference = opt_observe ~strategy:Interp.Tree ~tracing prog in
+      (* clean-implies-clean held above, so the compiled backend runs
+         clean arrays with and without the optimizer: both must match the
+         tree walker *)
+      List.iter
+        (fun config ->
+          let compiled =
+            opt_observe ~strategy:(Interp.Compiled config) ~tracing prog
+          in
+          if compare reference compiled <> 0 then
+            QCheck.Test.fail_reportf
+              "%s: compiled backend (passes %s) diverged from the tree walker \
+               (tracing %b)"
+              name (Optimize.tag config) tracing)
+        [ Optimize.none; Optimize.default ])
     [ false; true ]
 
 let mutant_arb =

@@ -1,14 +1,14 @@
 (* Differential pinning for the bytecode optimizer (lib/vm/optimize.ml).
 
    The optimizer's contract is total observational equivalence: for any
-   verifier-clean program, [Optimized config] must agree with [Decoded]
-   (and therefore [Tree]) on every observable — final register files,
-   memory contents, per-thread count rows, total instructions, the
-   memory-access event stream, the profiling trace, and trap messages.
-   This suite pins that contract per pass, for the full pipeline, and for
-   pairwise-shuffled pass orders, over the same random program generator
-   the Tree-vs-Decoded differential uses; plus hand-written fixtures per
-   pass, a pipeline-idempotence property, and mutation tests that execute
+   verifier-clean program, [Compiled config] must agree with [Tree] on
+   every observable — final register files, memory contents, per-thread
+   count rows, total instructions, the memory-access event stream, the
+   profiling trace, and trap messages — whatever pass list [config]
+   names. This suite pins that contract per pass, for the full pipeline,
+   and for pairwise-shuffled pass orders, through the backend
+   differential of test_fastpath.ml; plus hand-written fixtures per pass,
+   a pipeline-idempotence property, and mutation tests that execute
    deliberately broken optimized arrays and assert the differential
    harness catches them (so a wrong pass could not slip through). *)
 
@@ -16,46 +16,17 @@ open Ninja_vm
 module F = Test_fastpath
 
 (* ------------------------------------------------------------------ *)
-(* Three-way differential: Tree vs Decoded vs Optimized(config).       *)
-
-let three_way ~name ~count config =
-  QCheck.Test.make ~count ~name F.seed_arb (fun seed ->
-      let prog, n_threads, width = F.build_program seed in
-      (* the optimized flat form must also lint clean *)
-      let opt = Optimize.run ~config (Decode.decode prog) in
-      (match Verify.check_flat opt with
-      | [] -> ()
-      | issues ->
-          QCheck.Test.fail_reportf "optimized array fails check_flat:@ %a"
-            Fmt.(list ~sep:semi Verify.pp_issue)
-            issues);
-      List.for_all
-        (fun tracing ->
-          let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let d = F.observe ~strategy:Interp.Decoded ~tracing ~n_threads ~width prog in
-          let o =
-            F.observe ~strategy:(Interp.Optimized config) ~tracing ~n_threads ~width prog
-          in
-          match (F.diff_observations t d, F.diff_observations d o) with
-          | None, None -> true
-          | Some what, _ ->
-              QCheck.Test.fail_reportf "Tree vs Decoded diverge (tracing=%b) on: %s"
-                tracing what
-          | _, Some what ->
-              QCheck.Test.fail_reportf
-                "Decoded vs Optimized(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what)
-        [ false; true ])
+(* Tree vs Compiled(config), for every pass configuration.             *)
 
 let prop_full_pipeline =
-  three_way ~count:120
-    ~name:"random programs: Tree = Decoded = Optimized(all passes)"
+  F.tree_vs_compiled ~count:220
+    ~name:"random programs: Tree = Compiled(all passes)"
     Optimize.default
 
 let props_each_pass_alone =
   List.map
     (fun p ->
-      three_way ~count:40
+      F.tree_vs_compiled ~count:40
         ~name:(Fmt.str "random programs: pass %s alone preserves all observables"
                  (Optimize.pass_name p))
         { Optimize.passes = [ p ] })
@@ -70,7 +41,7 @@ let props_pairwise =
           if p1 = p2 then None
           else
             Some
-              (three_way ~count:10
+              (F.tree_vs_compiled ~count:10
                  ~name:(Fmt.str "random programs: pass order %s,%s preserves all observables"
                           (Optimize.pass_name p1) (Optimize.pass_name p2))
                  { Optimize.passes = [ p1; p2 ] }))
@@ -204,75 +175,12 @@ let test_peephole_fuses_muladd () =
 
 (* ------------------------------------------------------------------ *)
 (* Mutation tests: execute deliberately broken optimized arrays via
-   [Interp.run ~decoded] and assert the observation differential catches
-   each breakage. This is what makes the three-way property trustworthy:
-   a pass with one of these bugs could not pass the suite. *)
+   [Interp.run ~decoded] (through the compiled backend) and assert the
+   observation differential against the tree walker catches each
+   breakage. This is what makes the per-pass properties trustworthy: a
+   pass with one of these bugs could not pass the suite. *)
 
-let mutate (d : Decode.t) f =
-  let found = ref false in
-  let phases =
-    Array.map
-      (fun (ph : Decode.phase) ->
-        { ph with
-          Decode.code =
-            Array.map
-              (fun op ->
-                if !found then op
-                else
-                  match f op with
-                  | Some op' ->
-                      found := true;
-                      op'
-                  | None -> op)
-              ph.Decode.code })
-      d.Decode.phases
-  in
-  if not !found then Alcotest.fail "mutation site not found in optimized array";
-  { d with Decode.phases }
-
-(* Like Test_fastpath.observe, but optionally executing a pre-supplied
-   (mutated) flat form. *)
-let observe_decoded ?decoded ~n_threads ~width prog : F.observation =
-  let mem =
-    Memory.create prog
-      [ ("data", Memory.Fbuf (Array.copy F.fdata_init));
-        ("idxs", Memory.Ibuf (Array.copy F.idata_init)) ]
-  in
-  let events = ref [] and states = ref [||] in
-  let o_outcome =
-    match
-      Interp.run ~n_threads ~width
-        ~sink:(fun ev -> events := ev :: !events)
-        ~fuel:50_000 ?decoded
-        ~on_states:(fun s -> states := s)
-        prog mem
-    with
-    | r ->
-        Ok
-          ( r.Interp.instructions,
-            Array.init n_threads (fun thread ->
-                Array.copy (Counts.thread_row r.Interp.counts ~thread)) )
-    | exception Interp.Trap m -> Error m
-  in
-  let o_data =
-    match Memory.find mem "data" with
-    | _, Memory.Fbuf a -> Array.copy a
-    | _ -> assert false
-  in
-  let o_idxs =
-    match Memory.find mem "idxs" with
-    | _, Memory.Ibuf a -> Array.copy a
-    | _ -> assert false
-  in
-  {
-    F.o_outcome;
-    o_events = !events;
-    o_trace = [];
-    o_states =
-      Array.map (fun (s : Interp.thread_state) -> (s.si, s.sf, s.vf, s.vi, s.vm)) !states;
-    o_data;
-    o_idxs;
-  }
+let mutate = F.mutate
 
 let mutation_program () =
   let b = Builder.create ~name:"mutation" in
@@ -294,8 +202,10 @@ let mutation_program () =
   Builder.finish b
 
 let assert_caught ~what prog mutated =
-  let good = observe_decoded ~n_threads:1 ~width:4 prog in
-  let bad = observe_decoded ~decoded:mutated ~n_threads:1 ~width:4 prog in
+  let good =
+    F.observe ~strategy:Interp.Tree ~tracing:false ~n_threads:1 ~width:4 prog
+  in
+  let bad = F.observe ~decoded:mutated ~tracing:false ~n_threads:1 ~width:4 prog in
   match F.diff_observations good bad with
   | Some _ -> ()
   | None -> Alcotest.fail ("differential failed to catch " ^ what)

@@ -299,38 +299,42 @@ let test_salt_invalidates () =
            ~machine
         <> None))
 
-let test_opt_tag_changes_key () =
+let test_backend_tag_changes_key () =
   (* the program fingerprint hashes the *unoptimized* decode, so the
-     optimizer tag component is the only thing separating entries
-     produced through the pass pipeline from plain-decoded ones *)
+     backend tag — pass list included — is the only thing separating
+     entries produced by the tree walker from compiled ones, and compiled
+     ones under different pass lists from each other *)
+  Alcotest.(check string) "version salt" "ninja-store/v5" Store.version_salt;
   with_temp_dir (fun dir ->
       let st = Store.open_ ~dir () in
       let machine = Machine.westmere in
       let b = Registry.find "BlackScholes" in
       let prog = prog_of ~machine b "ninja" in
       let module O = Ninja_vm.Optimize in
-      let k_plain = Store.key st ~machine ~step_name:"ninja" prog in
-      let k_opt =
-        Store.key ~opt:(O.tag O.default) st ~machine ~step_name:"ninja" prog
-      in
-      let k_fold =
-        Store.key ~opt:(O.tag { O.passes = [ O.Fold ] }) st ~machine
+      let module I = Ninja_vm.Interp in
+      let key strategy =
+        Store.key ~backend:(I.strategy_tag strategy) st ~machine
           ~step_name:"ninja" prog
       in
-      Alcotest.(check bool) "optimized key differs from plain" true
-        (k_plain <> k_opt);
+      let k_tree = key I.Tree in
+      let k_compiled = key (I.Compiled O.default) in
+      let k_fold = key (I.Compiled { O.passes = [ O.Fold ] }) in
+      Alcotest.(check bool) "compiled key differs from tree" true
+        (k_tree <> k_compiled);
       Alcotest.(check bool) "pass list is part of the key" true
-        (k_opt <> k_fold);
-      Alcotest.(check string) "default tag is the empty (plain) tag" k_plain
-        (Store.key ~opt:(O.tag O.none) st ~machine ~step_name:"ninja" prog);
-      (* an entry written under the optimized key is invisible to the
-         plain lookup, and vice versa *)
-      Store.save st ~key:k_opt ~machine ~step_name:"ninja" ~cost_s:0.1
+        (k_compiled <> k_fold);
+      Alcotest.(check bool) "tagged keys differ from the untagged key" true
+        (List.for_all
+           (( <> ) (Store.key st ~machine ~step_name:"ninja" prog))
+           [ k_tree; k_compiled; k_fold ]);
+      (* an entry written under the compiled key is invisible to the tree
+         lookup, and vice versa *)
+      Store.save st ~key:k_compiled ~machine ~step_name:"ninja" ~cost_s:0.1
         (Lazy.force westmere_report);
-      Alcotest.(check bool) "plain lookup misses the optimized entry" true
-        (Store.load st ~key:k_plain ~machine = None);
-      Alcotest.(check bool) "optimized lookup hits its own entry" true
-        (Store.load st ~key:k_opt ~machine <> None))
+      Alcotest.(check bool) "tree lookup misses the compiled entry" true
+        (Store.load st ~key:k_tree ~machine = None);
+      Alcotest.(check bool) "compiled lookup hits its own entry" true
+        (Store.load st ~key:k_compiled ~machine <> None))
 
 let test_machine_param_changes_key () =
   with_temp_dir (fun dir ->
@@ -448,7 +452,7 @@ let suite =
       Alcotest.test_case "reader during writer" `Quick
         test_reader_during_writer;
       Alcotest.test_case "salt bump invalidates" `Quick test_salt_invalidates;
-      Alcotest.test_case "opt tag changes key" `Quick test_opt_tag_changes_key;
+      Alcotest.test_case "backend tag changes key" `Quick test_backend_tag_changes_key;
       Alcotest.test_case "machine/step change key" `Quick test_machine_param_changes_key;
       Alcotest.test_case "step costs flush" `Quick test_step_costs_flush;
       Alcotest.test_case "cold then warm prefill" `Quick test_cold_then_warm_prefill;

@@ -4,14 +4,14 @@
    BENCH_*.json, dispatches on its "schema" field, and checks the
    report's internal consistency:
 
-   - ninja-selfbench/v4 (BENCH_simulator.json): all four configuration
-     geomeans present and positive, each headline geomean equal (to
+   - ninja-selfbench/v5 (BENCH_simulator.json): both configuration
+     geomeans (compiled, baseline) present and positive, each equal (to
      float round-trip precision) to the geometric mean recomputed from
-     the per-benchmark rows, the speedup fields consistent with the
-     geomeans they quote, compiled at least as fast as optimized,
-     optimized at least as fast as baseline, the configurations object
-     naming all four backend tags, and — when a grid object is present —
-     a warm pass that executed zero simulations;
+     the per-benchmark rows, the speedup field consistent with the
+     geomeans it quotes, compiled at least as fast as baseline, the
+     configurations object naming both backend tags, and — when a grid
+     object is present — a cold pass that simulated every job and a warm
+     pass that simulated none;
    - ninja-serve-bench/v1 (BENCH_serve.json): every phase fully
      successful (ok = requests, errors = 0), the warm phase serving
      without a single simulation, and the coalesce phase actually
@@ -84,7 +84,7 @@ let geomean xs =
 let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
 
 (* ------------------------------------------------------------------ *)
-(* ninja-selfbench/v4                                                  *)
+(* ninja-selfbench/v5                                                  *)
 
 let check_selfbench ~path j =
   let configurations = get ~path "configurations" j in
@@ -94,8 +94,7 @@ let check_selfbench ~path j =
       if not (String.length tag >= String.length prefix
               && String.sub tag 0 (String.length prefix) = prefix) then
         fail "%s: configuration %S has tag %S (want %S...)" path name tag prefix)
-    [ ("fast", "decoded"); ("optimized", "optimized:");
-      ("compiled", "compiled:"); ("baseline", "tree") ];
+    [ ("compiled", "compiled:"); ("baseline", "tree") ];
   let benches = list_ ~path "benchmarks" j in
   if benches = [] then fail "%s: empty benchmarks list" path;
   let recompute field = geomean (List.map (fun b -> positive ~path field b) benches) in
@@ -106,35 +105,32 @@ let check_selfbench ~path j =
         recomputed;
     x
   in
-  let fast = headline "geomean_ops_per_s" (recompute "ops_per_s") in
-  let opt = headline "opt_geomean_ops_per_s" (recompute "opt_ops_per_s") in
   let compiled =
     headline "compiled_geomean_ops_per_s" (recompute "compiled_ops_per_s")
   in
   let baseline =
     headline "baseline_geomean_ops_per_s" (recompute "baseline_ops_per_s")
   in
-  List.iter
-    (fun (field, want) ->
-      let x = positive ~path field j in
-      if not (close x want) then
-        fail "%s: %s %g inconsistent with its geomeans (want %g)" path field x
-          want)
-    [ ("speedup", fast /. baseline); ("opt_speedup", opt /. baseline);
-      ("compiled_speedup", compiled /. baseline) ];
-  if opt < baseline then
-    fail "%s: optimized geomean %.0f below baseline %.0f" path opt baseline;
-  if compiled < opt then
-    fail "%s: compiled geomean %.0f below optimized %.0f" path compiled opt;
+  let speedup = positive ~path "compiled_speedup" j in
+  if not (close speedup (compiled /. baseline)) then
+    fail "%s: compiled_speedup %g inconsistent with its geomeans (want %g)"
+      path speedup (compiled /. baseline);
+  if compiled < baseline then
+    fail "%s: compiled geomean %.0f below baseline %.0f" path compiled baseline;
   ignore (positive ~path "wall_s" j);
   ignore (get ~path "sched" j);
   (match Json.member "grid" j with
   | None -> ()
   | Some g ->
+      let jobs = positive ~path "jobs" g in
+      let cold = num ~path "cold_executed" g in
+      if cold <> jobs then
+        fail "%s: grid.cold_executed is %g of %g jobs: the grid was not \
+              measured cold" path cold jobs;
       if num ~path "warm_executed" g <> 0. then
         fail "%s: grid.warm_executed is nonzero" path);
-  Fmt.pr "%s: ok (geomean %.0f ops/s; compiled %.2fx baseline, %.2fx optimized)@."
-    path compiled (compiled /. baseline) (compiled /. opt)
+  Fmt.pr "%s: ok (compiled geomean %.0f ops/s, %.2fx baseline)@." path compiled
+    speedup
 
 (* ------------------------------------------------------------------ *)
 (* ninja-serve-bench/v1                                                *)
@@ -225,7 +221,7 @@ let () =
     (fun path ->
       let j = parse path in
       match str ~path "schema" j with
-      | "ninja-selfbench/v4" ->
+      | "ninja-selfbench/v5" ->
           check_selfbench ~path j;
           committed_selfbench := Some (path, j)
       | "ninja-serve-bench/v1" -> check_serve ~path j
@@ -236,7 +232,7 @@ let () =
   | Some fresh_path -> (
       let fj = parse fresh_path in
       (match str ~path:fresh_path "schema" fj with
-      | "ninja-selfbench/v4" -> ()
+      | "ninja-selfbench/v5" -> ()
       | s -> fail "%s: fresh report has schema %S" fresh_path s);
       match !committed_selfbench with
       | None -> fail "--fresh given but no committed selfbench report among the files"
