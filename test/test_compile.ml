@@ -6,10 +6,11 @@
    count rows, total instructions, the memory-access event stream, the
    profiling trace, and trap messages (including the memory state at the
    fault, which pins the batched-bookkeeping fuel semantics). The
-   random-program differential itself lives in test_fastpath.ml (no
-   passes) and test_optimize.ml (every pass list); this suite adds the
-   fuel-trap differentials and a dozen hand-seeded mutations of
-   compiled-input op arrays — each simulating a distinct compiler-bug
+   strategy-level random-program differential lives in test_fastpath.ml
+   (no passes) and test_optimize.ml (every pass list); this suite runs it
+   through the supplied-array entry point ([Interp.run ~decoded]) the
+   mutations use, adds trap differentials over optimized arrays, and a
+   dozen hand-seeded mutations of compiled-input op arrays — each simulating a distinct compiler-bug
    class (wrong immediate, dropped def, inflated or misattributed
    bookkeeping, swapped operands, wrong operator, flipped dependence
    chain, dropped store, wrong loop bound, perturbed constant, dropped
@@ -20,15 +21,54 @@ open Ninja_vm
 module F = Test_fastpath
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic fuel-trap differentials: Tree and Compiled must fault
-   identically — same message, same memory state at the fault. The
+(* Random programs through the supplied-array entry point: clean arrays,
+   plain or optimized, handed to [Interp.run ~decoded] must agree with
+   the tree walker, so a mutation below is refuted for the mutation and
+   not for the path it is run through. *)
+
+let supplied_vs_tree ~name ~count config =
+  QCheck.Test.make ~count ~name F.seed_arb (fun seed ->
+      let prog, n_threads, width = F.build_program seed in
+      let decoded = Optimize.run ~config (Decode.decode prog) in
+      List.for_all
+        (fun tracing ->
+          let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
+          let c = F.observe ~decoded ~tracing ~n_threads ~width prog in
+          match F.diff_observations t c with
+          | None -> true
+          | Some what ->
+              QCheck.Test.fail_reportf
+                "Tree vs supplied Compiled(%s) arrays diverge (tracing=%b) on: %s"
+                (Optimize.tag config) tracing what)
+        [ false; true ])
+
+let prop_supplied_optimized =
+  supplied_vs_tree ~count:100
+    ~name:"random programs: Tree = Compiled on supplied optimized arrays (all passes)"
+    Optimize.default
+
+let prop_supplied_plain =
+  supplied_vs_tree ~count:60
+    ~name:"random programs: compiled plain decoded arrays preserve all observables"
+    Optimize.none
+
+(* ------------------------------------------------------------------ *)
+(* Deterministic trap differentials over optimized arrays: Tree and
+   Compiled must fault identically — same message, same memory state at
+   the fault — under the full pipeline and under each pass alone. The
    compiled backend batches instruction/fuel bookkeeping per
-   straight-line segment, and these pin that a batch never moves a trap
-   across an observable effect. *)
+   straight-line segment; the fuel cases pin that a batch never moves a
+   trap across an observable effect. *)
+
+let trap_configs =
+  Optimize.default
+  :: List.map (fun p -> { Optimize.passes = [ p ] }) Optimize.all_passes
+
+let trap_pair ?fuel build args = F.trap_pair ?fuel ~configs:trap_configs build args
 
 let test_trap_fuel_exhausted () =
   let msg =
-    F.trap_pair ~fuel:500
+    trap_pair ~fuel:500
       (fun b ->
         Builder.seq_phase b (fun () ->
             let one = Builder.iconst b 1 in
@@ -44,7 +84,7 @@ let test_trap_fuel_before_store () =
   (* fuel runs out mid-segment, after pure ops but before a store: the
      batched charge must trap without executing the store *)
   let msg =
-    F.trap_pair ~fuel:6
+    trap_pair ~fuel:6
       (fun b ->
         let buf = Builder.buffer_f b "buf" in
         Builder.seq_phase b (fun () ->
@@ -60,6 +100,49 @@ let test_trap_fuel_before_store () =
   in
   Alcotest.(check bool) "fuel in message" true
     (Astring_contains.contains msg "fuel")
+
+let test_trap_div_by_zero () =
+  let msg =
+    trap_pair
+      (fun b ->
+        Builder.seq_phase b (fun () ->
+            let z = Builder.iconst b 0 in
+            let x = Builder.iconst b 7 in
+            ignore (Builder.ibin b Idiv x z : Isa.si_reg)))
+      (fun () -> [])
+  in
+  Alcotest.(check bool) "division in message" true
+    (Astring_contains.contains msg "division by zero")
+
+let test_trap_oob_vector_store () =
+  let msg =
+    trap_pair
+      (fun b ->
+        let buf = Builder.buffer_f b "buf" in
+        Builder.seq_phase b (fun () ->
+            let sf = Builder.fconst b 9. in
+            let v = Builder.vf b in
+            Builder.emit b (Vbroadcastf (v, sf));
+            let base = Builder.iconst b 6 in
+            Builder.emit b (Vstoref { buf; idx = base; src = v; mask = None })))
+      (fun () -> [ ("buf", Memory.Fbuf (Array.make 8 0.)) ])
+  in
+  Alcotest.(check bool) "oob in message" true
+    (Astring_contains.contains msg "out-of-bounds")
+
+let test_trap_nonpositive_step () =
+  let msg =
+    trap_pair
+      (fun b ->
+        Builder.seq_phase b (fun () ->
+            let lo = Builder.iconst b 0 in
+            let hi = Builder.iconst b 4 in
+            let step = Builder.iconst b 0 in
+            Builder.for_ b ~lo ~hi ~step (fun _ -> ())))
+      (fun () -> [])
+  in
+  Alcotest.(check bool) "step in message" true
+    (Astring_contains.contains msg "step")
 
 (* ------------------------------------------------------------------ *)
 (* Hand-seeded compiler mutations: execute deliberately broken op arrays
@@ -285,9 +368,17 @@ let suite =
     List.concat
       [
         [
+          QCheck_alcotest.to_alcotest prop_supplied_optimized;
+          QCheck_alcotest.to_alcotest prop_supplied_plain;
           Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
           Alcotest.test_case "trap: fuel runs out before a store" `Quick
             test_trap_fuel_before_store;
+          Alcotest.test_case "trap: integer division by zero" `Quick
+            test_trap_div_by_zero;
+          Alcotest.test_case "trap: partial oob vector store" `Quick
+            test_trap_oob_vector_store;
+          Alcotest.test_case "trap: non-positive loop step" `Quick
+            test_trap_nonpositive_step;
           Alcotest.test_case "clean compiled arrays match the reference" `Quick
             test_compiled_clean_arrays_agree;
         ];

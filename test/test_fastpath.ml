@@ -348,7 +348,7 @@ let tree_vs_compiled ~name ~count config =
         [ false; true ])
 
 let prop_tree_vs_compiled_plain =
-  tree_vs_compiled ~count:210
+  tree_vs_compiled ~count:150
     ~name:"random programs: Tree and Compiled(no passes) agree on all observables"
     Optimize.none
 
@@ -378,9 +378,11 @@ let mutate (d : Decode.t) f =
 
 (* ---- deterministic trap differentials (not verifier-clean on purpose:
    they fault, and every backend must fault identically — same message,
-   same memory state at the fault) ---- *)
+   same memory state at the fault). Here the compiled side runs the plain
+   decoded arrays; test_compile.ml runs the same harness over optimized
+   ones. ---- *)
 
-let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
+let trap_pair ?(width = 4) ?(fuel = 1_000) ?(configs = [ Optimize.none ]) build args =
   let obs strategy =
     let b = Builder.create ~name:"trap" in
     build b;
@@ -407,7 +409,7 @@ let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
         (Fmt.str "Tree and Compiled(%s) trap identically" (Optimize.tag config))
         true
         (compare t (obs (Interp.Compiled config)) = 0))
-    [ Optimize.none; Optimize.default ];
+    configs;
   match fst t with
   | Ok msg -> msg
   | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
@@ -442,6 +444,19 @@ let test_trap_div_by_zero () =
   in
   Alcotest.(check bool) "division in message" true
     (Astring_contains.contains msg "division by zero")
+
+let test_trap_fuel_exhausted () =
+  let msg =
+    trap_pair ~fuel:500
+      (fun b ->
+        Builder.seq_phase b (fun () ->
+            let one = Builder.iconst b 1 in
+            Builder.while_ b
+              ~cond:(fun () -> one)
+              (fun () -> ignore (Builder.iconst b 0 : Isa.si_reg))))
+      (fun () -> [])
+  in
+  Alcotest.(check bool) "fuel in message" true (Astring_contains.contains msg "fuel")
 
 let test_trap_nonpositive_step () =
   let msg =
@@ -592,6 +607,7 @@ let suite =
     [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled_plain;
       Alcotest.test_case "trap: partial oob vector store" `Quick test_trap_oob_vector_store;
       Alcotest.test_case "trap: integer division by zero" `Quick test_trap_div_by_zero;
+      Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
       Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
       QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
       QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference ] )

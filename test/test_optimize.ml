@@ -19,7 +19,7 @@ module F = Test_fastpath
 (* Tree vs Compiled(config), for every pass configuration.             *)
 
 let prop_full_pipeline =
-  F.tree_vs_compiled ~count:220
+  F.tree_vs_compiled ~count:120
     ~name:"random programs: Tree = Compiled(all passes)"
     Optimize.default
 
