@@ -73,13 +73,16 @@ let reset_cache () =
       cache_misses := 0;
       store_hits := 0)
 
-(* Building a benchmark's ladder ([bench.steps]) runs the whole
-   source-level compiler pipeline over every variant — around half a
-   second per benchmark, which dwarfs many of the simulations themselves
-   (and *is* the warm-path cost once reports come from the store). The
-   ladder is a pure function of (benchmark, scale), so build it once per
-   process. Built outside the lock: a racy duplicate build just loses,
-   and the first inserted value wins so every caller shares one ladder. *)
+(* Building a benchmark's ladder ([bench.steps]) generates its dataset
+   and runs the source-level compiler pipeline over every variant. On a
+   2-vCPU x86-64 VM nine ladders take at most ~22 ms each and
+   TreeSearch's ~0.8-0.9 s, nearly all of it generating its 2^23-1-key
+   tree: more than many simulations, and a large share of a warm run
+   once reports come from the store. Every [find_step] would pay it
+   again, and the ladder is a pure function of (benchmark, scale), so
+   build it once per process. Built outside the lock: a racy duplicate
+   build just loses, and the first inserted value wins so every caller
+   shares one ladder. *)
 let ladders : (string * int, Driver.step list) Hashtbl.t = Hashtbl.create 16
 
 let ladder (bench : Driver.benchmark) ~scale =

@@ -20,15 +20,19 @@ let int t bound =
   let raw = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   raw mod bound
 
+(* The 53 high-quality bits of one draw. *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+
+(* [b / 2^53] is exact in [0,1), so the map is monotone in [b]. *)
+let of_bits53 lo hi b = lo +. (float_of_int b /. 9007199254740992.0 *. (hi -. lo))
+
 let float t bound =
   assert (bound > 0.);
-  (* 53 high-quality bits, mapped to [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
-  float_of_int bits /. 9007199254740992.0 *. bound
+  of_bits53 0. bound (bits53 t)
 
 let float_range t lo hi =
   assert (lo < hi);
-  lo +. float t (hi -. lo)
+  of_bits53 lo hi (bits53 t)
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

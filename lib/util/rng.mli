@@ -20,6 +20,15 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the next draw's 53 high bits, uniform in [\[0, 2^53)]:
+    the draw behind {!float} and {!float_range}. *)
+
+val of_bits53 : float -> float -> int -> float
+(** [of_bits53 lo hi b] maps a 53-bit draw [b] to [\[lo, hi)] exactly as
+    {!float_range} does, so [float_range t lo hi = of_bits53 lo hi (bits53 t)].
+    For [lo < hi] it is monotone in [b]: sorting draws sorts their images. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. Requires [bound > 0.]. *)
 

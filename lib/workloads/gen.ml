@@ -14,11 +14,6 @@ let permutation ~seed n =
   Rng.shuffle rng a;
   a
 
-let sorted_floats ~seed ?(lo = 0.) ?(hi = 1.) n =
-  let a = floats ~seed ~lo ~hi n in
-  Array.sort Float.compare a;
-  a
-
 let interleave fields =
   match fields with
   | [] -> [||]
@@ -55,23 +50,82 @@ let grid3d ~seed ~nx ~ny ~nz =
   done;
   g
 
+(* LSD radix sort of 53-bit draws: four stable 14-bit counting passes that
+   ping-pong between [draws] and [scratch] (holding each draw as an exact
+   [float_of_int], since draws are below 2^53), ending sorted in [draws]. *)
+let radix_bits = 14
+let radix_mask = (1 lsl radix_bits) - 1
+
+(* Turn [count] (digit histogram) into each digit's first output slot. *)
+let exclusive_prefix count =
+  let sum = ref 0 in
+  for d = 0 to radix_mask do
+    let c = count.(d) in
+    count.(d) <- !sum;
+    sum := !sum + c
+  done
+
+let pass_to_floats count shift (src : int array) (dst : float array) =
+  Array.fill count 0 (radix_mask + 1) 0;
+  for i = 0 to Array.length src - 1 do
+    let d = (src.(i) lsr shift) land radix_mask in
+    count.(d) <- count.(d) + 1
+  done;
+  exclusive_prefix count;
+  for i = 0 to Array.length src - 1 do
+    let v = src.(i) in
+    let d = (v lsr shift) land radix_mask in
+    dst.(count.(d)) <- float_of_int v;
+    count.(d) <- count.(d) + 1
+  done
+
+let pass_to_ints count shift (src : float array) (dst : int array) =
+  Array.fill count 0 (radix_mask + 1) 0;
+  for i = 0 to Array.length src - 1 do
+    let d = (int_of_float src.(i) lsr shift) land radix_mask in
+    count.(d) <- count.(d) + 1
+  done;
+  exclusive_prefix count;
+  for i = 0 to Array.length src - 1 do
+    let v = int_of_float src.(i) in
+    let d = (v lsr shift) land radix_mask in
+    dst.(count.(d)) <- v;
+    count.(d) <- count.(d) + 1
+  done
+
+let radix_sort_bits53 draws ~scratch =
+  let count = Array.make (radix_mask + 1) 0 in
+  pass_to_floats count 0 draws scratch;
+  pass_to_ints count radix_bits scratch draws;
+  pass_to_floats count (2 * radix_bits) draws scratch;
+  pass_to_ints count (3 * radix_bits) scratch draws
+
 let bst_level_order ~seed ~depth =
   if depth < 1 || depth > 30 then invalid_arg "Gen.bst_level_order: bad depth";
   let n = (1 lsl depth) - 1 in
-  let sorted = sorted_floats ~seed ~lo:0. ~hi:1000. n in
-  (* ensure strict increase so searches have unique answers *)
-  for i = 1 to n - 1 do
-    if sorted.(i) <= sorted.(i - 1) then sorted.(i) <- sorted.(i - 1) +. 1e-3
-  done;
+  let lo = 0. and hi = 1000. in
+  (* The keys are [Rng.float_range rng lo hi] draws in sorted order. That
+     map is monotone in the raw draw, so sort the draws as ints and map
+     each one as it is placed: same keys, bit for bit, as sorting floats. *)
+  let rng = Rng.create seed in
+  let draws = Array.init n (fun _ -> Rng.bits53 rng) in
   let tree = Array.make n 0. in
-  (* fill node [node] with the median of sorted[lo, hi) *)
-  let rec fill node lo hi =
-    if node < n && lo < hi then begin
-      let mid = (lo + hi) / 2 in
-      tree.(node) <- sorted.(mid);
-      fill ((2 * node) + 1) lo mid;
-      fill ((2 * node) + 2) (mid + 1) hi
+  radix_sort_bits53 draws ~scratch:tree;
+  (* Node [i]'s children are [2i+1] and [2i+2], so the in-order walk of
+     the perfect tree visits ranks 0..n-1 in increasing order. *)
+  let rank = ref 0 and prev = ref neg_infinity in
+  let rec fill node =
+    if node < n then begin
+      fill ((2 * node) + 1);
+      let k = Rng.of_bits53 lo hi draws.(!rank) in
+      (* ensure strict increase so searches have unique answers *)
+      let k = if k <= !prev then !prev +. 1e-3 else k in
+      tree.(node) <- k;
+      prev := k;
+      incr rank;
+      fill ((2 * node) + 2)
     end
   in
-  fill 0 0 n;
+  fill 0;
+  assert (!rank = n);
   tree

@@ -12,9 +12,6 @@ val ints : seed:int -> bound:int -> int -> int array
 val permutation : seed:int -> int -> int array
 (** A uniform random permutation of [0..n-1]. *)
 
-val sorted_floats : seed:int -> ?lo:float -> ?hi:float -> int -> float array
-(** Sorted uniform floats — e.g. tree-key construction. *)
-
 val interleave2 : float array -> float array -> float array
 (** [interleave2 a b] is the AoS layout [a0; b0; a1; b1; ...]. The two
     arrays must have equal length. *)
@@ -29,4 +26,10 @@ val grid3d : seed:int -> nx:int -> ny:int -> nz:int -> float array
 val bst_level_order : seed:int -> depth:int -> float array
 (** Keys of a perfect binary search tree of [depth] levels (2^depth - 1
     keys), laid out in level order: node [i]'s children are [2i+1] and
-    [2i+2]. Keys are strictly increasing in in-order traversal. *)
+    [2i+2]. Keys are strictly increasing in in-order traversal.
+
+    The keys are [2^depth - 1] draws of [Rng.float_range] over [\[0, 1000)]
+    in sorted order, each nudged up by [1e-3] past its predecessor when not
+    larger. The draws are radix-sorted as raw 53-bit integers, with the
+    result array as the sort's scratch half, so memory stays at two
+    [n]-word arrays. Raises [Invalid_argument] unless [1 <= depth <= 30]. *)

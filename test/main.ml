@@ -20,4 +20,5 @@ let () =
       Test_store.suite;
       Test_serve.suite;
       Test_tuner.suite;
-      Test_core.suite ]
+      Test_core.suite;
+      Test_workloads.suite ]

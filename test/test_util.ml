@@ -44,6 +44,58 @@ let test_float_bounds () =
     Alcotest.(check bool) "in range" true (v >= -2. && v < 3.)
   done
 
+(* [draw] and [mapped] must agree bit for bit on copies of one stream. *)
+let check_same_stream label draw mapped =
+  let a = Rng.create 11 in
+  let b = Rng.copy a in
+  for _ = 1 to 1000 do
+    Alcotest.(check int64) label
+      (Int64.bits_of_float (draw a))
+      (Int64.bits_of_float (mapped b))
+  done
+
+let test_float_range_is_of_bits53 () =
+  List.iter
+    (fun (lo, hi) ->
+      check_same_stream
+        (Fmt.str "float_range %g %g" lo hi)
+        (fun r -> Rng.float_range r lo hi)
+        (fun r -> Rng.of_bits53 lo hi (Rng.bits53 r)))
+    [ (0., 1000.); (-2., 3.); (1e-3, 1e-3 +. 1e-9) ];
+  check_same_stream "float 0.1"
+    (fun r -> Rng.float r 0.1)
+    (fun r -> Rng.of_bits53 0. 0.1 (Rng.bits53 r))
+
+(* Existing streams must not move: the first outputs of [float_range] and
+   [float] for two seeds, as computed by the original SplitMix64 mapping. *)
+let test_float_streams_pinned () =
+  let r = Rng.create 71 in
+  List.iter
+    (fun want -> Alcotest.(check string) "float_range 0 1000" want
+        (Printf.sprintf "%h" (Rng.float_range r 0. 1000.)))
+    [ "0x1.979b0dfe021adp+9"; "0x1.bd7306bf9826bp+8"; "0x1.3c5002065ed4ap+9" ];
+  let r = Rng.create 4 in
+  List.iter
+    (fun want -> Alcotest.(check string) "float 0.1" want
+        (Printf.sprintf "%h" (Rng.float r 0.1)))
+    [ "0x1.6172d7d6070b5p-5"; "0x1.6d87a3dd45c12p-4"; "0x1.5fe4f660e3f8dp-4" ]
+
+(* Draw pairs are often adjacent, where rounding could break monotonicity. *)
+let prop_of_bits53_monotone =
+  let bits53 = QCheck.Gen.map (fun x -> x land ((1 lsl 53) - 1)) QCheck.Gen.int in
+  QCheck.Test.make ~name:"of_bits53 monotone in the draw" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          quad (float_range (-1e6) 1e6) (float_range 1e-9 1e6) bits53
+            (oneof [ int_range 0 4; int_bound 1_000_000; bits53 ])))
+    (fun (lo, width, b, delta) ->
+      let hi = lo +. width in
+      let b1 = min b (((1 lsl 53) - 1) - delta) in
+      let b2 = min ((1 lsl 53) - 1) (b1 + delta) in
+      QCheck.assume (lo < hi);
+      Rng.of_bits53 lo hi b1 <= Rng.of_bits53 lo hi b2)
+
 let test_geomean () =
   Alcotest.(check (float 1e-9)) "geomean of equal" 4. (Stats.geomean [ 4.; 4.; 4. ]);
   Alcotest.(check (float 1e-9)) "geomean 1,4" 2. (Stats.geomean [ 1.; 4. ])
@@ -148,6 +200,9 @@ let suite =
       Alcotest.test_case "rng split" `Quick test_rng_split_independent;
       Alcotest.test_case "int bounds" `Quick test_int_bounds;
       Alcotest.test_case "float bounds" `Quick test_float_bounds;
+      Alcotest.test_case "float_range is of_bits53 of bits53" `Quick
+        test_float_range_is_of_bits53;
+      Alcotest.test_case "float streams pinned" `Quick test_float_streams_pinned;
       Alcotest.test_case "geomean" `Quick test_geomean;
       Alcotest.test_case "geomean rejects" `Quick test_geomean_rejects_nonpositive;
       Alcotest.test_case "mean" `Quick test_mean;
@@ -155,4 +210,5 @@ let suite =
       Alcotest.test_case "percentile" `Quick test_percentile;
       Alcotest.test_case "ratio zero" `Quick test_ratio_zero;
       QCheck_alcotest.to_alcotest prop_shuffle_permutation;
-      QCheck_alcotest.to_alcotest prop_geomean_between ] )
+      QCheck_alcotest.to_alcotest prop_geomean_between;
+      QCheck_alcotest.to_alcotest prop_of_bits53_monotone ] )
