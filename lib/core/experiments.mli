@@ -25,14 +25,10 @@ type experiment = {
 val all : experiment list
 (** In presentation order: T1, F1..F8, T2..T4, T6, T7, A1. T4 (measured
     cycle attribution) runs its simulations under the profiler, outside
-    the memo cache — its [needs] is empty by design. *)
-
-val t4_profiles :
-  (Ninja_arch.Machine.t * Ninja_profile.Profile.t list) list Lazy.t
-(** The ninja-variant profiles behind T4 (Westmere and Knights Ferry, the
-    whole suite), memoized for the process — also the data source for the
-    report-sync tooling and tests that compare measured bottleneck classes
-    with the timing reports'. *)
+    the memo cache — its [needs] is empty by design. With a store
+    installed, T4 keeps each profile's summary as a derived entry
+    (["t4-summary/v1"]) under the ninja rung's report key, so a warm run
+    renders it without profiling. *)
 
 val find : string -> experiment
 (** Lookup by id (case-insensitive). Raises [Not_found]. *)
@@ -67,8 +63,9 @@ val tuned_result :
     per-loop decisions, baselines), at the benchmark's default scale,
     memoized per (machine name, benchmark) and cleared by
     {!reset_cache}. Baseline rungs are read through {!run_step_cached};
-    candidate simulations are memoized in the installed {!Store} (if
-    any) under the ["tuned"] step tag. [domains] (default [1]) sizes
+    candidate simulations and winner validation verdicts are memoized
+    in the installed {!Store} (if any) under the ["tuned"] step tag
+    (see {!Tuner.tune}). [domains] (default [1]) sizes
     the pool the candidate search runs on; the result is independent
     of it. *)
 
@@ -82,8 +79,9 @@ val store_hit_count : unit -> int
     since start / the last {!reset_cache}. *)
 
 val reset_cache : unit -> unit
-(** Drop all memoized reports and zero the hit/miss/store counters
-    (tests). The persistent store, if set, is untouched. *)
+(** Drop all memoized reports, tuning sessions and T4 summaries and zero
+    the hit/miss/store counters (tests). The persistent store, if set, is
+    untouched. *)
 
 val set_store : Store.t option -> unit
 (** Install (or clear) the persistent result store consulted below the

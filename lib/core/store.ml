@@ -288,6 +288,11 @@ let atomic_write ~path content =
      raise e);
   Sys.rename tmp path
 
+let record_cost t ~step_name ~cost_s =
+  locked t (fun () ->
+      let sum, n = Option.value (Hashtbl.find_opt t.cost_acc step_name) ~default:(0., 0) in
+      Hashtbl.replace t.cost_acc step_name (sum +. cost_s, n + 1))
+
 let save t ~key ~machine ~step_name ~cost_s report =
   let report_json = report_to_json report in
   let entry =
@@ -303,37 +308,86 @@ let save t ~key ~machine ~step_name ~cost_s report =
       ]
   in
   atomic_write ~path:(entry_path t key) (Json.to_string entry);
-  locked t (fun () ->
-      t.writes <- t.writes + 1;
-      let sum, n = Option.value (Hashtbl.find_opt t.cost_acc step_name) ~default:(0., 0) in
-      Hashtbl.replace t.cost_acc step_name (sum +. cost_s, n + 1))
+  locked t (fun () -> t.writes <- t.writes + 1);
+  record_cost t ~step_name ~cost_s
 
-let load t ~key ~machine =
-  let path = entry_path t key in
+(* Parse the entry at [path] and hand it to [verify], which raises on any
+   mismatch. Every failure is a counted miss; one on an existing file is
+   also a dropped corruption — the caller recomputes and overwrites it. *)
+let read_verified t path verify =
   if not (Sys.file_exists path) then begin
     locked t (fun () -> t.misses <- t.misses + 1);
     None
   end
   else
-    match
-      let j = Json.parse (read_file path) in
+    match verify (Json.parse (read_file path)) with
+    | v ->
+        locked t (fun () -> t.hits <- t.hits + 1);
+        Some v
+    | exception _ ->
+        locked t (fun () ->
+            t.errors <- t.errors + 1;
+            t.misses <- t.misses + 1);
+        None
+
+let load t ~key ~machine =
+  read_verified t (entry_path t key) (fun j ->
       if str "schema" j <> entry_schema then failwith "Store: entry schema";
       if str "key" j <> key then failwith "Store: key mismatch";
       let report_json = get "report" j in
       if str "checksum" j <> payload_checksum report_json then
         failwith "Store: checksum mismatch";
-      report_of_json ~machine report_json
-    with
-    | report ->
-        locked t (fun () -> t.hits <- t.hits + 1);
-        Some report
-    | exception _ ->
-        (* corrupt / stale / truncated: silently fall through to
-           re-simulation, which will overwrite the entry *)
-        locked t (fun () ->
-            t.errors <- t.errors + 1;
-            t.misses <- t.misses + 1);
-        None
+      report_of_json ~machine report_json)
+
+(* ------------------------------------------------------------------ *)
+(* Derived-product entries                                             *)
+
+(* Products computed from a simulated program that are as deterministic
+   as its report — T4's profile summary, a tuning winner's validation
+   verdict — keyed by the report key plus a versioned kind. They live
+   beside the report entry, go through the same atomic write and the same
+   load checks (key, checksum, strict parse), and count in the same
+   stats. The key carries the salt, so a salt bump drops them too; a
+   change the key cannot see (profile attribution, a benchmark's check
+   or dataset) must bump the kind's version instead. *)
+
+let derived_schema = "ninja-store-derived/v1"
+
+let derived_path t ~key ~kind =
+  let file = String.map (function '/' -> '-' | c -> c) kind in
+  Filename.concat (Filename.dirname (entry_path t key)) (Printf.sprintf "%s.%s.json" key file)
+
+let derived_save t ~key ~kind payload =
+  let entry =
+    Json.Obj
+      [
+        ("schema", Json.Str derived_schema);
+        ("key", Json.Str key);
+        ("kind", Json.Str kind);
+        ("checksum", Json.Str (payload_checksum payload));
+        ("payload", payload);
+      ]
+  in
+  atomic_write ~path:(derived_path t ~key ~kind) (Json.to_string entry);
+  locked t (fun () -> t.writes <- t.writes + 1)
+
+let derived_load t ~key ~kind decode =
+  read_verified t (derived_path t ~key ~kind) (fun j ->
+      if str "schema" j <> derived_schema then failwith "Store: derived schema";
+      if str "key" j <> key then failwith "Store: key mismatch";
+      if str "kind" j <> kind then failwith "Store: kind mismatch";
+      let payload = get "payload" j in
+      if str "checksum" j <> payload_checksum payload then
+        failwith "Store: checksum mismatch";
+      decode payload)
+
+let derived t ~key ~kind ~encode ~decode compute =
+  match derived_load t ~key ~kind decode with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      derived_save t ~key ~kind (encode v);
+      v
 
 (* [load] also surfaces the stored per-key cost for callers that want it
    without deserializing the whole report. *)

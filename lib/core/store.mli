@@ -18,6 +18,12 @@
     {!load} return [None] and the caller re-simulates — the store can
     miss, but never return wrong data.
 
+    Beside each report the store can keep {e derived products}: values
+    computed from the same simulated program that are just as
+    deterministic (T4's profile summary, a tuning winner's validation
+    verdict), so a warm grid re-executes no kernel at all. See
+    {!derived}.
+
     The store also aggregates per-ladder-step simulation costs
     ([costs.json]) that {!Jobs.prefill} uses to seed the work-stealing
     scheduler longest-expected-first. *)
@@ -25,10 +31,10 @@
 type t
 
 type stats = {
-  hits : int;  (** entries loaded and verified *)
-  misses : int;  (** lookups that fell through to simulation *)
+  hits : int;  (** entries loaded and verified (reports and derived) *)
+  misses : int;  (** lookups that fell through to recomputation *)
   errors : int;  (** corrupt/stale entries dropped (subset of misses) *)
-  writes : int;  (** entries written *)
+  writes : int;  (** entries written (reports and derived) *)
 }
 
 val version_salt : string
@@ -83,6 +89,12 @@ val save :
     simulation wall time) into the pending per-step cost estimates
     (flushed by {!flush_costs}). *)
 
+val record_cost : t -> step_name:string -> cost_s:float -> unit
+(** Fold one measured cost into [step_name]'s pending estimate without
+    writing an entry ({!save} does this for every report). For job
+    classes whose cost is not one simulation's, such as a whole tuning
+    session. *)
+
 val entry_cost : t -> key:string -> float option
 (** The stored per-key simulation cost, without deserializing the whole
     report; [None] on any missing or unreadable entry. *)
@@ -98,6 +110,39 @@ val flush_costs : t -> unit
     previous estimate). *)
 
 val stats : t -> stats
+
+(** {1 Derived products}
+
+    A derived entry maps a report key (from {!key}) plus a versioned
+    [kind] such as ["t4-summary/v1"] to a JSON payload. It is stored
+    beside the report entry as [<aa>/<key>.<kind>.json], with each ['/']
+    in [kind] written as ['-']. Writes are atomic like {!save}'s; loads
+    verify the stored key, kind and payload checksum and parse strictly.
+    Hits, misses, writes and dropped corruptions count in {!stats} like
+    report entries.
+
+    The key covers the salt, machine, step and program, so everything
+    that invalidates the report invalidates its derived products. A
+    change the key cannot see — the profiler's attribution, a
+    benchmark's output check or its dataset — must bump the kind's
+    version, the same rule {!version_salt} follows for reports. *)
+
+val derived :
+  t ->
+  key:string ->
+  kind:string ->
+  encode:('a -> Ninja_report.Json.t) ->
+  decode:(Ninja_report.Json.t -> 'a) ->
+  (unit -> 'a) ->
+  'a
+(** [derived t ~key ~kind ~encode ~decode compute]: the stored value when
+    the entry verifies and [decode] accepts its payload (any exception
+    from [decode] counts as corruption); otherwise [compute ()], written
+    back through [encode] (overwriting a corrupt entry). *)
+
+val derived_save :
+  t -> key:string -> kind:string -> Ninja_report.Json.t -> unit
+(** Write one derived entry atomically, replacing any previous one. *)
 
 (** {1 Report serialization}
 

@@ -209,27 +209,56 @@ let plan ~machine ~steps bench = List.map fst (admit ~machine ~steps bench)
 
 (* [sims] counts evaluations that actually ran (store misses) — the
    basis of [t_simulated]; atomic because candidates evaluate on the
-   pool. *)
-let simulate ~sims ?store ~machine ~step_name step prog =
+   pool. Returns the report and, with a store, its key. [cost_class]
+   (default [step_name]) is the costs.json class the simulation's wall
+   time is filed under; it is not part of the key. *)
+let simulate ~sims ?store ~machine ~step_name ?(cost_class = step_name) step prog =
   match store with
   | None ->
       Atomic.incr sims;
-      Driver.run_step ~machine step
-  | Some st -> (
+      (Driver.run_step ~machine step, None)
+  | Some st ->
       let backend =
         Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.default_strategy ())
       in
       let key = Store.key ~backend st ~machine ~step_name prog in
-      match Store.load st ~key ~machine with
-      | Some r -> r
-      | None ->
-          Atomic.incr sims;
-          let t0 = Unix.gettimeofday () in
-          let r = Driver.run_step ~machine step in
-          Store.save st ~key ~machine ~step_name
-            ~cost_s:(Unix.gettimeofday () -. t0)
-            r;
-          r)
+      let r =
+        match Store.load st ~key ~machine with
+        | Some r -> r
+        | None ->
+            Atomic.incr sims;
+            let t0 = Unix.gettimeofday () in
+            let r = Driver.run_step ~machine step in
+            Store.save st ~key ~machine ~step_name:cost_class
+              ~cost_s:(Unix.gettimeofday () -. t0)
+              r;
+            r
+      in
+      (r, Some key)
+
+(* A winner's validation verdict is as deterministic as its report, so
+   with a store it is kept as a derived entry under the candidate's
+   ["tuned"] report key. Bump [check_kind] whenever a benchmark's output
+   check or dataset changes. *)
+let check_kind = "check/v1"
+
+let verdict_to_json = function
+  | Ok () -> Json.Obj [ ("ok", Json.Bool true) ]
+  | Error msg -> Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]
+
+let verdict_of_json j =
+  match (Json.member "ok" j, Json.member "error" j) with
+  | Some (Json.Bool true), None -> Ok ()
+  | Some (Json.Bool false), Some (Json.Str msg) -> Error msg
+  | _ -> failwith "Tuner: malformed check verdict"
+
+let validate ?store ~machine key step =
+  let check () = Driver.validate_step ~machine step in
+  match (store, key) with
+  | Some st, Some key ->
+      Store.derived st ~key ~kind:check_kind ~encode:verdict_to_json
+        ~decode:verdict_of_json check
+  | _ -> check ()
 
 (* Every loop label in the kernel, outermost first, encounter order —
    the rows of the per-loop decision table. *)
@@ -277,6 +306,7 @@ let decisions (c : candidate) bt =
 
 let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
     (bench : Driver.benchmark) =
+  let t0 = Unix.gettimeofday () in
   let sims = Atomic.make 0 in
   let admitted = admit ~domains ~machine ~steps bench in
   let evaluated =
@@ -285,16 +315,19 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
         match bt with
         | None -> (c, None)
         | Some bt ->
-            let r = simulate ~sims ?store ~machine ~step_name:"tuned" bt.bt_step bt.bt_prog in
+            let r, key =
+              simulate ~sims ?store ~machine ~step_name:"tuned"
+                ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
+            in
             ( { c with c_status = Evaluated; c_cycles = Some r.Timing.cycles },
-              Some (bt, r) ))
+              Some (bt, r, key) ))
       admitted
   in
   let ranked =
     List.filter_map
-      (fun (c, e) -> Option.map (fun (bt, r) -> (c, bt, r)) e)
+      (fun (c, e) -> Option.map (fun (bt, r, key) -> (c, bt, r, key)) e)
       evaluated
-    |> List.stable_sort (fun (c1, _, r1) (c2, _, r2) ->
+    |> List.stable_sort (fun (c1, _, r1, _) (c2, _, r2, _) ->
            match Float.compare r1.Timing.cycles r2.Timing.cycles with
            | 0 -> Int.compare c1.c_index c2.c_index
            | n -> n)
@@ -306,8 +339,8 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
     | [] ->
         failwith
           ("Tuner: no functionally valid candidate for " ^ bench.b_name)
-    | (c, bt, r) :: rest -> (
-        match Driver.validate_step ~machine bt.bt_step with
+    | (c, bt, r, key) :: rest -> (
+        match validate ?store ~machine key bt.bt_step with
         | Ok () -> (c, bt, r, rejected)
         | Error msg -> pick ((c.c_index, msg) :: rejected) rest)
   in
@@ -332,11 +365,19 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
           with
           | None -> invalid_arg ("Tuner: benchmark has no ladder step " ^ name)
           | Some step ->
-              simulate ~sims ?store ~machine ~step_name:name step
-                (step.Driver.make ~machine))
+              fst
+                (simulate ~sims ?store ~machine ~step_name:name step
+                   (step.Driver.make ~machine)))
   in
   let naive = run_rung "naive serial" in
   let ninja = run_rung "ninja" in
+  (* The scheduler reads the "tuned" cost class as one whole session
+     (Jobs.estimate); a session the store served entirely ran nothing
+     worth timing. *)
+  (match store with
+  | Some st when Atomic.get sims > 0 ->
+      Store.record_cost st ~step_name:"tuned" ~cost_s:(Unix.gettimeofday () -. t0)
+  | _ -> ());
   { t_bench = bench.b_name; t_machine = machine.Machine.name; t_scale = scale;
     t_candidates = candidates; t_winner = { wc with c_status = Winner };
     t_report = wr; t_naive = naive; t_ninja = ninja;

@@ -21,8 +21,10 @@
     {!Ninja_util.Pool.map_list}, and no wall-clock quantity enters the
     result, so the winner and its JSON export are byte-identical across
     domain counts and cold/warm store states. Candidate evaluations are
-    memoized in the persistent {!Store} under the ["tuned"] step tag, so
-    repeated tuning runs are warm-cache cheap. *)
+    memoized in the persistent {!Store} under the ["tuned"] step tag, and
+    the winners' validation verdicts as derived entries of kind
+    {!check_kind} under the same keys, so a warm tuning run executes
+    nothing. *)
 
 (** Final verdict on one candidate. [Legal] appears only in {!plan}
     output (statically admissible, not yet simulated). *)
@@ -92,12 +94,24 @@ val tune :
     bindings, launch count, per-run preparation and output check);
     [domains] (default [1] = serial) sizes the work-stealing pool the
     candidate search runs on; [store], when given, memoizes candidate
-    evaluations under the ["tuned"] step tag and the baseline rungs
-    under their own step names. [run_rung], when given, supplies the
+    evaluations under the ["tuned"] step tag, the validation verdict of
+    each candidate [pick] checks under that candidate's key
+    ({!check_kind}), and the baseline rungs under their own step names.
+    Its [costs.json] then gets the session's wall time under ["tuned"]
+    (what {!Jobs.schedule_order} reads as a tuned job's cost) and each
+    simulated candidate's under ["tuned candidate"]; a session the store
+    served entirely records nothing. [run_rung], when given, supplies the
     "naive serial" and "ninja" baseline reports (the experiment grid
     passes its memoized {!Experiments.run_step_cached}); the default
     simulates them through [store]. The result is independent of
     [domains] and of store temperature. *)
+
+val check_kind : string
+(** ["check/v1"], the {!Store.derived} kind of a candidate's validation
+    verdict. The payload is [{"ok": true}] or
+    [{"ok": false, "error": <message>}]; an [Error] verdict marks the
+    candidate [TUNE_CHECK_FAILED] with that message. Bump it whenever a
+    benchmark's output check or dataset changes. *)
 
 val plan :
   machine:Ninja_arch.Machine.t ->

@@ -371,16 +371,29 @@ let attribution_table t =
 let summary_columns =
   [ "benchmark"; "compute"; "bandwidth"; "latency"; "serial"; "lanes"; "class" ]
 
-let summary_row t =
-  let f = fractions t in
-  [ t.prog_name; pct f.f_compute; pct f.f_bandwidth; pct f.f_latency;
-    pct f.f_serial;
-    (match t.lane_util with None -> "-" | Some u -> pct u);
-    Timing.bound_name t.bound ]
+(* The numbers behind one summary row, kept apart from the profile so a
+   caller can store and re-render them without re-running the step. *)
+type summary = {
+  s_prog : string;
+  s_fractions : fractions;
+  s_lane_util : float option;
+  s_bound : Timing.bound;
+}
 
-let summary_table ~title profiles =
+let summary t =
+  { s_prog = t.prog_name; s_fractions = fractions t; s_lane_util = t.lane_util;
+    s_bound = t.bound }
+
+let summary_row s =
+  let f = s.s_fractions in
+  [ s.s_prog; pct f.f_compute; pct f.f_bandwidth; pct f.f_latency;
+    pct f.f_serial;
+    (match s.s_lane_util with None -> "-" | Some u -> pct u);
+    Timing.bound_name s.s_bound ]
+
+let summary_table ~title summaries =
   let tbl = Ninja_report.Table.create ~title ~columns:summary_columns in
-  List.iter (fun p -> Ninja_report.Table.add_row tbl (summary_row p)) profiles;
+  List.iter (fun s -> Ninja_report.Table.add_row tbl (summary_row s)) summaries;
   tbl
 
 let roofline_csv profiles =

@@ -117,8 +117,21 @@ val attribution_table : t -> Ninja_report.Table.t
 (** Per-scope table: instructions, cycles, share, stalls, DRAM traffic,
     cache-level access counts and lane utilization for each loop/phase. *)
 
-val summary_table : title:string -> t list -> Ninja_report.Table.t
-(** One row per profile: resource fractions, lane utilization and the
+(** The numbers behind one row of {!summary_table}: small and plain, so a
+    caller can store them and render the row again without re-running
+    the step. *)
+type summary = {
+  s_prog : string;  (** benchmark name *)
+  s_fractions : fractions;  (** {!fractions} of the profile *)
+  s_lane_util : float option;  (** whole-run SIMD lane occupancy *)
+  s_bound : Ninja_arch.Timing.bound;  (** event-derived bottleneck class *)
+}
+
+val summary : t -> summary
+(** The summary numbers of a profile. *)
+
+val summary_table : title:string -> summary list -> Ninja_report.Table.t
+(** One row per summary: resource fractions, lane utilization and the
     event-derived bottleneck class (experiment T4's shape). *)
 
 val roofline_csv : t list -> string

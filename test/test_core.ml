@@ -192,25 +192,29 @@ let test_differential_j1_vs_j4 () =
    any reported number fails here. Runs after the differential test, so
    the job cache is warm and no new simulation happens. *)
 
+let render_tables (e : E.experiment) =
+  List.map (Fmt.str "%a" Ninja_report.Table.render) (e.run ())
+
+let read_golden () =
+  let path =
+    if Sys.file_exists "golden_experiments.txt" then "golden_experiments.txt"
+    else Filename.concat "test" "golden_experiments.txt"
+  in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let test_golden_experiments () =
   let got =
     E.all
     |> List.concat_map (fun (e : E.experiment) ->
            Fmt.str "## %s — %s (%s)@." (String.uppercase_ascii e.id) e.title
              e.claim
-           :: List.map (Fmt.str "%a" Ninja_report.Table.render) (e.run ()))
+           :: render_tables e)
     |> String.concat "\n"
   in
-  let path =
-    if Sys.file_exists "golden_experiments.txt" then "golden_experiments.txt"
-    else Filename.concat "test" "golden_experiments.txt"
-  in
-  let ic = open_in_bin path in
-  let want =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let want = read_golden () in
   Alcotest.(check bool) "experiment tables match the golden byte-for-byte" true
     (want = got);
   if want <> got then Alcotest.(check string) "diff" want got
@@ -282,6 +286,48 @@ let test_criterion_f2_monotone () =
        avgs)
     true (monotone avgs)
 
+(* ---- T4 and T7 from the store's derived entries ----
+   A cold run on a throwaway store profiles T4 and validates each tuning
+   winner; a warm run must read both back (with the reports) and render
+   the same bytes — the golden's — without a single store miss or write.
+   Runs last: it drops the memo the criteria tests above read. *)
+
+let test_t4_t7_cold_warm_store () =
+  let st = Ninja_core.Store.scratch () in
+  let experiments = [ E.find "t4"; E.find "t7" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      E.set_store None;
+      E.reset_cache ();
+      Ninja_core.Store.destroy st)
+    (fun () ->
+      E.set_store (Some st);
+      let run () =
+        E.reset_cache ();
+        let s = Jobs.prefill ~domains:2 ~experiments () in
+        (s, List.concat_map render_tables experiments)
+      in
+      let _, cold = run () in
+      let before = Ninja_core.Store.stats st in
+      let warm_grid, warm = run () in
+      let after = Ninja_core.Store.stats st in
+      Alcotest.(check (list string)) "warm tables byte-identical to cold" cold warm;
+      let golden = read_golden () in
+      List.iter
+        (fun t ->
+          Alcotest.(check bool) "table appears verbatim in the golden" true
+            (Astring_contains.contains golden t))
+        cold;
+      Alcotest.(check int) "warm run simulates nothing" 0 warm_grid.Jobs.executed;
+      Alcotest.(check int) "warm run: no store misses" 0
+        (after.Ninja_core.Store.misses - before.Ninja_core.Store.misses);
+      Alcotest.(check int) "warm run: no store writes" 0
+        (after.Ninja_core.Store.writes - before.Ninja_core.Store.writes);
+      (* 20 T4 summaries plus at least one verdict per tuning session *)
+      Alcotest.(check bool) "warm run read the derived entries" true
+        (after.Ninja_core.Store.hits - before.Ninja_core.Store.hits
+         >= warm_grid.Jobs.total_jobs + 40))
+
 let suite =
   ( "core",
     [ Alcotest.test_case "ids unique" `Quick test_ids_unique;
@@ -300,4 +346,5 @@ let suite =
       Alcotest.test_case "criterion F4 bridged" `Slow test_criterion_f4_bridged;
       Alcotest.test_case "criterion T7 tuned closes gap" `Slow
         test_criterion_t7_tuned_closes_gap;
-      Alcotest.test_case "criterion F2 monotone" `Slow test_criterion_f2_monotone ] )
+      Alcotest.test_case "criterion F2 monotone" `Slow test_criterion_f2_monotone;
+      Alcotest.test_case "T4 and T7 cold/warm on a store" `Slow test_t4_t7_cold_warm_store ] )

@@ -290,6 +290,38 @@ let test_schedule_order_mixed () =
     [ "naive serial"; "ninja" ]
     (steps_of (Jobs.schedule_order [ ("naive serial", 7.) ] jobs))
 
+(* The costs a real tuning session leaves in a store must rank a tuned
+   job as the whole session it is: above the rungs it simulated inside
+   itself, and at least as long as all of its candidate simulations. *)
+let test_schedule_order_tuning_costs () =
+  let st = Ninja_core.Store.scratch () in
+  Fun.protect
+    ~finally:(fun () -> Ninja_core.Store.destroy st)
+    (fun () ->
+      let bench = Registry.find "BlackScholes" in
+      let scale = bench.default_scale in
+      let steps = Ninja_core.Experiments.ladder bench ~scale in
+      let t =
+        Ninja_core.Tuner.tune ~store:st ~machine:Machine.westmere ~scale ~steps bench
+      in
+      Ninja_core.Store.flush_costs st;
+      let costs = Ninja_core.Store.step_costs st in
+      let cost step =
+        match List.assoc_opt step costs with
+        | Some c -> c
+        | None -> Alcotest.failf "no %S cost recorded" step
+      in
+      (* the session simulated naive serial and ninja plus its candidates *)
+      let candidates = t.Ninja_core.Tuner.t_simulated - 2 in
+      Alcotest.(check bool)
+        (Fmt.str "session %.3fs >= %d candidates x %.3fs" (cost "tuned") candidates
+           (cost "tuned candidate"))
+        true
+        (cost "tuned" >= float_of_int candidates *. cost "tuned candidate");
+      Alcotest.(check string) "tuned job seeded first" "tuned"
+        (List.hd
+           (steps_of (Jobs.schedule_order costs [ job "naive serial"; job "ninja"; job "tuned" ]))))
+
 let suite =
   ( "sched",
     [
@@ -311,4 +343,6 @@ let suite =
       Alcotest.test_case "schedule order: measured" `Quick test_schedule_order_measured;
       Alcotest.test_case "schedule order: fallback" `Quick test_schedule_order_fallback;
       Alcotest.test_case "schedule order: mixed" `Quick test_schedule_order_mixed;
+      Alcotest.test_case "schedule order: tuning-session costs" `Quick
+        test_schedule_order_tuning_costs;
     ] )

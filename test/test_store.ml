@@ -372,6 +372,94 @@ let test_step_costs_flush () =
       Alcotest.(check (list (pair string (float 0.)))) "idempotent without samples"
         [ ("ninja", 3.) ] (Store.step_costs st))
 
+(* ---- derived-product entries ---- *)
+
+(* A payload shaped like T4's summary numbers, floats that need the
+   shortest-round-trip printer included. *)
+let derived_value = [ 0.1; 1. /. 3.; 1e-300; 42. ]
+let encode_floats l = Json.List (List.map (fun x -> Json.Num x) l)
+let decode_floats j = List.map (fun x -> Option.get (Json.to_float x)) (Option.get (Json.to_list j))
+
+(* [derived] with a counted computation: how many times it ran. *)
+let derived_counted st ~key ~kind =
+  let runs = ref 0 in
+  let v =
+    Store.derived st ~key ~kind ~encode:encode_floats ~decode:decode_floats (fun () ->
+        incr runs;
+        derived_value)
+  in
+  (v, !runs)
+
+let derived_file dir key kind =
+  let file = String.map (function '/' -> '-' | c -> c) kind in
+  let p = Filename.concat (Filename.concat dir (String.sub key 0 2)) (Printf.sprintf "%s.%s.json" key file) in
+  Alcotest.(check bool) "derived entry file exists" true (Sys.file_exists p);
+  p
+
+let test_derived_roundtrip () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_ ~dir () in
+      let key = "ee0123456789" and kind = "test-product/v1" in
+      let v, runs = derived_counted st ~key ~kind in
+      Alcotest.(check int) "cold: computed once" 1 runs;
+      Alcotest.(check (list (float 0.))) "cold value" derived_value v;
+      let v', runs' = derived_counted (Store.open_ ~dir ()) ~key ~kind in
+      Alcotest.(check int) "warm: not recomputed" 0 runs';
+      Alcotest.(check bool) "warm value bit-identical" true (v = v');
+      let other, runs'' = derived_counted st ~key ~kind:"test-product/v2" in
+      Alcotest.(check int) "a bumped kind misses" 1 runs'';
+      Alcotest.(check (list (float 0.))) "bumped kind recomputed" derived_value other;
+      let s = Store.stats st in
+      Alcotest.(check (list int)) "hits, misses, errors, writes" [ 0; 2; 0; 2 ]
+        [ s.Store.hits; s.Store.misses; s.Store.errors; s.Store.writes ])
+
+(* Each corruption of a clean entry must miss, count as one dropped
+   corruption, recompute, and rewrite the very bytes the clean write
+   produced; the entry after that is a plain hit. *)
+let test_derived_corruption_recovers () =
+  let key = "ff0123456789" and kind = "test-product/v1" in
+  let corruptions =
+    [ ("truncated", fun _dir path raw -> write_file path (String.sub raw 0 (String.length raw / 2)));
+      ( "checksum mismatch",
+        fun _dir path raw ->
+          (* a well-formed entry whose payload no longer matches its
+             checksum *)
+          let j = Json.parse raw in
+          let fields =
+            match j with
+            | Json.Obj fields ->
+                List.map
+                  (fun (k, v) -> if k = "payload" then (k, encode_floats [ 0.5 ]) else (k, v))
+                  fields
+            | _ -> Alcotest.fail "entry is not an object"
+          in
+          write_file path (Json.to_string (Json.Obj fields)) );
+      ( "wrong kind",
+        fun dir path _raw ->
+          (* another kind's valid entry under this kind's file name *)
+          let st = Store.open_ ~dir () in
+          ignore (derived_counted st ~key ~kind:"other-product/v1");
+          write_file path (read_file (derived_file dir key "other-product/v1")) ) ]
+  in
+  List.iter
+    (fun (name, corrupt) ->
+      with_temp_dir (fun dir ->
+          ignore (derived_counted (Store.open_ ~dir ()) ~key ~kind);
+          let path = derived_file dir key kind in
+          let clean = read_file path in
+          corrupt dir path clean;
+          let st = Store.open_ ~dir () in
+          let v, runs = derived_counted st ~key ~kind in
+          Alcotest.(check int) (name ^ ": recomputed") 1 runs;
+          Alcotest.(check (list (float 0.))) (name ^ ": recomputed value") derived_value v;
+          let s = Store.stats st in
+          Alcotest.(check (list int)) (name ^ ": misses, errors, writes") [ 1; 1; 1 ]
+            [ s.Store.misses; s.Store.errors; s.Store.writes ];
+          Alcotest.(check string) (name ^ ": rewritten bytes identical") clean (read_file path);
+          let _, runs' = derived_counted st ~key ~kind in
+          Alcotest.(check int) (name ^ ": then a hit") 0 runs'))
+    corruptions
+
 (* ---- the store under the experiment grid ---- *)
 
 let grid_experiment : E.experiment =
@@ -457,4 +545,7 @@ let suite =
       Alcotest.test_case "step costs flush" `Quick test_step_costs_flush;
       Alcotest.test_case "cold then warm prefill" `Quick test_cold_then_warm_prefill;
       Alcotest.test_case "store differential -j1/-j4" `Quick test_store_differential_j1_j4;
+      Alcotest.test_case "derived entry round-trip" `Quick test_derived_roundtrip;
+      Alcotest.test_case "corrupt derived entries recompute" `Quick
+        test_derived_corruption_recovers;
     ] )

@@ -141,6 +141,53 @@ let test_storeless_matches_stored () =
       Alcotest.(check string) "store does not change the result" stored
         storeless)
 
+(* ---- validation verdicts are read from the store ---- *)
+
+(* Every derived verdict file under [dir]: [<aa>/<key>.check-v1.json]. *)
+let verdict_keys dir =
+  let suffix = "." ^ String.map (function '/' -> '-' | c -> c) Tuner.check_kind ^ ".json" in
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun sub ->
+         let d = Filename.concat dir sub in
+         if Sys.is_directory d then
+           Sys.readdir d |> Array.to_list
+           |> List.filter_map (fun f ->
+                  if String.ends_with ~suffix f then
+                    Some (String.sub f 0 (String.length f - String.length suffix))
+                  else None)
+         else [])
+
+(* An [Error] verdict planted under the cold winner's key must make the
+   next session reject that winner with the planted message — without
+   re-running its check — and pick the next-best candidate. *)
+let test_planted_check_failure () =
+  with_temp_dir (fun dir ->
+      let bench = Registry.find "BlackScholes" in
+      let cold = tune_with ~dir ~domains:1 bench in
+      let key =
+        match verdict_keys dir with
+        | [ k ] -> k
+        | ks -> Alcotest.failf "cold session left %d verdicts, want the winner's only" (List.length ks)
+      in
+      Store.derived_save (Store.open_ ~dir ()) ~key ~kind:Tuner.check_kind
+        (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str "planted failure") ]);
+      let warm = tune_with ~dir ~domains:1 bench in
+      let old = cold.Tuner.t_winner.Tuner.c_index in
+      let status i =
+        (List.find (fun (c : Tuner.candidate) -> c.Tuner.c_index = i) warm.Tuner.t_candidates)
+          .Tuner.c_status
+      in
+      Alcotest.(check bool) "old winner rejected with the planted message" true
+        (status old = Tuner.Rejected ("TUNE_CHECK_FAILED", "planted failure"));
+      let next_best =
+        List.filter (fun (c : Tuner.candidate) -> c.Tuner.c_status = Tuner.Evaluated) cold.Tuner.t_candidates
+        |> List.map (fun (c : Tuner.candidate) -> (Option.get c.Tuner.c_cycles, c.Tuner.c_index))
+        |> List.sort compare |> List.hd |> snd
+      in
+      Alcotest.(check int) "next-best candidate wins" next_best warm.Tuner.t_winner.Tuner.c_index;
+      Alcotest.(check int) "no candidate re-simulated" 0 warm.Tuner.t_simulated;
+      Alcotest.(check int) "the new winner's verdict is stored" 2 (List.length (verdict_keys dir)))
+
 let suite =
   ( "tune",
     [ Alcotest.test_case "smoke: tuned beats non-ninja rungs, JSON round-trips"
@@ -149,4 +196,6 @@ let suite =
         test_rejections_have_stable_codes;
       QCheck_alcotest.to_alcotest prop_deterministic;
       Alcotest.test_case "storeless run matches stored run" `Quick
-        test_storeless_matches_stored ] )
+        test_storeless_matches_stored;
+      Alcotest.test_case "planted check failure picks the next-best" `Quick
+        test_planted_check_failure ] )
