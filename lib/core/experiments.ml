@@ -80,16 +80,15 @@ let reset_cache () =
       cache_misses := 0;
       store_hits := 0)
 
-(* Building a benchmark's ladder ([bench.steps]) generates its dataset
-   and runs the source-level compiler pipeline over every variant. On a
-   2-vCPU x86-64 VM nine ladders take at most ~22 ms each and
-   TreeSearch's ~0.8-0.9 s, nearly all of it generating its 2^23-1-key
-   tree: more than many simulations, and a large share of a warm run
-   once reports come from the store. Every [find_step] would pay it
-   again, and the ladder is a pure function of (benchmark, scale), so
-   build it once per process. Built outside the lock: a racy duplicate
-   build just loses, and the first inserted value wins so every caller
-   shares one ladder. *)
+(* Building a benchmark's ladder ([bench.steps]) parses its Cee sources
+   and declares every step's buffer shapes; it generates no data. Each
+   ladder holds its dataset behind a [Driver.once], built the first time
+   a step runs ([Driver.run_step], [validate_step]) and then shared by
+   all its rungs, so a warm grid, which runs no kernel, never builds one.
+   The ladder is a pure function of (benchmark, scale), so build it once
+   per process, which also keeps one dataset per benchmark and scale.
+   Built outside the lock: a racy duplicate build just loses, and the
+   first inserted value wins so every caller shares one ladder. *)
 let ladders : (string * int, Driver.step list) Hashtbl.t = Hashtbl.create 16
 
 let ladder (bench : Driver.benchmark) ~scale =

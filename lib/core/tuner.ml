@@ -70,9 +70,9 @@ type t = {
 (* Enumeration                                                          *)
 
 (* Which existing rung a variant's candidates clone their run wrappers
-   (bindings, launch count, per-run prepare, output check) from. The
-   rung must compile the very same source, so the wrappers are congruent
-   by construction. *)
+   (shapes, bindings, launch count, per-run prepare, output check) from.
+   The rung must compile the very same source, so the wrappers are
+   congruent by construction. *)
 let variant_base = [ ("naive", "+parallel"); ("algo", "+algorithmic") ]
 
 (* (vectorize, parallelize, autopar). The first three reproduce the

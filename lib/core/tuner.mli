@@ -91,7 +91,7 @@ val tune :
   t
 (** Tune one benchmark on one machine. [steps] is the benchmark's ladder
     at [scale] (candidates clone the matching rung's
-    bindings, launch count, per-run preparation and output check);
+    shapes, bindings, launch count, per-run preparation and output check);
     [domains] (default [1] = serial) sizes the work-stealing pool the
     candidate search runs on; [store], when given, memoizes candidate
     evaluations under the ["tuned"] step tag, the validation verdict of

@@ -147,43 +147,49 @@ let ninja ~machine =
           Builder.emit b (Vstoref { buf = img; idx = i; src = acc; mask = None })));
   Builder.finish b
 
-type dataset = {
-  w : int;
-  h : int;
-  na : int;
-  nu : int;
-  proj : float array;
-  ca : float array;
-  sa : float array;
-  expected : float array;
-}
+type dims = { w : int; h : int; na : int; nu : int }
 
-let dataset ~scale =
+let dims ~scale =
   let w = 32 * scale and h = 16 * scale in
-  let na = 64 in
   (* detector wide enough that every u lands in range *)
-  let nu = 4 * (w + h) in
+  { w; h; na = 64; nu = 4 * (w + h) }
+
+type dataset = { proj : float array; ca : float array; sa : float array; expected : float array }
+
+let dataset { w; h; na; nu } =
   let proj = Ninja_workloads.Gen.floats ~seed:81 ~lo:0. ~hi:1. (na * nu) in
   let ca = Array.init na (fun a -> Float.cos (Float.pi *. float_of_int a /. float_of_int na)) in
   let sa = Array.init na (fun a -> Float.sin (Float.pi *. float_of_int a /. float_of_int na)) in
-  { w; h; na; nu; proj; ca; sa; expected = reference ~proj ~ca ~sa ~w ~h ~na ~nu }
+  { proj; ca; sa; expected = reference ~proj ~ca ~sa ~w ~h ~na ~nu }
 
-let bind d () =
-  [ ("proj", Driver.Farr d.proj);
-    ("ca", Driver.Farr (Array.copy d.ca));
-    ("sa", Driver.Farr (Array.copy d.sa));
-    ("img", Driver.Farr (Array.make (d.w * d.h) 0.));
-    ("w", Driver.Iscalar d.w);
-    ("h", Driver.Iscalar d.h);
-    ("na", Driver.Iscalar d.na);
-    ("nu", Driver.Iscalar d.nu) ]
-
-(* FMA contraction and packetized evaluation can flip the [int()]
-   truncation of a knife-edge detector coordinate: allow a small fraction
-   of pixels to differ. *)
-let check d mem =
-  Driver.check_floats_mostly ~rtol:1e-3 ~atol:1e-3 ~max_bad_frac:0.01 ~expected:d.expected
-    (Driver.output_f mem "img")
+let io dm d : Driver.io =
+  {
+    shapes =
+      [ ("proj", Driver.F_array (dm.na * dm.nu));
+        ("ca", Driver.F_array dm.na);
+        ("sa", Driver.F_array dm.na);
+        ("img", Driver.F_array (dm.w * dm.h)) ]
+      @ List.map (fun name -> (name, Driver.I_scalar)) [ "w"; "h"; "na"; "nu" ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("proj", Driver.Farr d.proj);
+          ("ca", Driver.Farr (Array.copy d.ca));
+          ("sa", Driver.Farr (Array.copy d.sa));
+          ("img", Driver.Farr (Array.make (dm.w * dm.h) 0.));
+          ("w", Driver.Iscalar dm.w);
+          ("h", Driver.Iscalar dm.h);
+          ("na", Driver.Iscalar dm.na);
+          ("nu", Driver.Iscalar dm.nu) ]);
+    (* FMA contraction and packetized evaluation can flip the [int()]
+       truncation of a knife-edge detector coordinate: allow a small
+       fraction of pixels to differ. *)
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        Driver.check_floats_mostly ~rtol:1e-3 ~atol:1e-3 ~max_bad_frac:0.01
+          ~expected:d.expected (Driver.output_f mem "img"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -194,9 +200,9 @@ let benchmark : Driver.benchmark =
     default_scale = 4;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let io = io dm (Driver.once (fun () -> dataset dm)) in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind d) ~bind_opt:(bind d) ~bind_ninja:(bind d)
-          ~check_naive:(check d) ~check_opt:(check d) ~check_ninja:(check d));
+          ~naive:io ~opt:io ~ninja:io);
   }

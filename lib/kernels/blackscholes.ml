@@ -188,8 +188,9 @@ let ninja ~machine =
 (* ------------------------------------------------------------------ *)
 (* Dataset, bindings, checks                                           *)
 
+let size ~scale = 2048 * scale
+
 type dataset = {
-  n : int;
   s : float array;
   k : float array;
   t : float array;
@@ -198,8 +199,7 @@ type dataset = {
   expected : float array;
 }
 
-let dataset ~scale =
-  let n = 2048 * scale in
+let dataset n =
   let s = Ninja_workloads.Gen.floats ~seed:11 ~lo:5. ~hi:30. n in
   let k = Ninja_workloads.Gen.floats ~seed:12 ~lo:10. ~hi:25. n in
   let t = Ninja_workloads.Gen.floats ~seed:13 ~lo:0.25 ~hi:10. n in
@@ -208,24 +208,42 @@ let dataset ~scale =
   let expected =
     Array.init n (fun i -> price ~s:s.(i) ~k:k.(i) ~t:t.(i) ~r:r.(i) ~v:v.(i))
   in
-  { n; s; k; t; r; v; expected }
+  { s; k; t; r; v; expected }
 
-let bind_naive d () =
-  let data = Ninja_workloads.Gen.interleave [ d.s; d.k; d.t; d.r; d.v ] in
-  [ ("data", Driver.Farr data);
-    ("out", Driver.Farr (Array.make d.n 0.));
-    ("n", Driver.Iscalar d.n) ]
+let check d mem =
+  let d = Driver.force d in
+  Driver.check_floats ~rtol:1e-3 ~expected:d.expected (Driver.output_f mem "out")
 
-let bind_soa d () =
-  [ ("sa", Driver.Farr (Array.copy d.s));
-    ("ka", Driver.Farr (Array.copy d.k));
-    ("ta", Driver.Farr (Array.copy d.t));
-    ("ra", Driver.Farr (Array.copy d.r));
-    ("va", Driver.Farr (Array.copy d.v));
-    ("out", Driver.Farr (Array.make d.n 0.));
-    ("n", Driver.Iscalar d.n) ]
+let io_naive n d : Driver.io =
+  {
+    shapes = [ ("data", Driver.F_array (5 * n)); ("out", Driver.F_array n); ("n", Driver.I_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        let data = Ninja_workloads.Gen.interleave [ d.s; d.k; d.t; d.r; d.v ] in
+        [ ("data", Driver.Farr data);
+          ("out", Driver.Farr (Array.make n 0.));
+          ("n", Driver.Iscalar n) ]);
+    check = check d;
+  }
 
-let check d mem = Driver.check_floats ~rtol:1e-3 ~expected:d.expected (Driver.output_f mem "out")
+let io_soa n d : Driver.io =
+  {
+    shapes =
+      List.map (fun name -> (name, Driver.F_array n)) [ "sa"; "ka"; "ta"; "ra"; "va"; "out" ]
+      @ [ ("n", Driver.I_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("sa", Driver.Farr (Array.copy d.s));
+          ("ka", Driver.Farr (Array.copy d.k));
+          ("ta", Driver.Farr (Array.copy d.t));
+          ("ra", Driver.Farr (Array.copy d.r));
+          ("va", Driver.Farr (Array.copy d.v));
+          ("out", Driver.Farr (Array.make n 0.));
+          ("n", Driver.Iscalar n) ]);
+    check = check d;
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -236,10 +254,10 @@ let benchmark : Driver.benchmark =
     default_scale = 8;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let n = size ~scale in
+        let d = Driver.once (fun () -> dataset n) in
+        let soa = io_soa n d in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind_naive d) ~bind_opt:(bind_soa d)
-          ~bind_ninja:(bind_soa d) ~check_naive:(check d) ~check_opt:(check d)
-          ~check_ninja:(check d));
+          ~naive:(io_naive n d) ~opt:soa ~ninja:soa);
   }

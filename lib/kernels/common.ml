@@ -29,24 +29,23 @@ type sources = {
 let step_names =
   [ "naive serial"; "+autovec"; "+parallel"; "+algorithmic"; "ninja" ]
 
-let ladder ~(sources : sources) ~bind_naive ~bind_opt ~bind_ninja ~check_naive
-    ~check_opt ~check_ninja : Driver.step list =
+let ladder ~(sources : sources) ~naive ~opt ~ninja : Driver.step list =
   let naive_k = parse_kernel sources.naive in
   let opt_k = parse_kernel sources.opt in
   [
     Driver.simple_step ~name:"naive serial" ~parallel:false
       ~make:(fun ~machine -> compile_with Codegen.o2 ~machine naive_k)
-      ~bindings:bind_naive ~check:check_naive;
+      naive;
     Driver.simple_step ~name:"+autovec" ~parallel:false
       ~make:(fun ~machine -> compile_with Codegen.o2_vec ~machine naive_k)
-      ~bindings:bind_naive ~check:check_naive;
+      naive;
     Driver.simple_step ~name:"+parallel" ~parallel:true
       ~make:(fun ~machine -> compile_with Codegen.o2_vec_par ~machine naive_k)
-      ~bindings:bind_naive ~check:check_naive;
+      naive;
     Driver.simple_step ~name:"+algorithmic" ~parallel:true
       ~make:(fun ~machine -> compile_with Codegen.o2_vec_par ~machine opt_k)
-      ~bindings:bind_opt ~check:check_opt;
+      opt;
     Driver.simple_step ~name:"ninja" ~parallel:true
       ~make:(fun ~machine -> sources.ninja ~machine)
-      ~bindings:bind_ninja ~check:check_ninja;
+      ninja;
   ]

@@ -27,13 +27,8 @@ type sources = {
 }
 
 val ladder :
-  sources:sources ->
-  bind_naive:(unit -> (string * Driver.arg) list) ->
-  bind_opt:(unit -> (string * Driver.arg) list) ->
-  bind_ninja:(unit -> (string * Driver.arg) list) ->
-  check_naive:(Ninja_vm.Memory.t -> (unit, string) result) ->
-  check_opt:(Ninja_vm.Memory.t -> (unit, string) result) ->
-  check_ninja:(Ninja_vm.Memory.t -> (unit, string) result) ->
+  sources:sources -> naive:Driver.io -> opt:Driver.io -> ninja:Driver.io ->
   Driver.step list
 (** The five standard steps for a benchmark whose variants are all
-    single-launch kernels. *)
+    single-launch kernels: the three compiler rungs bind [naive], the
+    algorithmic rung [opt], the Ninja rung [ninja]. *)

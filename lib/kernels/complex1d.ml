@@ -129,9 +129,11 @@ let ninja ~machine =
           Builder.emit b (Vstoref { buf = bouti; idx = i; src = acci; mask = None })));
   Builder.finish b
 
+type dims = { n : int; t : int }
+
+let dims ~scale = { n = 1024 * scale; t = 16 }
+
 type dataset = {
-  n : int;
-  t : int;
   sr : float array;
   si : float array;
   tr : float array;
@@ -140,41 +142,63 @@ type dataset = {
   eouti : float array;
 }
 
-let dataset ~scale =
-  let n = 1024 * scale and t = 16 in
+let dataset { n; t } =
   let len = n + t in
   let sr = Ninja_workloads.Gen.floats ~seed:61 ~lo:(-1.) ~hi:1. len in
   let si = Ninja_workloads.Gen.floats ~seed:62 ~lo:(-1.) ~hi:1. len in
   let tr = Ninja_workloads.Gen.floats ~seed:63 ~lo:(-1.) ~hi:1. t in
   let ti = Ninja_workloads.Gen.floats ~seed:64 ~lo:(-1.) ~hi:1. t in
   let eoutr, eouti = reference ~sr ~si ~tr ~ti ~n ~t in
-  { n; t; sr; si; tr; ti; eoutr; eouti }
+  { sr; si; tr; ti; eoutr; eouti }
 
-let bind_naive d () =
-  [ ("sig", Driver.Farr (Ninja_workloads.Gen.interleave2 d.sr d.si));
-    ("taps", Driver.Farr (Ninja_workloads.Gen.interleave2 d.tr d.ti));
-    ("out", Driver.Farr (Array.make (2 * d.n) 0.));
-    ("n", Driver.Iscalar d.n);
-    ("t", Driver.Iscalar d.t) ]
+let params dm = [ ("n", Driver.Iscalar dm.n); ("t", Driver.Iscalar dm.t) ]
+let param_shapes = [ ("n", Driver.I_scalar); ("t", Driver.I_scalar) ]
 
-let bind_soa d () =
-  [ ("sr", Driver.Farr (Array.copy d.sr));
-    ("si", Driver.Farr (Array.copy d.si));
-    ("tr", Driver.Farr (Array.copy d.tr));
-    ("ti", Driver.Farr (Array.copy d.ti));
-    ("outr", Driver.Farr (Array.make d.n 0.));
-    ("outi", Driver.Farr (Array.make d.n 0.));
-    ("n", Driver.Iscalar d.n);
-    ("t", Driver.Iscalar d.t) ]
+let io_naive dm d : Driver.io =
+  {
+    shapes =
+      [ ("sig", Driver.F_array (2 * (dm.n + dm.t)));
+        ("taps", Driver.F_array (2 * dm.t));
+        ("out", Driver.F_array (2 * dm.n)) ]
+      @ param_shapes;
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("sig", Driver.Farr (Ninja_workloads.Gen.interleave2 d.sr d.si));
+          ("taps", Driver.Farr (Ninja_workloads.Gen.interleave2 d.tr d.ti));
+          ("out", Driver.Farr (Array.make (2 * dm.n) 0.)) ]
+        @ params dm);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        let expected = Ninja_workloads.Gen.interleave2 d.eoutr d.eouti in
+        Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected (Driver.output_f mem "out"));
+  }
 
-let check_naive d mem =
-  let expected = Ninja_workloads.Gen.interleave2 d.eoutr d.eouti in
-  Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected (Driver.output_f mem "out")
-
-let check_soa d mem =
-  let ( let* ) = Result.bind in
-  let* () = Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.eoutr (Driver.output_f mem "outr") in
-  Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.eouti (Driver.output_f mem "outi")
+let io_soa dm d : Driver.io =
+  {
+    shapes =
+      List.map (fun name -> (name, Driver.F_array (dm.n + dm.t))) [ "sr"; "si" ]
+      @ List.map (fun name -> (name, Driver.F_array dm.t)) [ "tr"; "ti" ]
+      @ List.map (fun name -> (name, Driver.F_array dm.n)) [ "outr"; "outi" ]
+      @ param_shapes;
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("sr", Driver.Farr (Array.copy d.sr));
+          ("si", Driver.Farr (Array.copy d.si));
+          ("tr", Driver.Farr (Array.copy d.tr));
+          ("ti", Driver.Farr (Array.copy d.ti));
+          ("outr", Driver.Farr (Array.make dm.n 0.));
+          ("outi", Driver.Farr (Array.make dm.n 0.)) ]
+        @ params dm);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        let ( let* ) = Result.bind in
+        let* () = Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.eoutr (Driver.output_f mem "outr") in
+        Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.eouti (Driver.output_f mem "outi"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -185,10 +209,10 @@ let benchmark : Driver.benchmark =
     default_scale = 8;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let d = Driver.once (fun () -> dataset dm) in
+        let soa = io_soa dm d in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind_naive d) ~bind_opt:(bind_soa d) ~bind_ninja:(bind_soa d)
-          ~check_naive:(check_naive d) ~check_opt:(check_soa d)
-          ~check_ninja:(check_soa d));
+          ~naive:(io_naive dm d) ~opt:soa ~ninja:soa);
   }

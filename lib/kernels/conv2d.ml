@@ -144,29 +144,38 @@ let ninja ~machine =
               Builder.emit b (Vstoref { buf = out; idx = oidx; src = acc; mask = None }))));
   Builder.finish b
 
-type dataset = {
-  w : int;
-  h : int;
-  img : float array;
-  coef : float array;
-  expected : float array;
-}
+type dims = { w : int; h : int }
 
-let dataset ~scale =
-  let w = 64 * scale and h = 32 * scale in
+let dims ~scale = { w = 64 * scale; h = 32 * scale }
+
+type dataset = { img : float array; coef : float array; expected : float array }
+
+let dataset { w; h } =
   let img = Ninja_workloads.Gen.floats ~seed:31 ~lo:0. ~hi:1. ((w + 4) * (h + 4)) in
   let coef = Ninja_workloads.Gen.floats ~seed:32 ~lo:(-0.2) ~hi:0.2 (taps * taps) in
-  { w; h; img; coef; expected = reference ~img ~coef ~w ~h }
+  { img; coef; expected = reference ~img ~coef ~w ~h }
 
-let bind d () =
-  [ ("img", Driver.Farr (Array.copy d.img));
-    ("coef", Driver.Farr (Array.copy d.coef));
-    ("out", Driver.Farr (Array.make (d.w * d.h) 0.));
-    ("w", Driver.Iscalar d.w);
-    ("h", Driver.Iscalar d.h) ]
-
-let check d mem =
-  Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.expected (Driver.output_f mem "out")
+let io dm d : Driver.io =
+  {
+    shapes =
+      [ ("img", Driver.F_array ((dm.w + 4) * (dm.h + 4)));
+        ("coef", Driver.F_array (taps * taps));
+        ("out", Driver.F_array (dm.w * dm.h));
+        ("w", Driver.I_scalar);
+        ("h", Driver.I_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("img", Driver.Farr (Array.copy d.img));
+          ("coef", Driver.Farr (Array.copy d.coef));
+          ("out", Driver.Farr (Array.make (dm.w * dm.h) 0.));
+          ("w", Driver.Iscalar dm.w);
+          ("h", Driver.Iscalar dm.h) ]);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        Driver.check_floats ~rtol:1e-3 ~atol:1e-4 ~expected:d.expected (Driver.output_f mem "out"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -177,9 +186,9 @@ let benchmark : Driver.benchmark =
     default_scale = 4;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let io = io dm (Driver.once (fun () -> dataset dm)) in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind d) ~bind_opt:(bind d) ~bind_ninja:(bind d)
-          ~check_naive:(check d) ~check_opt:(check d) ~check_ninja:(check d));
+          ~naive:io ~opt:io ~ninja:io);
   }

@@ -6,10 +6,32 @@ type arg =
   | Fscalar of float
   | Iscalar of int
 
-(* Sizes of the compiler's hidden buffers; must cover the limits declared in
-   Codegen (max_env_slots, max_reductions * max_threads). *)
-let env_slots = 256
-let red_slots = 16 * 64
+type shape =
+  | F_array of int
+  | I_array of int
+  | F_scalar
+  | I_scalar
+
+let shape_of_arg = function
+  | Farr a -> F_array (Array.length a)
+  | Iarr a -> I_array (Array.length a)
+  | Fscalar _ -> F_scalar
+  | Iscalar _ -> I_scalar
+
+(* The compiler's hidden spill ([__env_*]) and reduction ([__red_*])
+   buffers, allocated for every program that declares them. Sizes must
+   cover the limits declared in Codegen (max_env_slots, max_reductions *
+   max_threads). *)
+let hidden =
+  let env_slots = 256 and red_slots = 16 * 64 in
+  [ ("__env_i", I_array env_slots); ("__env_f", F_array env_slots);
+    ("__red_i", I_array red_slots); ("__red_f", F_array red_slots) ]
+
+let zeros = function
+  | F_array n -> Memory.Fbuf (Array.make n 0.)
+  | I_array n -> Memory.Ibuf (Array.make n 0)
+  | F_scalar -> Memory.Fbuf [| 0. |]
+  | I_scalar -> Memory.Ibuf [| 0 |]
 
 let memory_for (prog : Isa.program) args =
   let bindings =
@@ -18,30 +40,38 @@ let memory_for (prog : Isa.program) args =
            let name = d.buf_name in
            let missing () = raise (Memory.Bad_binding ("missing argument: " ^ name)) in
            let value =
-             if name = "__env_i" || name = "__red_i" then
-               Memory.Ibuf (Array.make (if name = "__env_i" then env_slots else red_slots) 0)
-             else if name = "__env_f" || name = "__red_f" then
-               Memory.Fbuf (Array.make (if name = "__env_f" then env_slots else red_slots) 0.)
-             else if String.length name > 4 && String.sub name 0 4 = "__p_" then begin
-               let pname = String.sub name 4 (String.length name - 4) in
-               match List.assoc_opt pname args with
-               | Some (Fscalar x) -> Memory.Fbuf [| x |]
-               | Some (Iscalar n) -> Memory.Ibuf [| n |]
-               | Some _ ->
-                   raise (Memory.Bad_binding ("parameter " ^ pname ^ " must be a scalar"))
-               | None -> missing ()
-             end
-             else
-               match List.assoc_opt name args with
-               | Some (Farr a) -> Memory.Fbuf a
-               | Some (Iarr a) -> Memory.Ibuf a
-               | Some _ ->
-                   raise (Memory.Bad_binding ("parameter " ^ name ^ " must be an array"))
-               | None -> missing ()
+             match List.assoc_opt name hidden with
+             | Some shape -> zeros shape
+             | None when String.starts_with ~prefix:"__p_" name -> (
+                 let pname = String.sub name 4 (String.length name - 4) in
+                 match List.assoc_opt pname args with
+                 | Some (Fscalar x) -> Memory.Fbuf [| x |]
+                 | Some (Iscalar n) -> Memory.Ibuf [| n |]
+                 | Some _ ->
+                     raise (Memory.Bad_binding ("parameter " ^ pname ^ " must be a scalar"))
+                 | None -> missing ())
+             | None -> (
+                 match List.assoc_opt name args with
+                 | Some (Farr a) -> Memory.Fbuf a
+                 | Some (Iarr a) -> Memory.Ibuf a
+                 | Some _ ->
+                     raise (Memory.Bad_binding ("parameter " ^ name ^ " must be an array"))
+                 | None -> missing ())
            in
            (name, value))
   in
   Memory.create prog bindings
+
+(* Buffer lengths declared shapes imply under the calling convention
+   above (arrays by name, scalars as one-element ["__p_<name>"] cells,
+   the hidden buffers) — what the static verifier needs to check bounds. *)
+let buffer_lengths shapes =
+  List.map
+    (fun (name, shape) ->
+      match shape with
+      | F_array n | I_array n -> (name, n)
+      | F_scalar | I_scalar -> ("__p_" ^ name, 1))
+    (shapes @ hidden)
 
 let output_f mem name =
   match Memory.find mem name with
@@ -53,26 +83,56 @@ let output_i mem name =
   | _, Memory.Ibuf a -> Array.copy a
   | _, Memory.Fbuf _ -> invalid_arg (name ^ " is a float buffer")
 
+type io = {
+  shapes : (string * shape) list;
+  bindings : unit -> (string * arg) list;
+  check : Memory.t -> (unit, string) result;
+}
+
 type step = {
   step_name : string;
   parallel : bool;
   make : machine:Ninja_arch.Machine.t -> Isa.program;
+  shapes : (string * shape) list;
   bindings : unit -> (string * arg) list;
   runs : Ninja_arch.Machine.t -> int;
   prepare : Ninja_arch.Machine.t -> int -> Memory.t -> unit;
   check : Memory.t -> (unit, string) result;
 }
 
-let simple_step ~name ~parallel ~make ~bindings ~check =
+let simple_step ~name ~parallel ~make (io : io) =
   {
     step_name = name;
     parallel;
     make;
-    bindings;
+    shapes = io.shapes;
+    bindings = io.bindings;
     runs = (fun _ -> 1);
     prepare = (fun _ _ _ -> ());
-    check;
+    check = io.check;
   }
+
+(* A once shared across domains: [Lazy.force] on one suspension from two
+   domains raises [CamlinternalLazy.Undefined], and ladders are shared by
+   the experiment grid's pool, the tuner and the service. The mutex also
+   makes a second caller wait for the first build instead of repeating
+   it. *)
+type 'a once = { build : unit -> 'a; mu : Mutex.t; mutable value : 'a option }
+
+let onces_forced = Atomic.make 0
+let once build = { build; mu = Mutex.create (); value = None }
+
+let force o =
+  Mutex.protect o.mu (fun () ->
+      match o.value with
+      | Some v -> v
+      | None ->
+          let v = o.build () in
+          o.value <- Some v;
+          Atomic.incr onces_forced;
+          v)
+
+let forced_count () = Atomic.get onces_forced
 
 (* Update a scalar parameter cell between launches. *)
 let set_scalar_i mem name v =
@@ -89,41 +149,25 @@ let run_step ?trace ?strategy ?fast_path ~machine step =
 
 let validate_step ~machine step =
   let prog = step.make ~machine in
-  let mem = memory_for prog (step.bindings ()) in
   let n_threads = if step.parallel then machine.Ninja_arch.Machine.cores else 1 in
   let width = machine.Ninja_arch.Machine.simd_width in
   match
+    let mem = memory_for prog (step.bindings ()) in
     for run = 0 to step.runs machine - 1 do
       step.prepare machine run mem;
       ignore (Interp.run ~n_threads ~width prog mem : Interp.result)
-    done
+    done;
+    mem
   with
-  | () -> step.check mem
+  | mem -> step.check mem
+  | exception Memory.Bad_binding msg -> Error ("binding: " ^ msg)
   | exception Memory.Trap msg -> Error ("trap: " ^ msg)
-
-(* Buffer lengths a step's bindings imply, in the driver's calling
-   convention — what the static verifier needs to check bounds. *)
-let lengths_for_verify step =
-  let args = step.bindings () in
-  List.map
-    (fun (name, arg) ->
-      match arg with
-      | Farr a -> (name, Array.length a)
-      | Iarr a -> (name, Array.length a)
-      | Fscalar _ | Iscalar _ -> ("__p_" ^ name, 1))
-    args
-  @ [
-      ("__env_i", env_slots);
-      ("__env_f", env_slots);
-      ("__red_i", red_slots);
-      ("__red_f", red_slots);
-    ]
 
 let verify_step ~machine step =
   let prog = step.make ~machine in
   let n_threads = if step.parallel then machine.Ninja_arch.Machine.cores else 1 in
   let width = machine.Ninja_arch.Machine.simd_width in
-  Verify.verify ~width ~n_threads ~lengths:(lengths_for_verify step) prog
+  Verify.verify ~width ~n_threads ~lengths:(buffer_lengths step.shapes) prog
 
 type benchmark = {
   b_name : string;

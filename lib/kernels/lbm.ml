@@ -229,16 +229,13 @@ let ninja ~machine =
                 dirs)));
   Builder.finish b
 
-type dataset = {
-  w : int;
-  h : int;
-  omega : float;
-  f_aos : float array;
-  expected_aos : float array;
-}
+type dims = { w : int; h : int; omega : float }
 
-let dataset ~scale =
-  let w = (32 * scale) + 2 and h = 16 * scale in
+let dims ~scale = { w = (32 * scale) + 2; h = 16 * scale; omega = 1.2 }
+
+type dataset = { f_aos : float array; expected_aos : float array }
+
+let dataset { w; h; omega } =
   let n = w * h in
   let f_aos = Array.make (n * q) 0. in
   let rng = Ninja_util.Rng.create 51 in
@@ -248,43 +245,60 @@ let dataset ~scale =
       f_aos.((c * q) + k) <- weights.(k) *. (1. +. Ninja_util.Rng.float_range rng (-0.05) 0.05)
     done
   done;
-  let omega = 1.2 in
-  { w; h; omega; f_aos; expected_aos = reference ~f:f_aos ~w ~h ~omega }
+  { f_aos; expected_aos = reference ~f:f_aos ~w ~h ~omega }
 
 let soa_of_aos aos ~cells k = Array.init cells (fun c -> aos.((c * q) + k))
 
-let bind_naive d () =
-  [ ("f", Driver.Farr (Array.copy d.f_aos));
-    ("g", Driver.Farr (Array.copy d.f_aos));
-    ("w", Driver.Iscalar d.w);
-    ("h", Driver.Iscalar d.h);
-    ("omega", Driver.Fscalar d.omega) ]
+let params dm =
+  [ ("w", Driver.Iscalar dm.w); ("h", Driver.Iscalar dm.h); ("omega", Driver.Fscalar dm.omega) ]
 
-let bind_soa d () =
-  let cells = d.w * d.h in
-  List.concat
-    [ List.init q (fun k -> (Fmt.str "f%da" k, Driver.Farr (soa_of_aos d.f_aos ~cells k)));
-      List.init q (fun k -> (Fmt.str "g%da" k, Driver.Farr (soa_of_aos d.f_aos ~cells k)));
-      [ ("w", Driver.Iscalar d.w); ("h", Driver.Iscalar d.h);
-        ("omega", Driver.Fscalar d.omega) ] ]
+let param_shapes = [ ("w", Driver.I_scalar); ("h", Driver.I_scalar); ("omega", Driver.F_scalar) ]
 
-let check_naive d mem =
-  Driver.check_floats ~rtol:1e-3 ~atol:1e-5 ~expected:d.expected_aos (Driver.output_f mem "g")
+let io_naive dm d : Driver.io =
+  let len = dm.w * dm.h * q in
+  {
+    shapes = [ ("f", Driver.F_array len); ("g", Driver.F_array len) ] @ param_shapes;
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("f", Driver.Farr (Array.copy d.f_aos)); ("g", Driver.Farr (Array.copy d.f_aos)) ]
+        @ params dm);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        Driver.check_floats ~rtol:1e-3 ~atol:1e-5 ~expected:d.expected_aos
+          (Driver.output_f mem "g"));
+  }
 
-let check_soa d mem =
-  let cells = d.w * d.h in
-  let rec go k =
-    if k >= q then Ok ()
-    else
-      let expected = soa_of_aos d.expected_aos ~cells k in
-      match
-        Driver.check_floats ~rtol:1e-3 ~atol:1e-5 ~expected
-          (Driver.output_f mem (Fmt.str "g%da" k))
-      with
-      | Ok () -> go (k + 1)
-      | Error e -> Error (Fmt.str "direction %d: %s" k e)
-  in
-  go 0
+let io_soa dm d : Driver.io =
+  let cells = dm.w * dm.h in
+  let names prefix = List.init q (fun k -> Fmt.str "%s%da" prefix k) in
+  {
+    shapes =
+      List.map (fun name -> (name, Driver.F_array cells)) (names "f" @ names "g") @ param_shapes;
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        let dists prefix =
+          List.mapi (fun k name -> (name, Driver.Farr (soa_of_aos d.f_aos ~cells k))) (names prefix)
+        in
+        dists "f" @ dists "g" @ params dm);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        let rec go k =
+          if k >= q then Ok ()
+          else
+            let expected = soa_of_aos d.expected_aos ~cells k in
+            match
+              Driver.check_floats ~rtol:1e-3 ~atol:1e-5 ~expected
+                (Driver.output_f mem (Fmt.str "g%da" k))
+            with
+            | Ok () -> go (k + 1)
+            | Error e -> Error (Fmt.str "direction %d: %s" k e)
+        in
+        go 0);
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -295,10 +309,10 @@ let benchmark : Driver.benchmark =
     default_scale = 8;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let d = Driver.once (fun () -> dataset dm) in
+        let soa = io_soa dm d in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind_naive d) ~bind_opt:(bind_soa d) ~bind_ninja:(bind_soa d)
-          ~check_naive:(check_naive d) ~check_opt:(check_soa d)
-          ~check_ninja:(check_soa d));
+          ~naive:(io_naive dm d) ~opt:soa ~ninja:soa);
   }

@@ -216,52 +216,59 @@ let ninja ~machine =
                   Builder.emit b (Vstoref { buf = ba; idx = t; src = v; mask = None })))));
   Builder.finish b
 
-type dataset = { n : int; input : float array; expected : float array }
-
-let dataset ~scale =
+let size ~scale =
   let n = 1024 * scale in
   if n land (n - 1) <> 0 then invalid_arg "Mergesort: scale must make n a power of two";
+  n
+
+type dataset = { input : float array; expected : float array }
+
+let dataset n =
   let input = Ninja_workloads.Gen.floats ~seed:101 ~lo:0. ~hi:1e6 n in
-  { n; input; expected = reference input }
+  { input; expected = reference input }
 
-let bind d () =
-  [ ("a", Driver.Farr (Array.copy d.input));
-    ("b", Driver.Farr (Array.make d.n 0.));
-    ("n", Driver.Iscalar d.n);
-    ("width", Driver.Iscalar 1) ]
-
-let check d mem =
-  Driver.check_floats ~rtol:0. ~atol:0. ~expected:d.expected (Driver.output_f mem "a")
+let io n d : Driver.io =
+  {
+    shapes =
+      [ ("a", Driver.F_array n); ("b", Driver.F_array n);
+        ("n", Driver.I_scalar); ("width", Driver.I_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("a", Driver.Farr (Array.copy d.input));
+          ("b", Driver.Farr (Array.make n 0.));
+          ("n", Driver.Iscalar n);
+          ("width", Driver.Iscalar 1) ]);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        Driver.check_floats ~rtol:0. ~atol:0. ~expected:d.expected (Driver.output_f mem "a"));
+  }
 
 let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-let compiled_step d name flags =
+let compiled_step n io name flags =
   let k = Common.parse_kernel naive_src in
   {
-    Driver.step_name = name;
-    parallel = flags.Ninja_lang.Codegen.parallelize;
-    make = (fun ~machine -> Common.compile_with flags ~machine k);
-    bindings = bind d;
-    runs = (fun _ -> log2i d.n);
+    (Driver.simple_step ~name ~parallel:flags.Ninja_lang.Codegen.parallelize
+       ~make:(fun ~machine -> Common.compile_with flags ~machine k)
+       io)
+    with
+    runs = (fun _ -> log2i n);
     prepare = (fun _ run mem -> Driver.set_scalar_i mem "width" (1 lsl run));
-    check = check d;
   }
 
-let ninja_step d =
+let ninja_step n io =
   {
-    Driver.step_name = "ninja";
-    parallel = true;
-    make = (fun ~machine -> ninja ~machine);
-    bindings = bind d;
-    runs =
-      (fun machine -> 1 + log2i (d.n / machine.Ninja_arch.Machine.simd_width));
+    (Driver.simple_step ~name:"ninja" ~parallel:true ~make:(fun ~machine -> ninja ~machine) io)
+    with
+    runs = (fun machine -> 1 + log2i (n / machine.Ninja_arch.Machine.simd_width));
     prepare =
       (fun machine run mem ->
         let w = machine.Ninja_arch.Machine.simd_width in
         Driver.set_scalar_i mem "width" (if run = 0 then 0 else w lsl (run - 1)));
-    check = check d;
   }
 
 let benchmark : Driver.benchmark =
@@ -273,10 +280,11 @@ let benchmark : Driver.benchmark =
     default_scale = 16;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
-        [ compiled_step d "naive serial" Ninja_lang.Codegen.o2;
-          compiled_step d "+autovec" Ninja_lang.Codegen.o2_vec;
-          compiled_step d "+parallel" Ninja_lang.Codegen.o2_vec_par;
-          compiled_step d "+algorithmic" Ninja_lang.Codegen.o2_vec_par;
-          ninja_step d ]);
+        let n = size ~scale in
+        let io = io n (Driver.once (fun () -> dataset n)) in
+        [ compiled_step n io "naive serial" Ninja_lang.Codegen.o2;
+          compiled_step n io "+autovec" Ninja_lang.Codegen.o2_vec;
+          compiled_step n io "+parallel" Ninja_lang.Codegen.o2_vec_par;
+          compiled_step n io "+algorithmic" Ninja_lang.Codegen.o2_vec_par;
+          ninja_step n io ]);
   }

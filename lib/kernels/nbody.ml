@@ -143,9 +143,11 @@ let ninja ~machine =
           store baz accz));
   Builder.finish b
 
+type dims = { n : int; eps : float }
+
+let dims ~scale = { n = 256 * scale; eps = 0.01 }
+
 type dataset = {
-  n : int;
-  eps : float;
   x : float array;
   y : float array;
   z : float array;
@@ -155,32 +157,39 @@ type dataset = {
   eaz : float array;
 }
 
-let dataset ~scale =
-  let n = 256 * scale in
+let dataset { n; eps } =
   let x = Ninja_workloads.Gen.floats ~seed:21 ~lo:(-1.) ~hi:1. n in
   let y = Ninja_workloads.Gen.floats ~seed:22 ~lo:(-1.) ~hi:1. n in
   let z = Ninja_workloads.Gen.floats ~seed:23 ~lo:(-1.) ~hi:1. n in
   let m = Ninja_workloads.Gen.floats ~seed:24 ~lo:0.1 ~hi:1. n in
-  let eps = 0.01 in
   let eax, eay, eaz = reference ~x ~y ~z ~m ~eps in
-  { n; eps; x; y; z; m; eax; eay; eaz }
+  { x; y; z; m; eax; eay; eaz }
 
-let bind d () =
-  [ ("x", Driver.Farr (Array.copy d.x));
-    ("y", Driver.Farr (Array.copy d.y));
-    ("z", Driver.Farr (Array.copy d.z));
-    ("m", Driver.Farr (Array.copy d.m));
-    ("ax", Driver.Farr (Array.make d.n 0.));
-    ("ay", Driver.Farr (Array.make d.n 0.));
-    ("az", Driver.Farr (Array.make d.n 0.));
-    ("n", Driver.Iscalar d.n);
-    ("eps", Driver.Fscalar d.eps) ]
-
-let check d mem =
-  let ( let* ) = Result.bind in
-  let* () = Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eax (Driver.output_f mem "ax") in
-  let* () = Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eay (Driver.output_f mem "ay") in
-  Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eaz (Driver.output_f mem "az")
+let io dm d : Driver.io =
+  {
+    shapes =
+      List.map (fun name -> (name, Driver.F_array dm.n)) [ "x"; "y"; "z"; "m"; "ax"; "ay"; "az" ]
+      @ [ ("n", Driver.I_scalar); ("eps", Driver.F_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("x", Driver.Farr (Array.copy d.x));
+          ("y", Driver.Farr (Array.copy d.y));
+          ("z", Driver.Farr (Array.copy d.z));
+          ("m", Driver.Farr (Array.copy d.m));
+          ("ax", Driver.Farr (Array.make dm.n 0.));
+          ("ay", Driver.Farr (Array.make dm.n 0.));
+          ("az", Driver.Farr (Array.make dm.n 0.));
+          ("n", Driver.Iscalar dm.n);
+          ("eps", Driver.Fscalar dm.eps) ]);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        let ( let* ) = Result.bind in
+        let* () = Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eax (Driver.output_f mem "ax") in
+        let* () = Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eay (Driver.output_f mem "ay") in
+        Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.eaz (Driver.output_f mem "az"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -191,9 +200,9 @@ let benchmark : Driver.benchmark =
     default_scale = 4;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let io = io dm (Driver.once (fun () -> dataset dm)) in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind d) ~bind_opt:(bind d) ~bind_ninja:(bind d)
-          ~check_naive:(check d) ~check_opt:(check d) ~check_ninja:(check d));
+          ~naive:io ~opt:io ~ninja:io);
   }

@@ -143,41 +143,44 @@ let ninja ~machine =
                   Builder.emit b (Vstoref_nt { buf = bb; idx; src = res })))));
   Builder.finish b
 
-type dataset = {
-  nx : int;
-  ny : int;
-  nz : int;
-  c0 : float;
-  c1 : float;
-  a : float array;
-  expected : float array;
-}
+type dims = { nx : int; ny : int; nz : int; c0 : float; c1 : float }
 
-let dataset ~scale =
-  (* nx - 2 is not vector-aligned in general; the ninja kernel's vector
-     sweep over [1, nx-1) relies on masked/full vectors — we keep nx such
-     that (nx - 2) mod 16 <= fringe handled by overrun into the padding
-     column, so choose nx with nx - 2 a multiple of 16 plus the fringe. *)
-  let nx = (64 * scale) + 2 in
-  let ny = 32 * scale in
-  let nz = 8 in
+(* nx - 2 is not vector-aligned in general; the ninja kernel's vector
+   sweep over [1, nx-1) relies on masked/full vectors — we keep nx such
+   that (nx - 2) mod 16 <= fringe handled by overrun into the padding
+   column, so choose nx with nx - 2 a multiple of 16 plus the fringe. *)
+let dims ~scale = { nx = (64 * scale) + 2; ny = 32 * scale; nz = 8; c0 = 0.5; c1 = 1. /. 12. }
+
+type dataset = { a : float array; expected : float array }
+
+let dataset { nx; ny; nz; c0; c1 } =
   let a = Ninja_workloads.Gen.grid3d ~seed:41 ~nx ~ny ~nz in
-  let c0 = 0.5 and c1 = 1. /. 12. in
-  { nx; ny; nz; c0; c1; a; expected = reference ~a ~nx ~ny ~nz ~c0 ~c1 }
+  { a; expected = reference ~a ~nx ~ny ~nz ~c0 ~c1 }
 
-let bind d () =
-  [ ("a", Driver.Farr (Array.copy d.a));
-    ("b", Driver.Farr (Array.copy d.a));
-    ("nx", Driver.Iscalar d.nx);
-    ("ny", Driver.Iscalar d.ny);
-    ("nz", Driver.Iscalar d.nz);
-    ("c0", Driver.Fscalar d.c0);
-    ("c1", Driver.Fscalar d.c1) ]
-
-let check d mem =
-  (* only the interior is defined; boundary cells keep their input values,
-     which [bind] seeds from the same array *)
-  Driver.check_floats ~rtol:1e-4 ~atol:1e-5 ~expected:d.expected (Driver.output_f mem "b")
+let io dm d : Driver.io =
+  let cells = dm.nx * dm.ny * dm.nz in
+  {
+    shapes =
+      [ ("a", Driver.F_array cells); ("b", Driver.F_array cells);
+        ("nx", Driver.I_scalar); ("ny", Driver.I_scalar); ("nz", Driver.I_scalar);
+        ("c0", Driver.F_scalar); ("c1", Driver.F_scalar) ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("a", Driver.Farr (Array.copy d.a));
+          ("b", Driver.Farr (Array.copy d.a));
+          ("nx", Driver.Iscalar dm.nx);
+          ("ny", Driver.Iscalar dm.ny);
+          ("nz", Driver.Iscalar dm.nz);
+          ("c0", Driver.Fscalar dm.c0);
+          ("c1", Driver.Fscalar dm.c1) ]);
+    check =
+      (fun mem ->
+        (* only the interior is defined; boundary cells keep their input
+           values, which the bindings seed from the same array *)
+        let d = Driver.force d in
+        Driver.check_floats ~rtol:1e-4 ~atol:1e-5 ~expected:d.expected (Driver.output_f mem "b"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -188,9 +191,9 @@ let benchmark : Driver.benchmark =
     default_scale = 4;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let io = io dm (Driver.once (fun () -> dataset dm)) in
         Common.ladder
           ~sources:{ naive = naive_src; opt = opt_src; ninja }
-          ~bind_naive:(bind d) ~bind_opt:(bind d) ~bind_ninja:(bind d)
-          ~check_naive:(check d) ~check_opt:(check d) ~check_ninja:(check d));
+          ~naive:io ~opt:io ~ninja:io);
   }

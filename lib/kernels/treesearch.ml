@@ -98,49 +98,44 @@ let ninja ~machine =
           Builder.emit b (Vstorei { buf = result; idx = i; src = nodes; mask = None })));
   Builder.finish b
 
-type dataset = {
-  depth : int;
-  nq : int;
-  tree : float array;
-  queries : float array;
-  expected : int array;
-}
+(* Tree depth grows with scale so that large scales spill out of the LLC;
+   at the default scale the leaf levels live in DRAM. The tree has
+   [depth + 1] full levels, so every walk ends on a valid node index. *)
+type dims = { depth : int; nq : int }
 
-let dataset ~scale =
-  (* tree depth grows with scale so that large scales spill out of the LLC;
-     at the default scale the leaf levels live in DRAM. *)
-  let depth = 14 + scale in
-  let nq = 512 * scale in
+let dims ~scale = { depth = 14 + scale; nq = 512 * scale }
+let tree_len dm = (1 lsl (dm.depth + 1)) - 1
+
+type dataset = { tree : float array; queries : float array; expected : int array }
+
+let dataset { depth; nq } =
   let tree = Ninja_workloads.Gen.bst_level_order ~seed:71 ~depth:(depth + 1) in
   let queries = Ninja_workloads.Gen.floats ~seed:72 ~lo:0. ~hi:1000. nq in
-  { depth; nq; tree; queries; expected = reference ~tree ~queries ~depth }
+  { tree; queries; expected = reference ~tree ~queries ~depth }
 
-let bind d () =
-  [ ("tree", Driver.Farr d.tree) (* read-only: shared, not copied *);
-    ("queries", Driver.Farr (Array.copy d.queries));
-    ("result", Driver.Iarr (Array.make d.nq 0));
-    ("nq", Driver.Iscalar d.nq);
-    ("depth", Driver.Iscalar d.depth) ]
-
-let check d mem = Driver.check_ints ~expected:d.expected (Driver.output_i mem "result")
-
-(* The level-synchronous variant seeds [result] with the root and launches
-   once per level. *)
-let level_steps d : Driver.step list =
-  let make flags ~machine = Common.compile_with flags ~machine (Common.parse_kernel opt_src) in
-  let bindings () =
-    [ ("tree", Driver.Farr d.tree);
-      ("queries", Driver.Farr (Array.copy d.queries));
-      ("result", Driver.Iarr (Array.make d.nq 0));
-      ("nq", Driver.Iscalar d.nq) ]
-  in
-  [ { Driver.step_name = "+algorithmic";
-      parallel = true;
-      make = make Ninja_lang.Codegen.o2_vec_par;
-      bindings;
-      runs = (fun _ -> d.depth);
-      prepare = (fun _ _ _ -> ());
-      check = check d } ]
+(* The level-synchronous variant takes no [depth]: it seeds [result] with
+   the root and launches once per level. *)
+let io ~with_depth dm d : Driver.io =
+  {
+    shapes =
+      [ ("tree", Driver.F_array (tree_len dm));
+        ("queries", Driver.F_array dm.nq);
+        ("result", Driver.I_array dm.nq);
+        ("nq", Driver.I_scalar) ]
+      @ if with_depth then [ ("depth", Driver.I_scalar) ] else [];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("tree", Driver.Farr d.tree) (* read-only: shared, not copied *);
+          ("queries", Driver.Farr (Array.copy d.queries));
+          ("result", Driver.Iarr (Array.make dm.nq 0));
+          ("nq", Driver.Iscalar dm.nq) ]
+        @ if with_depth then [ ("depth", Driver.Iscalar dm.depth) ] else []);
+    check =
+      (fun mem ->
+        let d = Driver.force d in
+        Driver.check_ints ~expected:d.expected (Driver.output_i mem "result"));
+  }
 
 let benchmark : Driver.benchmark =
   {
@@ -151,18 +146,25 @@ let benchmark : Driver.benchmark =
     default_scale = 8;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let d = Driver.once (fun () -> dataset dm) in
+        let walk = io ~with_depth:true dm d in
         let naive_k = Common.parse_kernel naive_src in
+        let opt_k = Common.parse_kernel opt_src in
         let simple name flags parallel =
           Driver.simple_step ~name ~parallel
             ~make:(fun ~machine -> Common.compile_with flags ~machine naive_k)
-            ~bindings:(bind d) ~check:(check d)
+            walk
         in
         [ simple "naive serial" Ninja_lang.Codegen.o2 false;
           simple "+autovec" Ninja_lang.Codegen.o2_vec false;
-          simple "+parallel" Ninja_lang.Codegen.o2_vec_par true ]
-        @ level_steps d
-        @ [ Driver.simple_step ~name:"ninja" ~parallel:true
-              ~make:(fun ~machine -> ninja ~machine)
-              ~bindings:(bind d) ~check:(check d) ]);
+          simple "+parallel" Ninja_lang.Codegen.o2_vec_par true;
+          { (Driver.simple_step ~name:"+algorithmic" ~parallel:true
+               ~make:(fun ~machine ->
+                 Common.compile_with Ninja_lang.Codegen.o2_vec_par ~machine opt_k)
+               (io ~with_depth:false dm d))
+            with runs = (fun _ -> dm.depth) };
+          Driver.simple_step ~name:"ninja" ~parallel:true
+            ~make:(fun ~machine -> ninja ~machine)
+            walk ]);
   }

@@ -234,81 +234,79 @@ let ninja ~machine =
           Builder.emit b (Vstoref { buf = img; idx = i; src = acc; mask = None })));
   Builder.finish b
 
-type dataset = {
-  w : int;
-  h : int;
-  nx : int;
-  ny : int;
-  nz : int;
-  nsteps : int;
-  vol : float array;
-  expected : float array;
-}
+type dims = { w : int; h : int; nx : int; ny : int; nz : int; nsteps : int }
 
-let dataset ~scale =
-  let w = 32 * scale and h = 16 * scale in
-  let nx = 64 and ny = 64 in
+let dims ~scale =
   let nsteps = 48 in
-  let nz = nsteps + 4 in
+  { w = 32 * scale; h = 16 * scale; nx = 64; ny = 64; nz = nsteps + 4; nsteps }
+
+type dataset = { vol : float array; expected : float array }
+
+let dataset ({ w; h; nx; ny; nz; nsteps } : dims) =
   let vol = Ninja_workloads.Gen.grid3d ~seed:91 ~nx ~ny ~nz in
   (* normalize the field into [0, 1.2] so opacities are sensible *)
   let vol = Array.map (fun x -> Float.min 1.2 (Float.max 0. (0.4 *. (x +. 1.2))) ) vol in
-  { w; h; nx; ny; nz; nsteps; vol;
-    expected = reference ~vol ~w ~h ~nx ~ny ~nz ~nsteps }
+  { vol; expected = reference ~vol ~w ~h ~nx ~ny ~nz ~nsteps }
 
-let bind d () =
-  [ ("vol", Driver.Farr d.vol);
-    ("img", Driver.Farr (Array.make (d.w * d.h) 0.));
-    ("w", Driver.Iscalar d.w);
-    ("h", Driver.Iscalar d.h);
-    ("nx", Driver.Iscalar d.nx);
-    ("ny", Driver.Iscalar d.ny);
-    ("nz", Driver.Iscalar d.nz);
-    ("nsteps", Driver.Iscalar d.nsteps) ]
+let check d ~out mem =
+  let d = Driver.force d in
+  Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.expected (Driver.output_f mem out)
 
-let check d mem =
-  Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.expected (Driver.output_f mem "img")
+let io dm d : Driver.io =
+  {
+    shapes =
+      [ ("vol", Driver.F_array (dm.nx * dm.ny * dm.nz)); ("img", Driver.F_array (dm.w * dm.h)) ]
+      @ List.map (fun name -> (name, Driver.I_scalar)) [ "w"; "h"; "nx"; "ny"; "nz"; "nsteps" ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        [ ("vol", Driver.Farr d.vol);
+          ("img", Driver.Farr (Array.make (dm.w * dm.h) 0.));
+          ("w", Driver.Iscalar dm.w);
+          ("h", Driver.Iscalar dm.h);
+          ("nx", Driver.Iscalar dm.nx);
+          ("ny", Driver.Iscalar dm.ny);
+          ("nz", Driver.Iscalar dm.nz);
+          ("nsteps", Driver.Iscalar dm.nsteps) ]);
+    check = check d ~out:"img";
+  }
 
 (* ray state for the level-synchronous variant *)
-let ray_state d =
-  let npix = d.w * d.h in
+let ray_state dm =
+  let npix = dm.w * dm.h in
   let fxa = Array.make npix 0. and fya = Array.make npix 0. in
   let fza = Array.make npix 1. in
   let dxa = Array.make npix 0. and dya = Array.make npix 0. in
   for p = 0 to npix - 1 do
-    let px = p mod d.w and py = p / d.w in
-    fxa.(p) <- 1.0 +. (float_of_int px *. float_of_int (d.nx - 8) /. float_of_int d.w);
-    fya.(p) <- 1.0 +. (float_of_int py *. float_of_int (d.ny - 8) /. float_of_int d.h);
-    dxa.(p) <- 0.2 +. (0.3 *. float_of_int px /. float_of_int d.w);
-    dya.(p) <- 0.1 +. (0.2 *. float_of_int py /. float_of_int d.h)
+    let px = p mod dm.w and py = p / dm.w in
+    fxa.(p) <- 1.0 +. (float_of_int px *. float_of_int (dm.nx - 8) /. float_of_int dm.w);
+    fya.(p) <- 1.0 +. (float_of_int py *. float_of_int (dm.ny - 8) /. float_of_int dm.h);
+    dxa.(p) <- 0.2 +. (0.3 *. float_of_int px /. float_of_int dm.w);
+    dya.(p) <- 0.1 +. (0.2 *. float_of_int py /. float_of_int dm.h)
   done;
   (fxa, fya, fza, dxa, dya)
 
-let opt_step d : Driver.step =
-  let opt_k = Common.parse_kernel opt_src in
-  let npix = d.w * d.h in
-  let bindings () =
-    let fxa, fya, fza, dxa, dya = ray_state d in
-    [ ("vol", Driver.Farr d.vol);
-      ("fxa", Driver.Farr fxa); ("fya", Driver.Farr fya); ("fza", Driver.Farr fza);
-      ("dxa", Driver.Farr dxa); ("dya", Driver.Farr dya);
-      ("acca", Driver.Farr (Array.make npix 0.));
-      ("transa", Driver.Farr (Array.make npix 1.));
-      ("npix", Driver.Iscalar npix);
-      ("nx", Driver.Iscalar d.nx);
-      ("ny", Driver.Iscalar d.ny) ]
-  in
+let io_rays dm d : Driver.io =
+  let npix = dm.w * dm.h in
   {
-    Driver.step_name = "+algorithmic";
-    parallel = true;
-    make = (fun ~machine -> Common.compile_with Ninja_lang.Codegen.o2_vec_par ~machine opt_k);
-    bindings;
-    runs = (fun _ -> d.nsteps);
-    prepare = (fun _ _ _ -> ());
-    check =
-      (fun mem ->
-        Driver.check_floats ~rtol:2e-3 ~atol:1e-3 ~expected:d.expected
-          (Driver.output_f mem "acca"));
+    shapes =
+      ("vol", Driver.F_array (dm.nx * dm.ny * dm.nz))
+      :: List.map (fun name -> (name, Driver.F_array npix))
+           [ "fxa"; "fya"; "fza"; "dxa"; "dya"; "acca"; "transa" ]
+      @ List.map (fun name -> (name, Driver.I_scalar)) [ "npix"; "nx"; "ny" ];
+    bindings =
+      (fun () ->
+        let d = Driver.force d in
+        let fxa, fya, fza, dxa, dya = ray_state dm in
+        [ ("vol", Driver.Farr d.vol);
+          ("fxa", Driver.Farr fxa); ("fya", Driver.Farr fya); ("fza", Driver.Farr fza);
+          ("dxa", Driver.Farr dxa); ("dya", Driver.Farr dya);
+          ("acca", Driver.Farr (Array.make npix 0.));
+          ("transa", Driver.Farr (Array.make npix 1.));
+          ("npix", Driver.Iscalar npix);
+          ("nx", Driver.Iscalar dm.nx);
+          ("ny", Driver.Iscalar dm.ny) ]);
+    check = check d ~out:"acca";
   }
 
 let benchmark : Driver.benchmark =
@@ -320,18 +318,26 @@ let benchmark : Driver.benchmark =
     default_scale = 4;
     steps =
       (fun ~scale ->
-        let d = dataset ~scale in
+        let dm = dims ~scale in
+        let d = Driver.once (fun () -> dataset dm) in
+        let walk = io dm d in
         let naive_k = Common.parse_kernel naive_src in
+        let opt_k = Common.parse_kernel opt_src in
         let simple name flags parallel =
           Driver.simple_step ~name ~parallel
             ~make:(fun ~machine -> Common.compile_with flags ~machine naive_k)
-            ~bindings:(bind d) ~check:(check d)
+            walk
         in
         [ simple "naive serial" Ninja_lang.Codegen.o2 false;
           simple "+autovec" Ninja_lang.Codegen.o2_vec false;
           simple "+parallel" Ninja_lang.Codegen.o2_vec_par true;
-          opt_step d;
+          (* one launch per marching step, ray state kept in arrays *)
+          { (Driver.simple_step ~name:"+algorithmic" ~parallel:true
+               ~make:(fun ~machine ->
+                 Common.compile_with Ninja_lang.Codegen.o2_vec_par ~machine opt_k)
+               (io_rays dm d))
+            with runs = (fun _ -> dm.nsteps) };
           Driver.simple_step ~name:"ninja" ~parallel:true
             ~make:(fun ~machine -> ninja ~machine)
-            ~bindings:(bind d) ~check:(check d) ]);
+            walk ]);
   }
