@@ -129,81 +129,99 @@ let access_ref t ~line_addr ~write =
     | Some _ -> { hit = false; evicted_dirty }
   end
 
-let access_fast t ~line_addr ~write =
+(* The one hit path of the fast layout, split out so the hierarchy can
+   try an L1 hit before committing to the full access. A repeat of the
+   previous access's line hits at the memoized way (the most recently
+   touched line holds the newest stamp, so it cannot have been evicted);
+   otherwise the set is scanned, and the scan stops at the first match: a
+   line lives in at most one way, and ORing the dirty bit into both sides
+   makes one compare cover the tag test and the invalid (-1) test at once
+   (line addresses are non-negative, so [tag' lor 1] of a valid way never
+   equals -1). A hit makes all of the access's clock, stamp, dirty, MRU
+   and statistics updates; a miss touches nothing. The reference layout
+   has no probe: it always declines. *)
+let try_hit t ~line_addr ~write =
+  t.fast
+  &&
+  let d = t.data in
+  if t.last_way >= 0 && t.last_line = line_addr then begin
+    t.clock <- t.clock + 1;
+    t.hits <- t.hits + 1;
+    d.(t.last_way + 1) <- t.clock;
+    if write then d.(t.last_way) <- d.(t.last_way) lor 1;
+    true
+  end
+  else begin
+    let set =
+      if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
+    in
+    let assoc2 = t.cfg.assoc * 2 in
+    let base = set * assoc2 in
+    let probe = (line_addr lsl 1) lor 1 in
+    let found = ref (-1) in
+    let i = ref base in
+    let stop = base + assoc2 in
+    while !found < 0 && !i < stop do
+      if Array.unsafe_get d !i lor 1 = probe then found := !i;
+      i := !i + 2
+    done;
+    !found >= 0
+    && begin
+      let i = !found in
+      t.clock <- t.clock + 1;
+      t.hits <- t.hits + 1;
+      d.(i + 1) <- t.clock;
+      if write then d.(i) <- d.(i) lor 1;
+      t.last_line <- line_addr;
+      t.last_way <- i;
+      true
+    end
+  end
+
+(* The fast layout's miss: fill the line into the first invalid way, else
+   the first way with the minimal stamp. Only valid after [try_hit] said
+   no. *)
+let fill_fast t ~line_addr ~write =
   t.clock <- t.clock + 1;
+  t.misses <- t.misses + 1;
   let set =
     if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
   in
   let assoc2 = t.cfg.assoc * 2 in
   let base = set * assoc2 in
-  let d = t.data in
-  (* Hit scan first, and only that: a line lives in at most one way, so
-     the scan stops at the first match, and ORing the dirty bit into both
-     sides makes one compare cover the tag test and the invalid (-1) test
-     at once (line addresses are non-negative, so [tag' lor 1] of a valid
-     way never equals -1). Victim selection is deferred to the miss path —
-     the common case, an L1 hit, touches nothing else. *)
-  let probe = (line_addr lsl 1) lor 1 in
-  let found = ref (-1) in
-  let i = ref base in
   let stop = base + assoc2 in
-  while !found < 0 && !i < stop do
-    if Array.unsafe_get d !i lor 1 = probe then found := !i;
+  let d = t.data in
+  let first_invalid = ref (-1) in
+  let lru = ref (-1) in
+  let best = ref max_int in
+  let i = ref base in
+  while !first_invalid < 0 && !i < stop do
+    if Array.unsafe_get d !i = -1 then first_invalid := !i
+    else begin
+      let s = Array.unsafe_get d (!i + 1) in
+      if s < !best then begin
+        best := s;
+        lru := !i
+      end
+    end;
     i := !i + 2
   done;
-  if !found >= 0 then begin
-    let i = !found in
-    t.hits <- t.hits + 1;
-    d.(i + 1) <- t.clock;
-    if write then d.(i) <- d.(i) lor 1;
-    t.last_line <- line_addr;
-    t.last_way <- i;
-    hit_clean
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* victim: first invalid way, else first way with the minimal stamp *)
-    let first_invalid = ref (-1) in
-    let lru = ref (-1) in
-    let best = ref max_int in
-    let i = ref base in
-    while !first_invalid < 0 && !i < stop do
-      if Array.unsafe_get d !i = -1 then first_invalid := !i
-      else begin
-        let s = Array.unsafe_get d (!i + 1) in
-        if s < !best then begin
-          best := s;
-          lru := !i
-        end
-      end;
-      i := !i + 2
-    done;
-    let i = if !first_invalid >= 0 then !first_invalid else !lru in
-    let tg = d.(i) in
-    let evicted_dirty = if tg <> -1 && tg land 1 = 1 then Some (tg asr 1) else None in
-    d.(i) <- (line_addr lsl 1) lor (if write then 1 else 0);
-    d.(i + 1) <- t.clock;
-    t.last_line <- line_addr;
-    t.last_way <- i;
-    match evicted_dirty with
-    | None -> miss_clean
-    | Some _ -> { hit = false; evicted_dirty }
-  end
+  let i = if !first_invalid >= 0 then !first_invalid else !lru in
+  let tg = d.(i) in
+  let evicted_dirty = if tg <> -1 && tg land 1 = 1 then Some (tg asr 1) else None in
+  d.(i) <- (line_addr lsl 1) lor (if write then 1 else 0);
+  d.(i + 1) <- t.clock;
+  t.last_line <- line_addr;
+  t.last_way <- i;
+  match evicted_dirty with
+  | None -> miss_clean
+  | Some _ -> { hit = false; evicted_dirty }
+
+let fill t ~line_addr ~write =
+  if t.fast then fill_fast t ~line_addr ~write else access_ref t ~line_addr ~write
 
 let access t ~line_addr ~write =
-  if t.fast then
-    if t.last_way >= 0 && t.last_line = line_addr then begin
-      (* Same line as the previous access: hit at the memoized way, with
-         exactly the general path's clock/stamp/dirty updates. *)
-      t.clock <- t.clock + 1;
-      t.hits <- t.hits + 1;
-      let d = t.data in
-      d.(t.last_way + 1) <- t.clock;
-      if write then d.(t.last_way) <- d.(t.last_way) lor 1;
-      hit_clean
-    end
-    else access_fast t ~line_addr ~write
-  else access_ref t ~line_addr ~write
+  if try_hit t ~line_addr ~write then hit_clean else fill t ~line_addr ~write
 
 let probe t ~line_addr =
   if t.fast then begin

@@ -36,6 +36,17 @@ val access : t -> line_addr:int -> write:bool -> outcome
 (** Probe for [line_addr]; on a miss, fill it (possibly evicting). [write]
     marks the (resulting) line dirty. *)
 
+val try_hit : t -> line_addr:int -> write:bool -> bool
+(** [try_hit t ~line_addr ~write] services the access if it hits and
+    says whether it did: a hit makes exactly {!access}'s updates (LRU
+    stamp, dirty bit, statistics); a miss changes nothing. {!access} is
+    [try_hit], then {!fill} on a miss. A cache created without the fast
+    path always answers [false]. *)
+
+val fill : t -> line_addr:int -> write:bool -> outcome
+(** The rest of {!access} after {!try_hit} answered [false]: fill the
+    line, possibly evicting. Calling it otherwise is unspecified. *)
+
 val probe : t -> line_addr:int -> bool
 (** Non-destructive hit test (no fill, no LRU update). *)
 

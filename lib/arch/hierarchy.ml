@@ -54,9 +54,9 @@ let line_bytes t = t.machine.l1.line_bytes
    nothing. Write-back dirty state is propagated down at fill time so
    that LLC evictions of written lines generate DRAM write-back
    traffic. *)
-let access_line t ~core ~line_addr ~write =
-  let c = t.cores.(core) in
-  let l1r = Cache.access c.l1 ~line_addr ~write in
+let miss_line t c ~line_addr ~write =
+  (* the L1 probe said no: the rest of the line's access *)
+  let l1r = Cache.fill c.l1 ~line_addr ~write in
   if l1r.hit then 0 (* L1; covered is reported separately for L1 hits *)
   else begin
     let covered =
@@ -77,6 +77,10 @@ let access_line t ~core ~line_addr ~write =
     end
   end
 
+let access_line t ~core ~line_addr ~write =
+  let c = t.cores.(core) in
+  if Cache.try_hit c.l1 ~line_addr ~write then 0 else miss_line t c ~line_addr ~write
+
 let access t ~core ~addr ~bytes ~write ~nt =
   if nt && write then begin
     (* streaming store: write-combining buffers send full lines to DRAM
@@ -88,8 +92,14 @@ let access t ~core ~addr ~bytes ~write ~nt =
     let sh = t.line_shift in
     let first = addr lsr sh and last = (addr + bytes - 1) lsr sh in
     if first = last then begin
-      (* common case: the access touches one line — no spanning loop *)
-      let code = access_line t ~core ~line_addr:first ~write in
+      (* common case: the access touches one line — no spanning loop —
+         and hits in L1: the cache's hit probe and one count, nothing
+         else. A probe miss has changed nothing and takes the full path. *)
+      let c = t.cores.(core) in
+      let code =
+        if Cache.try_hit c.l1 ~line_addr:first ~write then 0
+        else miss_line t c ~line_addr:first ~write
+      in
       let li = code lsr 1 in
       t.by_level.(li) <- t.by_level.(li) + 1;
       (* an L1 hit is always "covered": no stall is charged for it *)

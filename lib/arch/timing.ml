@@ -49,6 +49,31 @@ let trace_level : Hierarchy.level -> Trace.level = function
   | LLC -> Trace.LLC
   | Dram -> Trace.Dram
 
+(* Stall cycles charged for an access that reached [level] uncovered:
+   the level's latency, hidden by memory-level parallelism unless the
+   access is part of a dependent chain. *)
+let level_penalty (m : Machine.t) (level : Hierarchy.level) =
+  match level with
+  | L1 -> 0.
+  | L2 -> float_of_int m.l2.latency
+  | LLC -> float_of_int m.llc.latency
+  | Dram -> float_of_int m.dram_latency
+
+let stall_port (m : Machine.t) hier stalls : Event.port =
+  let mlp = float_of_int m.mlp in
+  let penalty = Array.map (level_penalty m) Hierarchy.[| L1; L2; LLC; Dram |] in
+  fun ~thread ~addr ~bytes ~write ~chain ~nt ->
+    (* n_threads <= m.cores is enforced by [simulate]: core = thread *)
+    let r = Hierarchy.access hier ~core:thread ~addr ~bytes ~write ~nt in
+    if not r.covered then begin
+      let p =
+        Array.unsafe_get penalty
+          (match r.level with L1 -> 0 | L2 -> 1 | LLC -> 2 | Dram -> 3)
+      in
+      let s = if chain then p else p /. mlp in
+      stalls.(thread) <- stalls.(thread) +. s
+    end
+
 let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fast_path prog
     mem =
   let m : Machine.t = machine in
@@ -59,20 +84,15 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
   let hier = Hierarchy.create ?fast_path m in
   let stalls = Array.make n_threads 0. in
   let mlp = float_of_int m.mlp in
-  let level_penalty (level : Hierarchy.level) =
-    match level with
-    | L1 -> 0.
-    | L2 -> float_of_int m.l2.latency
-    | LLC -> float_of_int m.llc.latency
-    | Dram -> float_of_int m.dram_latency
-  in
+  let level_penalty = level_penalty m in
   let dram_total () = Hierarchy.dram_read_bytes hier + Hierarchy.dram_write_bytes hier in
-  (* The fast event sink is selected once on trace presence: the untraced
-     (common) variant carries no dram-delta bookkeeping and no per-event
-     option matches, so profiling costs nothing when it is off. With
-     [~fast_path:false] the original sink — one closure matching [trace]
-     per event — is used instead, keeping the baseline configuration's
-     costs faithful to the pre-fast-path simulator. *)
+  (* The access consumer is selected once on trace presence: the untraced
+     (common) case is [stall_port], called directly by the compiled
+     executor with no event record and no dram-delta bookkeeping, so
+     profiling costs nothing when it is off. With [~fast_path:false] the
+     original sink — one closure matching [trace] per event — is used
+     instead, keeping the baseline configuration's costs faithful to the
+     pre-fast-path simulator. *)
   let reference_sink (e : Event.t) =
     let core = e.thread mod m.cores in
     let write = e.kind = Event.Write in
@@ -95,22 +115,13 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
              { thread = e.thread; level = trace_level r.level; covered = r.covered;
                stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })
   in
-  let sink =
-    if fast_path = Some false then reference_sink
+  let sink, port =
+    if fast_path = Some false then (Some reference_sink, None)
     else
       match trace with
-      | None ->
-          fun (e : Event.t) ->
-          let core = e.thread in (* n_threads <= m.cores is enforced above *)
-          let write = match e.kind with Event.Write -> true | Event.Read -> false in
-          let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
-          if not r.covered then begin
-            let p = level_penalty r.level in
-            let s = if e.chain then p else p /. mlp in
-            stalls.(e.thread) <- stalls.(e.thread) +. s
-          end
+      | None -> (None, Some (stall_port m hier stalls))
       | Some f ->
-          fun (e : Event.t) ->
+          Some (fun (e : Event.t) ->
           let core = e.thread in (* n_threads <= m.cores is enforced above *)
           let write = match e.kind with Event.Write -> true | Event.Read -> false in
           let dram_before = dram_total () in
@@ -127,7 +138,8 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
           f
             (Trace.Access
                { thread = e.thread; level = trace_level r.level; covered = r.covered;
-                 stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })
+                 stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })),
+          None
   in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
@@ -136,8 +148,8 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
      whatever backend the process selected (Interp.default_strategy,
      steered by the CLI --backend flag) *)
   let launch =
-    Interp.session ~n_threads ~width:m.simd_width ~sink ?trace ?strategy prog
-      mem
+    Interp.session ~n_threads ~width:m.simd_width ?sink ?port ?trace ?strategy
+      prog mem
   in
   for run = 0 to runs - 1 do
     (match prepare with Some f -> f run mem | None -> ());

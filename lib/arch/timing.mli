@@ -60,6 +60,15 @@ val simulate :
     and a final {!Ninja_vm.Trace.event.Drain} for the writeback drain.
     Passing it does not change any reported number. *)
 
+val stall_port :
+  Machine.t -> Hierarchy.t -> float array -> Ninja_vm.Event.port
+(** [stall_port m hier stalls] is the access port {!simulate} hands the
+    compiled executor on its untraced fast path: each access walks
+    [hier] on core [thread] and adds its stall cycles (level latency,
+    divided by the machine's MLP unless [chain]; nothing for L1 hits or
+    prefetch-covered misses) to [stalls.(thread)]. Exposed for the
+    model-side differential against {!Hierarchy.access}. *)
+
 val issue_time : Machine.t -> Ninja_vm.Counts.t -> thread:int -> float
 (** Port-model issue time (cycles) for one thread's instruction counts:
     each class priced at its reciprocal throughput, binned onto ALU / FP /

@@ -8,45 +8,65 @@
    phase's op array once per run into chained OCaml closures (classic
    threaded code):
 
+   - placeholder jumps are threaded away first ({!thread}): the forward
+     [Djmp]s the optimizer leaves in vacated slots are dropped with the
+     slots they skip, and jumps landing on a [Djmp] chain go straight to
+     its end, so they no longer split basic blocks or keep an innermost
+     loop from fusing;
    - every straight-line op becomes a pre-resolved action closure: operand
-     indices, the operator, the mask slot and the memory hook are resolved
+     indices, the operator, the mask slot and the memory operand (the
+     bound array, its length and its modeled base address) are resolved
      at compile time, so executing the op is one indirect call into
-     specialized code;
+     specialized code, and an in-range access is one compare and a load;
    - basic blocks (maximal straight-line runs between branch targets)
      become superinstruction closures: the block's actions run back to
      back with no dispatch in between, and its count/instruction/fuel
-     bookkeeping is hoisted into per-segment batch increments;
+     bookkeeping is hoisted into batch increments;
    - control ops compile to closures that tail-call the successor closure
      through a node table — the loop back edge is a single compare +
-     direct jump to the body's block closure.
+     direct jump to the body's block closure, and a single-block innermost
+     loop runs as one OCaml while loop.
 
    Compiled closures take the per-thread execution state ({!tctx}: register
-   files, counts row, event hook, thread id) as an argument rather than
+   files, counts row, access port, thread id) as an argument rather than
    capturing it, so one compilation is shared by every simulated thread of
    a parallel phase — compile cost is per (phase, run), not per (phase,
    thread, run), which is what makes the backend profitable on short
    many-thread jobs. Reading a field of the [tctx] argument costs the same
    one load as reading a closure environment slot, so per-op execution is
-   not slower for it.
+   not slower for it. Memory accesses go to the port field by field
+   ({!Event.port}): no event record is built, and the timing model's port
+   is called directly.
 
    Observable equivalence. The compiled program produces bit-identical
    registers, memory, {!Counts} rows, totals, event streams, traces and
    traps to [Interp]'s tree walker. Bookkeeping batching relies on one
-   fuel waiver: a batched fuel decrement may trap up to n-1 ops early
-   only when the observable state at the trap is identical (counts die
-   with the exception, and no memory write sits inside the batch). To keep
-   trap *messages* and event prefixes exact, a batch segment never extends
-   past an op that can trap or emit memory events — such ops terminate
-   their segment, so "fuel exhausted" still wins exactly when the
-   cumulative cost exceeds the fuel, and no event can precede a fuel trap
-   that the reference would have refused. When a trace sink is attached,
-   compilation falls back to per-op bookkeeping closures so the
-   [Trace.Op] stream keeps its exact per-op order (same rule as the
+   fuel waiver: counts die with the exception, so a batch may charge ops
+   that a trap then keeps from running. The fuel-precheck rule keeps
+   trap *messages* and event prefixes exact. Each untraced block (and
+   each fused loop body) is compiled twice:
+
+   - the merged form charges the whole block in one batch and runs when
+     the remaining fuel covers the block's total, checked on entry. No
+     fuel trap can fire inside the block then, so the only traps are the
+     ops' own (bounds, division, lanes), raised at the same op with the
+     same prior writes and events as the reference;
+   - the exact form, run otherwise, splits the block into segments that
+     end after every op that can trap or emit memory events
+     ([instr_barrier]), so "fuel exhausted" wins exactly when the
+     cumulative cost exceeds the fuel and no event precedes a fuel trap
+     the reference would have refused.
+
+   A block with a single segment is its own merged form. When a trace
+   sink is attached, compilation falls back to per-op bookkeeping closures
+   so the [Trace.Op] stream keeps its exact per-op order (same rule as the
    tree walker's per-op counting); execution is still threaded.
 
    Equivalence with the tree walker is property-tested under every pass
    list (test/test_fastpath.ml, test/test_optimize.ml), and
-   test/test_compile.ml adds fuel-trap differentials and seeded
+   test/test_compile.ml adds fuel-trap differentials, a fuel sweep over
+   every budget of blocks and fused loops that load, store and divide,
+   the threading checks over every ladder program, and seeded
    miscompilation mutants that the differential must refute. *)
 
 type tctx = {
@@ -57,14 +77,7 @@ type tctx = {
   vm : bool array array;
   row : int array;
   thread : int;
-  emit :
-    nt:bool ->
-    buf:Isa.buf ->
-    idx:int ->
-    bytes:int ->
-    kind:Event.kind ->
-    chain:bool ->
-    unit;
+  port : Event.port;
 }
 
 type ctx = {
@@ -99,9 +112,10 @@ let sload_idx = Isa.op_class_index Isa.Sload
 let sstore_idx = Isa.op_class_index Isa.Sstore
 
 (* Ops whose action can raise a trap (division, lane checks, any memory
-   access) or emit observable memory events. They terminate a bookkeeping
-   segment: batching must never move a fuel trap across an event or turn
-   an op's own trap into a premature fuel trap (see module comment). *)
+   access) or emit observable memory events. They terminate a segment of
+   a block's exact form: there, batching must never move a fuel trap
+   across an event or turn an op's own trap into a premature fuel trap
+   (see module comment). *)
 let instr_barrier (ins : Isa.instr) =
   match ins with
   | Ibin ((Idiv | Imod), _, _, _) | Vibin ((Idiv | Imod), _, _, _)
@@ -113,7 +127,91 @@ let instr_barrier (ins : Isa.instr) =
   | Vscatterf _ | Vscatteri _ -> true
   | _ -> false
 
+(* Placeholder threading. [Optimize] leaves forward [Djmp]s behind where
+   it vacated slots: the second op of a fused mul+add pair, coalesced
+   phantom runs, neutralized unreachable ops. A [Djmp] carries no
+   bookkeeping, so removing one cannot be observed, but as a control op
+   it would end a basic block and keep a loop body out of
+   [compile_fused_loop]. This pass, run before leaders are computed:
+
+   - retargets every control op that lands on a [Djmp] chain to the
+     chain's end (a chain that loops back on itself is left alone);
+   - drops each forward [Djmp] together with the slots it skips when no
+     control op targets those slots — they are then unreachable, and
+     everything that reached the [Djmp] now falls through to its target;
+   - remaps the surviving targets to the compacted indices.
+
+   Dropping a region can free another region's last target, so the pass
+   repeats until nothing is dropped; the result is a fixpoint, and
+   threading it again changes nothing. An array with a target outside
+   [0, length] (only deliberately broken input) is returned as is. *)
+let thread (code : Decode.dop array) : Decode.dop array =
+  let targets_of (op : Decode.dop) =
+    match op with
+    | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
+    | Dif { else_ = k; _ } | Djmp k | Dgoto k -> [ k ]
+    | _ -> []
+  in
+  let map_targets f (op : Decode.dop) : Decode.dop =
+    match op with
+    | Dfor r -> Dfor { r with exit = f r.exit }
+    | Dwhile r -> Dwhile { r with exit = f r.exit }
+    | Dforback r -> Dforback { r with body = f r.body }
+    | Dif r -> Dif { r with else_ = f r.else_ }
+    | Djmp k -> Djmp (f k)
+    | Dgoto k -> Dgoto (f k)
+    | op -> op
+  in
+  let rec pass code =
+    let len = Array.length code in
+    (* end of the Djmp chain starting at [k]; [k] itself on a cycle *)
+    let rec chain_end k steps =
+      if steps > len then None
+      else if k < len then
+        match code.(k) with Decode.Djmp k' -> chain_end k' (steps + 1) | _ -> Some k
+      else Some k
+    in
+    let code =
+      Array.map
+        (map_targets (fun k -> Option.value (chain_end k 0) ~default:k))
+        code
+    in
+    let targeted = Array.make (len + 1) false in
+    Array.iter (fun op -> List.iter (fun k -> targeted.(k) <- true) (targets_of op)) code;
+    let keep = Array.make len true in
+    let dropped = ref false in
+    let i = ref 0 in
+    while !i < len do
+      match code.(!i) with
+      | Decode.Djmp t
+        when t > !i
+             && not (Array.exists Fun.id (Array.sub targeted (!i + 1) (t - !i - 1))) ->
+          Array.fill keep !i (t - !i) false;
+          dropped := true;
+          i := t
+      | _ -> incr i
+    done;
+    if not !dropped then code
+    else begin
+      (* new index of old slot k: the kept slots before it *)
+      let remap = Array.make (len + 1) 0 in
+      for k = 0 to len - 1 do
+        remap.(k + 1) <- (remap.(k) + if keep.(k) then 1 else 0)
+      done;
+      let kept = ref [] in
+      for k = len - 1 downto 0 do
+        if keep.(k) then kept := map_targets (fun t -> remap.(t)) code.(k) :: !kept
+      done;
+      pass (Array.of_list !kept)
+    end
+  in
+  let len = Array.length code in
+  if Array.exists (fun op -> List.exists (fun k -> k < 0 || k > len) (targets_of op)) code
+  then code
+  else pass code
+
 let compile ctx (code : Decode.dop array) : tctx -> unit =
+  let code = thread code in
   let mem = ctx.mem and width = ctx.width in
   let scratch = ctx.scratch and all_true = ctx.all_true in
   let instructions = ctx.instructions and fuel = ctx.fuel in
@@ -126,6 +224,16 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let act_get = function
     | None -> fun (_ : tctx) -> all_true
     | Some (Isa.Vm m) -> fun (t : tctx) -> t.vm.(m)
+  in
+  (* Memory operands resolved once: the bound array and base address. An
+     unresolvable buffer (wrong element type, bad index) gets an empty
+     view, so every access to it takes the checked [Memory] path, which
+     traps exactly as the tree walker does. *)
+  let view_f buf =
+    match Memory.view_f mem buf with Some v -> v | None -> ([||], 0)
+  in
+  let view_i buf =
+    match Memory.view_i mem buf with Some v -> v | None -> ([||], 0)
   in
   let emit_lanes_act =
     match trace with
@@ -333,27 +441,45 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | Fofi (Sf d, Si a) -> fun t -> t.sf.(d) <- float_of_int t.si.(a)
     | Ioff (Si d, Sf a) -> fun t -> t.si.(d) <- int_of_float t.sf.(a)
     | Loadf { dst = Sf dst; buf; idx = Si idx; chain } ->
+        let a, base = view_f buf in
+        let len = Array.length a in
         fun t ->
           let i = t.si.(idx) in
-          t.sf.(dst) <- Memory.get_f mem buf i;
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
+          t.sf.(dst) <-
+            (if i >= 0 && i < len then Array.unsafe_get a i
+             else Memory.get_f mem buf i);
+          t.port ~thread:t.thread ~addr:(base + (i * 4)) ~bytes:4 ~write:false
+            ~chain ~nt:false
     | Loadi { dst = Si dst; buf; idx = Si idx; chain } ->
+        let a, base = view_i buf in
+        let len = Array.length a in
         fun t ->
           let si = t.si in
           let i = si.(idx) in
-          si.(dst) <- Memory.get_i mem buf i;
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain
+          si.(dst) <-
+            (if i >= 0 && i < len then Array.unsafe_get a i
+             else Memory.get_i mem buf i);
+          t.port ~thread:t.thread ~addr:(base + (i * 4)) ~bytes:4 ~write:false
+            ~chain ~nt:false
     | Storef { buf; idx = Si idx; src = Sf src } ->
+        let a, base = view_f buf in
+        let len = Array.length a in
         fun t ->
           let i = t.si.(idx) in
-          Memory.set_f mem buf i t.sf.(src);
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+          if i >= 0 && i < len then Array.unsafe_set a i t.sf.(src)
+          else Memory.set_f mem buf i t.sf.(src);
+          t.port ~thread:t.thread ~addr:(base + (i * 4)) ~bytes:4 ~write:true
+            ~chain:false ~nt:false
     | Storei { buf; idx = Si idx; src = Si src } ->
+        let a, base = view_i buf in
+        let len = Array.length a in
         fun t ->
           let si = t.si in
           let i = si.(idx) in
-          Memory.set_i mem buf i si.(src);
-          t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+          if i >= 0 && i < len then Array.unsafe_set a i si.(src)
+          else Memory.set_i mem buf i si.(src);
+          t.port ~thread:t.thread ~addr:(base + (i * 4)) ~bytes:4 ~write:true
+            ~chain:false ~nt:false
     | Vmovf (Vf d, Vf a) ->
         fun t ->
           let vf = t.vf in
@@ -713,14 +839,23 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
               (fun acc b -> if b then acc + 1 else acc)
               0 t.vm.(a)
     | Vloadf { dst = Vf dst; buf; idx = Si idx; mask = None } ->
+        let a, baddr = view_f buf in
+        let last = Array.length a - width in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.get_f_block mem buf base t.vf.(dst) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-            ~chain:false
+          let d = t.vf.(dst) in
+          if base >= 0 && base <= last then
+            for l = 0 to width - 1 do
+              Array.unsafe_set d l (Array.unsafe_get a (base + l))
+            done
+          else Memory.get_f_block mem buf base d width;
+          t.port ~thread:t.thread ~addr:(baddr + (base * 4)) ~bytes:(width * 4)
+            ~write:false ~chain:false ~nt:false
     | Vloadf { dst = Vf dst; buf; idx = Si idx; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let d = t.vf.(dst) and act = get_act t in
           emit_lanes_act t act;
@@ -728,22 +863,34 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_f mem buf (base + l));
+              let i = base + l in
+              Array.unsafe_set d l
+                (if i >= 0 && i < len then Array.unsafe_get a i
+                 else Memory.get_f mem buf i);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-              ~chain:false
+            t.port ~thread:t.thread ~addr:(baddr + (base * 4))
+              ~bytes:(width * 4) ~write:false ~chain:false ~nt:false
     | Vloadi { dst = Vi dst; buf; idx = Si idx; mask = None } ->
+        let a, baddr = view_i buf in
+        let last = Array.length a - width in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.get_i_block mem buf base t.vi.(dst) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-            ~chain:false
+          let d = t.vi.(dst) in
+          if base >= 0 && base <= last then
+            for l = 0 to width - 1 do
+              Array.unsafe_set d l (Array.unsafe_get a (base + l))
+            done
+          else Memory.get_i_block mem buf base d width;
+          t.port ~thread:t.thread ~addr:(baddr + (base * 4)) ~bytes:(width * 4)
+            ~write:false ~chain:false ~nt:false
     | Vloadi { dst = Vi dst; buf; idx = Si idx; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_i buf in
+        let len = Array.length a in
         fun t ->
           let d = t.vi.(dst) and act = get_act t in
           emit_lanes_act t act;
@@ -751,54 +898,86 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_i mem buf (base + l));
+              let i = base + l in
+              Array.unsafe_set d l
+                (if i >= 0 && i < len then Array.unsafe_get a i
+                 else Memory.get_i mem buf i);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Read
-              ~chain:false
+            t.port ~thread:t.thread ~addr:(baddr + (base * 4))
+              ~bytes:(width * 4) ~write:false ~chain:false ~nt:false
     | Vloadf_strided { dst = Vf dst; buf; idx = Si idx; stride = Si stride } ->
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let d = t.vf.(dst) in
           let base = t.si.(idx) and s = t.si.(stride) in
           for l = 0 to width - 1 do
             let i = base + (l * s) in
-            Array.unsafe_set d l (Memory.get_f mem buf i);
-            t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Read ~chain:false
+            Array.unsafe_set d l
+              (if i >= 0 && i < len then Array.unsafe_get a i
+               else Memory.get_f mem buf i);
+            t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4 ~write:false
+              ~chain:false ~nt:false
           done
     | Vgatherf { dst = Vf dst; buf; idx = Vi idx; mask; chain } ->
         let get_act = act_get mask in
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let d = t.vf.(dst) and ix = t.vi.(idx) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_f mem buf (Array.unsafe_get ix l));
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Read ~chain
+              let i = Array.unsafe_get ix l in
+              Array.unsafe_set d l
+                (if i >= 0 && i < len then Array.unsafe_get a i
+                 else Memory.get_f mem buf i);
+              t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4
+                ~write:false ~chain ~nt:false
             end
           done
     | Vgatheri { dst = Vi dst; buf; idx = Vi idx; mask; chain } ->
         let get_act = act_get mask in
+        let a, baddr = view_i buf in
+        let len = Array.length a in
         fun t ->
           let vi = t.vi in
           let d = vi.(dst) and ix = vi.(idx) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Array.unsafe_set d l (Memory.get_i mem buf (Array.unsafe_get ix l));
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Read ~chain
+              let i = Array.unsafe_get ix l in
+              Array.unsafe_set d l
+                (if i >= 0 && i < len then Array.unsafe_get a i
+                 else Memory.get_i mem buf i);
+              (* re-read: [dst] may be [idx], and the event carries the
+                 lane's index after the load, as in the tree walker *)
+              let i = Array.unsafe_get ix l in
+              t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4
+                ~write:false ~chain ~nt:false
             end
           done
     | Vstoref { buf; idx = Si idx; src = Vf src; mask = None } ->
+        let a, baddr = view_f buf in
+        let last = Array.length a - width in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.set_f_block mem buf base t.vf.(src) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vf.(src) in
+          if base >= 0 && base <= last then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else Memory.set_f_block mem buf base s width;
+          t.port ~thread:t.thread ~addr:(baddr + (base * 4)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:false
     | Vstoref { buf; idx = Si idx; src = Vf src; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let s = t.vf.(src) and act = get_act t in
           emit_lanes_act t act;
@@ -806,22 +985,33 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_f mem buf (base + l) (Array.unsafe_get s l);
+              let i = base + l in
+              if i >= 0 && i < len then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_f mem buf i (Array.unsafe_get s l);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-              ~chain:false
+            t.port ~thread:t.thread ~addr:(baddr + (base * 4))
+              ~bytes:(width * 4) ~write:true ~chain:false ~nt:false
     | Vstorei { buf; idx = Si idx; src = Vi src; mask = None } ->
+        let a, baddr = view_i buf in
+        let last = Array.length a - width in
         fun t ->
           emit_lanes_act t all_true;
           let base = t.si.(idx) in
-          Memory.set_i_block mem buf base t.vi.(src) width;
-          t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vi.(src) in
+          if base >= 0 && base <= last then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else Memory.set_i_block mem buf base s width;
+          t.port ~thread:t.thread ~addr:(baddr + (base * 4)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:false
     | Vstorei { buf; idx = Si idx; src = Vi src; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_i buf in
+        let len = Array.length a in
         fun t ->
           let s = t.vi.(src) and act = get_act t in
           emit_lanes_act t act;
@@ -829,52 +1019,73 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           let any = ref false in
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_i mem buf (base + l) (Array.unsafe_get s l);
+              let i = base + l in
+              if i >= 0 && i < len then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_i mem buf i (Array.unsafe_get s l);
               any := true
             end
           done;
           if !any then
-            t.emit ~nt:false ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-              ~chain:false
+            t.port ~thread:t.thread ~addr:(baddr + (base * 4))
+              ~bytes:(width * 4) ~write:true ~chain:false ~nt:false
     | Vstoref_nt { buf; idx = Si idx; src = Vf src } ->
+        let a, baddr = view_f buf in
+        let last = Array.length a - width in
         fun t ->
           let base = t.si.(idx) in
-          Memory.set_f_block mem buf base t.vf.(src) width;
-          t.emit ~nt:true ~buf ~idx:base ~bytes:(width * 4) ~kind:Write
-            ~chain:false
+          let s = t.vf.(src) in
+          if base >= 0 && base <= last then
+            for l = 0 to width - 1 do
+              Array.unsafe_set a (base + l) (Array.unsafe_get s l)
+            done
+          else Memory.set_f_block mem buf base s width;
+          t.port ~thread:t.thread ~addr:(baddr + (base * 4)) ~bytes:(width * 4)
+            ~write:true ~chain:false ~nt:true
     | Vstoref_strided { buf; idx = Si idx; stride = Si stride; src = Vf src }
       ->
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let s = t.vf.(src) in
           let base = t.si.(idx) and st = t.si.(stride) in
           for l = 0 to width - 1 do
             let i = base + (l * st) in
-            Memory.set_f mem buf i (Array.unsafe_get s l);
-            t.emit ~nt:false ~buf ~idx:i ~bytes:4 ~kind:Write ~chain:false
+            if i >= 0 && i < len then Array.unsafe_set a i (Array.unsafe_get s l)
+            else Memory.set_f mem buf i (Array.unsafe_get s l);
+            t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4 ~write:true
+              ~chain:false ~nt:false
           done
     | Vscatterf { buf; idx = Vi idx; src = Vf src; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_f buf in
+        let len = Array.length a in
         fun t ->
           let ix = t.vi.(idx) and s = t.vf.(src) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_f mem buf (Array.unsafe_get ix l) (Array.unsafe_get s l);
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Write
-                ~chain:false
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < len then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_f mem buf i (Array.unsafe_get s l);
+              t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4
+                ~write:true ~chain:false ~nt:false
             end
           done
     | Vscatteri { buf; idx = Vi idx; src = Vi src; mask } ->
         let get_act = act_get mask in
+        let a, baddr = view_i buf in
+        let len = Array.length a in
         fun t ->
           let vi = t.vi in
           let ix = vi.(idx) and s = vi.(src) and act = get_act t in
           emit_lanes_act t act;
           for l = 0 to width - 1 do
             if (Array.unsafe_get act l) then begin
-              Memory.set_i mem buf (Array.unsafe_get ix l) (Array.unsafe_get s l);
-              t.emit ~nt:false ~buf ~idx:(Array.unsafe_get ix l) ~bytes:4 ~kind:Write
-                ~chain:false
+              let i = Array.unsafe_get ix l in
+              if i >= 0 && i < len then Array.unsafe_set a i (Array.unsafe_get s l)
+              else Memory.set_i mem buf i (Array.unsafe_get s l);
+              t.port ~thread:t.thread ~addr:(baddr + (i * 4)) ~bytes:4
+                ~write:true ~chain:false ~nt:false
             end
           done
   in
@@ -895,34 +1106,60 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           Some (fun t -> t.si.(d) <- t.si.(a) * imm),
           false )
     | Decode.Dloadf_at { dst; buf; imm; chain } ->
+        let a, base = view_f buf in
+        let addr = base + (imm * 4) in
         ( [ (Isa.Sload, sload_idx, 1) ],
           Some
-            (fun t ->
-              t.sf.(dst) <- Memory.get_f mem buf imm;
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain),
+            (if imm >= 0 && imm < Array.length a then fun t ->
+               t.sf.(dst) <- Array.unsafe_get a imm;
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+                 ~nt:false
+             else fun t ->
+               t.sf.(dst) <- Memory.get_f mem buf imm;
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+                 ~nt:false),
           true )
     | Decode.Dloadi_at { dst; buf; imm; chain } ->
+        let a, base = view_i buf in
+        let addr = base + (imm * 4) in
         ( [ (Isa.Sload, sload_idx, 1) ],
           Some
-            (fun t ->
-              t.si.(dst) <- Memory.get_i mem buf imm;
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Read ~chain),
+            (if imm >= 0 && imm < Array.length a then fun t ->
+               t.si.(dst) <- Array.unsafe_get a imm;
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+                 ~nt:false
+             else fun t ->
+               t.si.(dst) <- Memory.get_i mem buf imm;
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+                 ~nt:false),
           true )
     | Decode.Dstoref_at { buf; imm; src } ->
+        let a, base = view_f buf in
+        let addr = base + (imm * 4) in
         ( [ (Isa.Sstore, sstore_idx, 1) ],
           Some
-            (fun t ->
-              Memory.set_f mem buf imm t.sf.(src);
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write
-                ~chain:false),
+            (if imm >= 0 && imm < Array.length a then fun t ->
+               Array.unsafe_set a imm t.sf.(src);
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+                 ~nt:false
+             else fun t ->
+               Memory.set_f mem buf imm t.sf.(src);
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+                 ~nt:false),
           true )
     | Decode.Dstorei_at { buf; imm; src } ->
+        let a, base = view_i buf in
+        let addr = base + (imm * 4) in
         ( [ (Isa.Sstore, sstore_idx, 1) ],
           Some
-            (fun t ->
-              Memory.set_i mem buf imm t.si.(src);
-              t.emit ~nt:false ~buf ~idx:imm ~bytes:4 ~kind:Write
-                ~chain:false),
+            (if imm >= 0 && imm < Array.length a then fun t ->
+               Array.unsafe_set a imm t.si.(src);
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+                 ~nt:false
+             else fun t ->
+               Memory.set_i mem buf imm t.si.(src);
+               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+                 ~nt:false),
           true )
     | Decode.Dphantom { cls; cls_idx; n } -> ([ (cls, cls_idx, n) ], None, false)
     | Decode.Dsmuladd { t = tr; a; b; d; x; y } ->
@@ -989,9 +1226,12 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | _ -> true
   in
   (* Split a straight-line range into bookkeeping segments: (costs keyed
-     by row index, total, actions), in program order. Segments break
-     after barrier ops (see [instr_barrier]). *)
-  let segments lo hi =
+     by row index, total, actions), in reverse program order, ready for
+     continuation-folding. With [~split:true] segments break after barrier
+     ops (see [instr_barrier]) — the exact form; with [~split:false] the
+     whole range is one segment — the merged form, run only when the
+     fuel covers the range (see [guarded]). *)
+  let segments ~split ops =
     let segs = ref [] in
     let costs = Hashtbl.create 8 in
     let total = ref 0 in
@@ -1008,23 +1248,28 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
         acts := []
       end
     in
-    for i = lo to hi - 1 do
-      match code.(i) with
-      | Decode.Denter _ | Decode.Dexit _ -> ()
-      | op ->
-          let cs, action, barrier = sop_of op in
-          List.iter
-            (fun (_, ci, n) ->
-              Hashtbl.replace costs ci
-                (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
-              total := !total + n)
-            cs;
-          (match action with Some a -> acts := a :: !acts | None -> ());
-          if barrier then close ()
-    done;
+    List.iter
+      (fun (cs, action, barrier) ->
+        List.iter
+          (fun (_, ci, n) ->
+            Hashtbl.replace costs ci
+              (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
+            total := !total + n)
+          cs;
+        (match action with Some a -> acts := a :: !acts | None -> ());
+        if split && barrier then close ())
+      ops;
     close ();
-    (* in reverse program order, ready for continuation-folding *)
     !segs
+  in
+  (* The straight-line ops of [lo, hi), compiled once for both forms. *)
+  let block_ops lo hi =
+    List.filter_map
+      (fun i ->
+        match code.(i) with
+        | Decode.Denter _ | Decode.Dexit _ -> None
+        | op -> Some (sop_of op))
+      (List.init (hi - lo) (fun k -> lo + k))
   in
   (* One segment fused with its continuation into a single closure: row
      and fuel updates are inlined next to the action calls, so a segment
@@ -1082,28 +1327,16 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | _ ->
         fun t ->
           let row = t.row in
-          Array.iter (fun (c, n) -> row.(c) <- row.(c) + n) cost_arr;
+          for k = 0 to Array.length cost_arr - 1 do
+            let c, n = Array.unsafe_get cost_arr k in
+            row.(c) <- row.(c) + n
+          done;
           charge tot;
           for i = 0 to Array.length actions - 1 do
             (Array.unsafe_get actions i) t
           done;
           next t
   in
-  (* Untraced block compiler: hoist bookkeeping into per-segment batches,
-     then thread the fused segment closures directly. *)
-  let compile_block_untraced lo hi =
-    List.fold_left
-      (fun next seg -> chain_seg seg next)
-      (goto hi) (segments lo hi)
-  in
-  (* Fused innermost loop (untraced only): when a [Dforback]'s body is
-     exactly one straight-line block, the whole loop becomes a single
-     closure around an OCaml while loop — the back edge is an inline
-     compare + inline Salu/Branch bookkeeping instead of two node-table
-     transfers and a branch closure per iteration. Iteration order,
-     bookkeeping order and trap points are identical to the threaded
-     form (the edge is booked after the induction update, exactly as
-     [compile_control]'s [Dforback] arm does). *)
   (* A segment with no continuation (a loop body's last segment). *)
   let last_seg (cost_arr, tot, actions) : tctx -> unit =
     match (cost_arr, actions) with
@@ -1143,12 +1376,52 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | _ ->
         fun t ->
           let row = t.row in
-          Array.iter (fun (c, n) -> row.(c) <- row.(c) + n) cost_arr;
+          for k = 0 to Array.length cost_arr - 1 do
+            let c, n = Array.unsafe_get cost_arr k in
+            row.(c) <- row.(c) + n
+          done;
           charge tot;
           for i = 0 to Array.length actions - 1 do
             (Array.unsafe_get actions i) t
           done
   in
+  (* A range's closure, closed by [tail] (a block continues to the next
+     node, a loop body ends). The exact form charges each segment before
+     running it. A range with more than one exact segment also gets its
+     merged form, which charges the whole range once and runs whenever
+     the remaining fuel covers it: then no fuel trap can fire inside the
+     range, and the two forms differ only in counts, which die with any
+     trap an action raises (see module comment). *)
+  let guarded ~tail ops exact_segs =
+    match exact_segs with
+    | [] -> None
+    | [ seg ] -> Some (tail seg)
+    | last :: rest ->
+        let ((_, tot, _) as whole) = List.hd (segments ~split:false ops) in
+        let merged = tail whole
+        and exact =
+          List.fold_left (fun k seg -> chain_seg seg k) (tail last) rest
+        in
+        Some (fun t -> if !fuel >= tot then merged t else exact t)
+  in
+  (* Untraced block compiler: hoist bookkeeping into batches, then thread
+     the fused segment closures directly. *)
+  let compile_block_untraced lo hi =
+    let next = goto hi in
+    let ops = block_ops lo hi in
+    Option.value ~default:next
+      (guarded ~tail:(fun seg -> chain_seg seg next) ops
+         (segments ~split:true ops))
+  in
+  (* Fused innermost loop (untraced only): when a [Dforback]'s body is
+     exactly one straight-line block, the whole loop becomes a single
+     closure around an OCaml while loop — the back edge is an inline
+     compare + inline Salu/Branch bookkeeping instead of two node-table
+     transfers and a branch closure per iteration. Iteration order,
+     bookkeeping order and trap points are identical to the threaded
+     form (the edge is booked after the induction update, exactly as
+     [compile_control]'s [Dforback] arm does). Each iteration runs the
+     body's merged form when the fuel covers it (see [guarded]). *)
   let compile_fused_loop ~lo ~fb ~idx ~id =
     let exit_k = goto (fb + 1) in
     (* taken back edge: induction update + fused Salu/Branch bookkeeping,
@@ -1170,8 +1443,9 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       end
       else false
     in
-    (* [segments] returns reverse program order: head = last segment *)
-    match segments lo fb with
+    let ops = block_ops lo fb in
+    let segs = segments ~split:true ops in
+    match segs with
     | [ ([| (c, n) |], tot, [| a |]) ] ->
         (* commonest tight loop: one segment, one action — everything but
            the action call is inline in the while loop *)
@@ -1199,37 +1473,25 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             continue_ := edge ~step_v ~hi_v t
           done;
           exit_k t
-    | [ seg ] ->
-        let s = last_seg seg in
-        fun (t : tctx) ->
-          let step_v = for_step.(id) and hi_v = for_hi.(id) in
-          let continue_ = ref true in
-          while !continue_ do
-            s t;
-            continue_ := edge ~step_v ~hi_v t
-          done;
-          exit_k t
-    | [] ->
-        fun (t : tctx) ->
-          let step_v = for_step.(id) and hi_v = for_hi.(id) in
-          let continue_ = ref true in
-          while !continue_ do
-            continue_ := edge ~step_v ~hi_v t
-          done;
-          exit_k t
-    | last :: rest ->
-        let body =
-          List.fold_left (fun next seg -> chain_seg seg next) (last_seg last)
-            rest
-        in
-        fun (t : tctx) ->
-          let step_v = for_step.(id) and hi_v = for_hi.(id) in
-          let continue_ = ref true in
-          while !continue_ do
-            body t;
-            continue_ := edge ~step_v ~hi_v t
-          done;
-          exit_k t
+    | _ -> (
+        match guarded ~tail:last_seg ops segs with
+        | None ->
+            fun (t : tctx) ->
+              let step_v = for_step.(id) and hi_v = for_hi.(id) in
+              let continue_ = ref true in
+              while !continue_ do
+                continue_ := edge ~step_v ~hi_v t
+              done;
+              exit_k t
+        | Some body ->
+            fun (t : tctx) ->
+              let step_v = for_step.(id) and hi_v = for_hi.(id) in
+              let continue_ = ref true in
+              while !continue_ do
+                body t;
+                continue_ := edge ~step_v ~hi_v t
+              done;
+              exit_k t)
   in
   (* Traced block compiler: one closure per op, bookkeeping and Trace.Op
      emission in exact per-op order (the interpreter's traced contract). *)

@@ -8,14 +8,17 @@
     compiles each flat op array once per run into chained OCaml
     closures:
 
+    - the optimizer's placeholder jumps are threaded away ({!thread}),
+      so they no longer split basic blocks;
     - every straight-line op becomes a pre-resolved action closure
-      (operands, operator and mask slot are resolved at compile time);
+      (operands, operator, mask slot and memory operand — array, length,
+      base address — are resolved at compile time);
     - basic blocks become superinstruction closures whose
-      count/instruction/fuel bookkeeping is batched per segment — a
-      segment never extends past an op that can trap or emit a memory
-      event, which keeps trap messages and event prefixes bit-identical
-      to the tree walker (a batched fuel charge may trap early only when
-      the observable state is identical);
+      count/instruction/fuel bookkeeping is batched: one charge for the
+      whole block when the remaining fuel covers it, else per segment,
+      where a segment never extends past an op that can trap or emit a
+      memory event — which keeps trap messages and event prefixes
+      bit-identical to the tree walker (counts die with a trap);
     - control ops tail-call their successors through a node table, so a
       loop iteration is one compare plus a direct jump to the body's
       block closure.
@@ -38,7 +41,7 @@
 
 (** The per-thread execution state a compiled closure runs against: the
     thread's register file rows, its {!Counts} row, its (already
-    devirtualized) memory-event hook and its id for trace/event
+    devirtualized) access port and its id for trace/event
     attribution. One {!compile} result may be called with any number of
     distinct [tctx] values, one per simulated thread. *)
 type tctx = {
@@ -49,15 +52,9 @@ type tctx = {
   vm : bool array array;  (** vector mask registers *)
   row : int array;  (** this thread's {!Counts} row *)
   thread : int;  (** thread id (trace/event attribution) *)
-  emit :
-    nt:bool ->
-    buf:Isa.buf ->
-    idx:int ->
-    bytes:int ->
-    kind:Event.kind ->
-    chain:bool ->
-    unit;
-      (** memory-event hook, already devirtualized by the caller *)
+  port : Event.port;
+      (** where every memory access goes, already devirtualized by the
+          caller (a no-op when nothing listens) *)
 }
 
 (** The run-constant compilation context, shared by every thread: the
@@ -80,6 +77,15 @@ type ctx = {
   for_step : int array;  (** per-loop step slots *)
   trace : Trace.sink option;  (** trace sink; [Some _] disables batching *)
 }
+
+val thread : Decode.dop array -> Decode.dop array
+(** Placeholder threading, the first step of {!compile}: retarget control
+    ops that land on a [Djmp] chain to its end, then drop every forward
+    [Djmp] together with the slots it skips when no control op targets
+    them, remapping the remaining targets; repeated to a fixpoint, so
+    [thread (thread c) = thread c]. [Djmp] carries no bookkeeping, so the
+    result runs with the same observables as [code]. Arrays with a
+    target outside [0, length] are returned unchanged. *)
 
 val compile : ctx -> Decode.dop array -> tctx -> unit
 (** [compile ctx code] compiles one phase's op array into its entry

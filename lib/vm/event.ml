@@ -18,6 +18,9 @@ type t = {
 
 type sink = t -> unit
 
+type port =
+  thread:int -> addr:int -> bytes:int -> write:bool -> chain:bool -> nt:bool -> unit
+
 let pp ppf { thread; addr; bytes; kind; chain; nt } =
   Fmt.pf ppf "[t%d] %s 0x%x+%d%s%s" thread
     (match kind with Read -> "R" | Write -> "W")

@@ -17,5 +17,11 @@ type t = {
 type sink = t -> unit
 (** Consumer of access events (the cache hierarchy walker). *)
 
+type port =
+  thread:int -> addr:int -> bytes:int -> write:bool -> chain:bool -> nt:bool -> unit
+(** The same access, handed over field by field: no [t] record is built,
+    so a hot consumer (the timing model's untraced path) allocates
+    nothing per access. [write] is [kind = Write]. *)
+
 val pp : t Fmt.t
 (** Debug rendering of one access event. *)

@@ -28,9 +28,10 @@
    Equivalence is property-tested instruction-by-instruction in
    test/test_fastpath.ml, test/test_optimize.ml (every pass config) and
    test/test_compile.ml, and pinned suite-wide by the experiments golden.
-   The compiled path's memory-event hook is devirtualized: its emit
-   closure is selected once per phase on tracker/sink presence, so the
-   no-profiler case pays no per-access option matching. *)
+   The compiled path's access port is devirtualized: it is selected once
+   per session on tracker/port presence, so the no-profiler case pays no
+   per-access option matching and the timing model's port is called
+   directly, with no event record built. *)
 
 exception Trap = Memory.Trap
 
@@ -162,12 +163,34 @@ exception Race of string list
    shared by every thread that executes the phase. *)
 type work = Wtree of Isa.block | Wcomp of (Compile.tctx -> unit)
 
-let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
+let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
     ?(check_races = false) ?strategy ?decoded ?on_states
     (prog : Isa.program) (mem : Memory.t) =
   Isa.validate prog;
   if n_threads < 1 then invalid_arg "Interp.run: n_threads < 1";
   if width < 1 then invalid_arg "Interp.run: width < 1";
+  (* One event channel per backend: the compiled executor hands accesses
+     to a port, the tree walker to a sink; whichever one the caller
+     supplied is adapted to the other. *)
+  let port, sink =
+    match (port, sink) with
+    | Some _, Some _ -> invalid_arg "Interp.run: both ?sink and ?port"
+    | None, None -> (None, None)
+    | Some p, None ->
+        ( Some p,
+          Some
+            (fun (e : Event.t) ->
+              p ~thread:e.thread ~addr:e.addr ~bytes:e.bytes
+                ~write:(match e.kind with Event.Write -> true | Event.Read -> false)
+                ~chain:e.chain ~nt:e.nt) )
+    | None, Some f ->
+        ( Some
+            (fun ~thread ~addr ~bytes ~write ~chain ~nt ->
+              f
+                { Event.thread; addr; bytes;
+                  kind = (if write then Event.Write else Event.Read); chain; nt }),
+          Some f )
+  in
   let strategy = match strategy with Some s -> s | None -> default_strategy () in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
@@ -550,27 +573,25 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
 
   (* ---- compiled executor: run one thread through a phase closure
      pre-compiled by {!Compile} (see the phase_work mapping above). The
-     memory-access hook is devirtualized: selected once per (thread,
-     phase) on sink/tracker presence, so the common no-instrumentation
-     case is a constant no-op closure rather than two option matches per
-     access. ---- *)
+     memory-access port is devirtualized: selected once per session on
+     port/tracker presence, so the common no-instrumentation case is a
+     constant no-op closure and the timing model's port is called
+     directly, with no event record in between. ---- *)
+  let compiled_port : Event.port =
+    match (tracker, port) with
+    | None, None -> fun ~thread:_ ~addr:_ ~bytes:_ ~write:_ ~chain:_ ~nt:_ -> ()
+    | None, Some p -> p
+    | Some rt, _ ->
+        fun ~thread ~addr ~bytes ~write ~chain ~nt ->
+          let kind = if write then Event.Write else Event.Read in
+          for k = 0 to (bytes / 4) - 1 do
+            track_access rt ~thread ~addr:(addr + (k * 4)) ~kind
+          done;
+          match port with
+          | Some p -> p ~thread ~addr ~bytes ~write ~chain ~nt
+          | None -> ()
+  in
   let run_compiled ~thread st (k : Compile.tctx -> unit) =
-    let emit =
-      match (tracker, sink) with
-      | None, None -> fun ~nt:_ ~buf:_ ~idx:_ ~bytes:_ ~kind:_ ~chain:_ -> ()
-      | None, Some f ->
-          fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-            f { Event.thread; addr = Memory.address mem buf idx; bytes; kind; chain; nt }
-      | Some rt, _ ->
-          fun ~nt ~buf ~idx ~bytes ~kind ~chain ->
-            let base = Memory.address mem buf idx in
-            for k = 0 to (bytes / 4) - 1 do
-              track_access rt ~thread ~addr:(base + (k * 4)) ~kind
-            done;
-            (match sink with
-            | Some f -> f { Event.thread; addr = base; bytes; kind; chain; nt }
-            | None -> ())
-    in
     k
       {
         Compile.si = st.si;
@@ -580,7 +601,7 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
         vm = st.vm;
         row = Counts.thread_row counts ~thread;
         thread;
-        emit;
+        port = compiled_port;
       }
   in
 
@@ -646,8 +667,8 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?trace ?fuel
     (match on_states with Some f -> f states | None -> ());
     { counts = Counts.copy counts; instructions = !instructions }
 
-let run ?n_threads ?width ?sink ?trace ?fuel ?check_races ?strategy ?decoded
-    ?on_states prog mem =
-  (session ?n_threads ?width ?sink ?trace ?fuel ?check_races ?strategy ?decoded
-     ?on_states prog mem)
+let run ?n_threads ?width ?sink ?port ?trace ?fuel ?check_races ?strategy
+    ?decoded ?on_states prog mem =
+  (session ?n_threads ?width ?sink ?port ?trace ?fuel ?check_races ?strategy
+     ?decoded ?on_states prog mem)
     ()

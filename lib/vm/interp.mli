@@ -78,6 +78,7 @@ val session :
   ?n_threads:int ->
   ?width:int ->
   ?sink:Event.sink ->
+  ?port:Event.port ->
   ?trace:Trace.sink ->
   ?fuel:int ->
   ?check_races:bool ->
@@ -101,6 +102,7 @@ val run :
   ?n_threads:int ->
   ?width:int ->
   ?sink:Event.sink ->
+  ?port:Event.port ->
   ?trace:Trace.sink ->
   ?fuel:int ->
   ?check_races:bool ->
@@ -116,6 +118,11 @@ val run :
     @param n_threads SPMD thread count for [Par] phases (default 1).
     @param width vector lane count (default 4).
     @param sink receives every memory access event as it happens.
+    @param port receives the same accesses field by field, with no
+      {!Event.t} record built per access (the timing model's untraced
+      path). At most one of [sink] and [port] may be given; either one
+      serves both backends (the compiled executor calls a port, the tree
+      walker a sink, and the other is adapted).
     @param trace receives profiling events (scope enter/exit for phases and
       [Region]s, one {!Trace.Op} per dynamic instruction, SIMD
       lane-utilization per masked vector memory access). Adds no work when

@@ -120,6 +120,18 @@ let set_i_block t (Isa.Buf b as buf) base src w =
         set_i t buf (base + l) src.(l)
       done
 
+(* Compile-time views for pre-resolved accesses: the bound array and its
+   modeled base address, or [None] for a buffer index out of range or an
+   element type that does not match (those accesses stay on the checked
+   path above, which traps). *)
+let view_f t (Isa.Buf b) =
+  if b < 0 || b >= Array.length t.buffers then None
+  else match t.buffers.(b) with Fbuf a -> Some (a, t.bases.(b)) | Ibuf _ -> None
+
+let view_i t (Isa.Buf b) =
+  if b < 0 || b >= Array.length t.buffers then None
+  else match t.buffers.(b) with Ibuf a -> Some (a, t.bases.(b)) | Fbuf _ -> None
+
 let address t (Isa.Buf b) idx = t.bases.(b) + (idx * 4)
 
 let length t (Isa.Buf b) = buffer_length t.buffers.(b)

@@ -53,6 +53,16 @@ val set_f_block : t -> Isa.buf -> int -> float array -> int -> unit
 val set_i_block : t -> Isa.buf -> int -> int array -> int -> unit
 (** Int counterpart of {!set_f_block}. *)
 
+val view_f : t -> Isa.buf -> (float array * int) option
+(** [view_f t buf] is the live array bound to [buf] and its modeled base
+    address, when [buf] is a declared f32 buffer; [None] otherwise. For
+    executors that resolve operands once: an in-range access to the array
+    is what {!get_f}/{!set_f} do, and any other index must still go
+    through them so the trap is the same. *)
+
+val view_i : t -> Isa.buf -> (int array * int) option
+(** Int counterpart of {!view_f}. *)
+
 val address : t -> Isa.buf -> int -> int
 (** Modeled byte address of an element. *)
 

@@ -363,6 +363,173 @@ let mutations =
         assert_refuted ~what:"a misattributed count class" prog broken);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Fuel sweeps. A block with more than one bookkeeping segment runs a
+   merged form (one charge for the whole block) when the fuel covers the
+   block, and the exact per-segment form otherwise. Sweeping every fuel
+   budget from 0 to the total plus 1 puts the fuel trap at every op
+   boundary, where the fallback must reproduce the tree walker's memory
+   and event prefix, and ends with budgets the merged form serves. The
+   programs carry loads, stores and an integer division in one block and
+   in a fused innermost loop (the mul+add pair's placeholder jump is
+   threaded away, so the loop body is one block); [idxs] holds a single
+   0, at element 25, so the division traps exactly when a program reads
+   it. *)
+
+let zero_at = 25
+
+let sweep_program ~looped ~trapping =
+  let b = Builder.create ~name:"sweep" in
+  let data = Builder.buffer_f b "data" in
+  let idxs = Builder.buffer_i b "idxs" in
+  Builder.seq_phase b (fun () ->
+      let seven = Builder.iconst b 7 in
+      let body i =
+        let x = Builder.sf b in
+        Builder.emit b (Loadf { dst = x; buf = data; idx = i; chain = false });
+        let y = Builder.fbin b Fmul x x in
+        let z = Builder.fbin b Fadd y x in
+        Builder.emit b (Storef { buf = data; idx = i; src = z });
+        let k = Builder.si b in
+        Builder.emit b (Loadi { dst = k; buf = idxs; idx = i; chain = true });
+        let q = Builder.ibin b Idiv seven k in
+        Builder.emit b (Storei { buf = idxs; idx = i; src = q });
+        Builder.emit b (Storef { buf = data; idx = q; src = y })
+      in
+      if looped then
+        let lo = Builder.iconst b (if trapping then zero_at - 5 else 0) in
+        let hi = Builder.iconst b (if trapping then zero_at + 5 else 12) in
+        let step = Builder.iconst b 1 in
+        Builder.for_ b ~lo ~hi ~step body
+      else begin
+        body (Builder.iconst b 3);
+        body (Builder.iconst b (if trapping then zero_at else 4))
+      end);
+  Builder.finish b
+
+let fuel_sweep ~looped ~trapping () =
+  let prog = sweep_program ~looped ~trapping in
+  let fuel_trap (o : F.observation) =
+    match o.o_outcome with
+    | Error m -> Astring_contains.contains m "fuel"
+    | Ok _ -> false
+  in
+  let check fuel =
+    List.iter
+      (fun tracing ->
+        let obs strategy =
+          F.observe ~strategy ~fuel ~tracing ~n_threads:1 ~width:4 prog
+        in
+        let t = obs Interp.Tree in
+        List.iter
+          (fun config ->
+            match F.diff_observations t (obs (Interp.Compiled config)) with
+            | None -> ()
+            | Some what ->
+                Alcotest.failf
+                  "fuel %d (tracing=%b): Tree and Compiled(%s) differ on %s"
+                  fuel tracing (Optimize.tag config) what)
+          [ Optimize.none; Optimize.default ])
+      [ false; true ];
+    F.observe ~strategy:Interp.Tree ~fuel ~tracing:false ~n_threads:1 ~width:4
+      prog
+  in
+  (* the first budget that is not a fuel trap is the program's total *)
+  let rec sweep fuel = if fuel_trap (check fuel) then sweep (fuel + 1) else fuel in
+  let total = sweep 0 in
+  let last = check (total + 1) in
+  Alcotest.(check bool) "swept past several ops" true (total > 10);
+  Alcotest.(check bool) "outcome as designed" trapping
+    (match last.o_outcome with Error _ -> true | Ok _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Placeholder threading over every ladder program. *)
+
+let control_targets (code : Decode.dop array) =
+  let t = Array.make (Array.length code + 1) false in
+  Array.iter
+    (fun (op : Decode.dop) ->
+      match op with
+      | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
+      | Dif { else_ = k; _ } | Djmp k | Dgoto k -> t.(k) <- true
+      | _ -> ())
+    code;
+  t
+
+(* a forward jump whose skipped slots nothing targets *)
+let droppable code =
+  let t = control_targets code in
+  let found = ref None in
+  Array.iteri
+    (fun i (op : Decode.dop) ->
+      match op with
+      | Djmp k when k > i && !found = None ->
+          let free = ref true in
+          for j = i + 1 to k - 1 do if t.(j) then free := false done;
+          if !free then found := Some i
+      | _ -> ())
+    code;
+  !found
+
+let test_thread_ladder () =
+  let dropped = ref 0 in
+  let fingerprint (r : Ninja_arch.Timing.report) =
+    ( r.instructions, Printf.sprintf "%h" r.cycles, r.dram_read_bytes,
+      r.dram_write_bytes, r.level_accesses )
+  in
+  List.iter
+    (fun (bench : Ninja_kernels.Driver.benchmark) ->
+      let steps = bench.steps ~scale:1 in
+      List.iter
+        (fun (m : Ninja_arch.Machine.t) ->
+          List.iter
+            (fun (s : Ninja_kernels.Driver.step) ->
+              let what = Fmt.str "%s / %s / %s" bench.b_name m.name s.step_name in
+              let d = Optimize.run (Decode.decode (s.make ~machine:m)) in
+              Array.iter
+                (fun (ph : Decode.phase) ->
+                  let th = Compile.thread ph.code in
+                  dropped := !dropped + Array.length ph.code - Array.length th;
+                  (match droppable th with
+                  | Some i -> Alcotest.failf "%s: droppable jump left at %d" what i
+                  | None -> ());
+                  if compare (Compile.thread th) th <> 0 then
+                    Alcotest.failf "%s: threading twice changed the array" what)
+                d.phases;
+              let tree =
+                Ninja_kernels.Driver.run_step ~strategy:Interp.Tree ~machine:m s
+              in
+              let compiled = Ninja_kernels.Driver.run_step ~machine:m s in
+              if compare (fingerprint tree) (fingerprint compiled) <> 0 then
+                Alcotest.failf "%s: Compiled differs from Tree" what)
+            steps)
+        [ Ninja_arch.Machine.westmere; Ninja_arch.Machine.knights_ferry ])
+    Ninja_kernels.Registry.all;
+  Alcotest.(check bool) "placeholder jumps were dropped" true (!dropped > 0)
+
+let test_thread_shapes () =
+  let nop =
+    Decode.Dphantom { cls = Isa.Salu; cls_idx = Isa.op_class_index Isa.Salu; n = 1 }
+  in
+  let threads what (code : Decode.dop array) (want : Decode.dop array) =
+    Alcotest.(check bool) what true (compare (Compile.thread code) want = 0);
+    Alcotest.(check bool) (what ^ ", idempotent") true
+      (compare (Compile.thread want) want = 0)
+  in
+  threads "a chain is retargeted, a skip over a target is kept"
+    [| Dif { cond = 0; else_ = 3 };
+       Djmp 2; (* placeholder chain 1 -> 2 -> 5 -> 7 *)
+       Djmp 5; (* skips 3 and 4, but 3 is the Dif's target: kept *)
+       nop; nop;
+       Djmp 7; (* skips 6, which nothing targets: dropped *)
+       nop; nop |]
+    [| Dif { cond = 0; else_ = 3 }; Djmp 5; Djmp 5; nop; nop; nop |];
+  threads "retargeting frees a region"
+    [| Dgoto 2; Djmp 4; Djmp 4; nop; nop |]
+    [| Dgoto 1; nop |];
+  threads "a jump cycle stays a cycle" [| Djmp 1; Djmp 0 |] [| Djmp 0 |];
+  threads "out-of-range targets are left alone" [| Djmp 5; nop |] [| Djmp 5; nop |]
+
 let suite =
   ( "compile",
     List.concat
@@ -381,6 +548,18 @@ let suite =
             test_trap_nonpositive_step;
           Alcotest.test_case "clean compiled arrays match the reference" `Quick
             test_compiled_clean_arrays_agree;
+          Alcotest.test_case "fuel sweep: one block" `Quick
+            (fuel_sweep ~looped:false ~trapping:false);
+          Alcotest.test_case "fuel sweep: one block, division traps" `Quick
+            (fuel_sweep ~looped:false ~trapping:true);
+          Alcotest.test_case "fuel sweep: fused loop" `Quick
+            (fuel_sweep ~looped:true ~trapping:false);
+          Alcotest.test_case "fuel sweep: fused loop, division traps" `Quick
+            (fuel_sweep ~looped:true ~trapping:true);
+          Alcotest.test_case "threading: hand-built shapes" `Quick
+            test_thread_shapes;
+          Alcotest.test_case "threading: every ladder program" `Quick
+            test_thread_ladder;
         ];
         mutations;
       ] )

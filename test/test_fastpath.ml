@@ -254,7 +254,7 @@ let idata_init = Array.init data_len (fun i -> ((i * 5) + 3) mod data_len)
 
 (* [decoded] executes a pre-supplied (e.g. deliberately broken) flat form
    instead, always through the compiled backend. *)
-let observe ?strategy ?decoded ~tracing ~n_threads ~width prog =
+let observe ?strategy ?decoded ?(fuel = 50_000) ~tracing ~n_threads ~width prog =
   let mem =
     Memory.create prog
       [ ("data", Memory.Fbuf (Array.copy fdata_init));
@@ -265,7 +265,7 @@ let observe ?strategy ?decoded ~tracing ~n_threads ~width prog =
   let tracer = if tracing then Some (fun ev -> trace := Fmt.str "%a" Trace.pp ev :: !trace) else None in
   let o_outcome =
     match
-      Interp.run ~n_threads ~width ~sink ?trace:tracer ~fuel:50_000 ?strategy
+      Interp.run ~n_threads ~width ~sink ?trace:tracer ~fuel ?strategy
         ?decoded ~on_states:(fun s -> states := s)
         prog mem
     with
@@ -602,6 +602,71 @@ let prop_hierarchy_fast_matches_reference =
        && Hierarchy.dram_write_bytes fast = 0
        && same_counters ()))
 
+(* ------------------------------------------------------------------ *)
+(* The timing model's access port (the L1 hit probe, then the full path
+   on a miss) against [Hierarchy.access] on reference caches, with the
+   stall formula spelled out here: same stalls, per-level counts, DRAM
+   traffic and drained write-backs, for multi-line, write, non-temporal
+   and two-core accesses, chained or not, prefetch on and off. *)
+
+let port_stream_arb =
+  QCheck.make
+    ~print:(fun (pf, tr) ->
+      Fmt.str "prefetch %b %a" pf
+        Fmt.(Dump.list (fun ppf (c, a, b, w, ch, nt) ->
+            Fmt.pf ppf "(core %d, addr %d, bytes %d, write %b, chain %b, nt %b)"
+              c a b w ch nt))
+        tr)
+    QCheck.Gen.(
+      pair bool
+        (list_size (1 -- 300)
+           (map
+              (fun ((core, addr, bytes), (write, chain, nt)) ->
+                (core, addr, bytes, write, chain, write && nt))
+              (pair
+                 (triple (int_bound 1) (int_bound 8192) (oneofl [ 4; 4; 16; 64; 128 ]))
+                 (triple bool bool (map (fun k -> k = 0) (int_bound 5)))))))
+
+let prop_port_matches_hierarchy =
+  QCheck.Test.make ~count:200
+    ~name:"timing port = Hierarchy.access (stalls, levels, traffic, drains)"
+    port_stream_arb
+    (fun (prefetch, trace) ->
+      let m = Machine.with_prefetch tiny_machine prefetch in
+      let fast = Hierarchy.create ~fast_path:true m in
+      let refh = Hierarchy.create ~fast_path:false m in
+      let fast_stalls = Array.make m.cores 0. and ref_stalls = Array.make m.cores 0. in
+      let port = Ninja_arch.Timing.stall_port m fast fast_stalls in
+      let latency : Hierarchy.level -> float = function
+        | L1 -> 0.
+        | L2 -> float_of_int m.l2.latency
+        | LLC -> float_of_int m.llc.latency
+        | Dram -> float_of_int m.dram_latency
+      in
+      List.iter
+        (fun (core, addr, bytes, write, chain, nt) ->
+          port ~thread:core ~addr ~bytes ~write ~chain ~nt;
+          let r = Hierarchy.access refh ~core ~addr ~bytes ~write ~nt in
+          if not r.covered then
+            ref_stalls.(core) <-
+              ref_stalls.(core)
+              +. (if chain then latency r.level
+                  else latency r.level /. float_of_int m.mlp))
+        trace;
+      let same () =
+        compare fast_stalls ref_stalls = 0
+        && Hierarchy.dram_read_bytes fast = Hierarchy.dram_read_bytes refh
+        && Hierarchy.dram_write_bytes fast = Hierarchy.dram_write_bytes refh
+        && List.for_all
+             (fun l -> Hierarchy.accesses fast l = Hierarchy.accesses refh l)
+             [ Hierarchy.L1; Hierarchy.L2; Hierarchy.LLC; Hierarchy.Dram ]
+      in
+      same ()
+      &&
+      (Hierarchy.drain_writebacks fast;
+       Hierarchy.drain_writebacks refh;
+       same ()))
+
 let suite =
   ( "fastpath",
     [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled_plain;
@@ -610,4 +675,5 @@ let suite =
       Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
       Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
       QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference ] )
+      QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference;
+      QCheck_alcotest.to_alcotest prop_port_matches_hierarchy ] )
