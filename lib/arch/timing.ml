@@ -74,13 +74,46 @@ let stall_port (m : Machine.t) hier stalls : Event.port =
       stalls.(thread) <- stalls.(thread) +. s
     end
 
-let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fast_path prog
-    mem =
+exception Exceeds
+
+(* The dynamic-instruction budget under which a run with more
+   instructions provably models more than [max_cycles]: [None] when no
+   realistic run could reach it. The modeled cycles are at least every
+   thread's issue time, which is at least its front-end time
+   slots / width, and the busiest of [n] threads has at least
+   ceil(total / n) slots. So a run of k instructions costs more than
+   [max_cycles] once ceil(k / n) / width does, evaluated with the very
+   float division [issue_time] performs (what is added to it later is
+   non-negative, and rounding is monotone). The start point is
+   floor(max_cycles * width * n); the loop only corrects float rounding,
+   by a step or two. *)
+let instruction_budget (m : Machine.t) ~n_threads max_cycles =
+  if Float.is_nan max_cycles then invalid_arg "Timing.simulate: max_cycles is NaN";
+  let w = float_of_int m.issue_width in
+  let p = Float.max 0. max_cycles *. w *. float_of_int n_threads in
+  if not (p < 0x1p52) then None
+  else begin
+    let provably_over k =
+      float_of_int ((k + n_threads - 1) / n_threads) /. w > max_cycles
+    in
+    let k = ref (int_of_float p + 1) in
+    while not (provably_over !k) do incr k done;
+    Some (!k - 1)
+  end
+
+let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fast_path
+    ?max_cycles prog mem =
   let m : Machine.t = machine in
   if n_threads > m.cores then
     invalid_arg
       (Fmt.str "Timing.simulate: %d threads on %d cores (%s)" n_threads m.cores m.name);
   if runs < 1 then invalid_arg "Timing.simulate: runs < 1";
+  (* One fuel cell across every launch: a trap that leaves it negative is
+     the budget running out, any other is the program's own. *)
+  let budget =
+    Option.bind max_cycles (fun c ->
+        Option.map ref (instruction_budget m ~n_threads c))
+  in
   let hier = Hierarchy.create ?fast_path m in
   let stalls = Array.make n_threads 0. in
   let mlp = float_of_int m.mlp in
@@ -148,8 +181,14 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
      whatever backend the process selected (Interp.default_strategy,
      steered by the CLI --backend flag) *)
   let launch =
-    Interp.session ~n_threads ~width:m.simd_width ?sink ?port ?trace ?strategy
-      prog mem
+    Interp.session ~n_threads ~width:m.simd_width ?sink ?port ?trace ?fuel:budget
+      ?strategy prog mem
+  in
+  let launch =
+    match budget with
+    | Some b -> (
+        fun () -> try launch () with Memory.Trap _ when !b < 0 -> raise Exceeds)
+    | None -> launch
   in
   for run = 0 to runs - 1 do
     (match prepare with Some f -> f run mem | None -> ());

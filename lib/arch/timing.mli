@@ -34,6 +34,7 @@ val simulate :
   ?trace:Ninja_vm.Trace.sink ->
   ?strategy:Ninja_vm.Interp.strategy ->
   ?fast_path:bool ->
+  ?max_cycles:float ->
   Ninja_vm.Isa.program ->
   Ninja_vm.Memory.t ->
   report
@@ -58,7 +59,26 @@ val simulate :
     model, one {!Ninja_vm.Trace.event.Access} per memory access (cache
     level, prefetch coverage, stall cycles charged, DRAM traffic caused)
     and a final {!Ninja_vm.Trace.event.Drain} for the writeback drain.
-    Passing it does not change any reported number. *)
+    Passing it does not change any reported number.
+
+    [max_cycles] bounds the run: it executes under a budget of
+    B = floor(max_cycles * issue_width * n_threads) dynamic instructions,
+    counted over all launches (rounded up where float rounding would
+    otherwise break the bound's strictness; no budget at all when B would
+    exceed 2{^52}). A run that needs more than B instructions models more
+    than [max_cycles] cycles — the slowest thread's time is at least its
+    front-end time, and the busiest thread issues at least total / n of
+    them — so the simulation stops there and raises {!Exceeds}. A run
+    that fits returns the report an unbounded run returns, bit for bit;
+    a program trap raised before the budget runs out is re-raised
+    unchanged as {!Ninja_vm.Memory.Trap}. (A program that would trap
+    only after more than B instructions is reported as {!Exceeds}.) Runs
+    without [max_cycles] are untouched: same budget-free launch, no extra
+    work per operation. *)
+
+exception Exceeds
+(** The bounded run was stopped: its modeled cycles are provably greater
+    than the [max_cycles] it was given. *)
 
 val stall_port :
   Machine.t -> Hierarchy.t -> float array -> Ninja_vm.Event.port

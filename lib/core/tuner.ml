@@ -27,6 +27,7 @@ type status =
   | Evaluated
   | Duplicate of int
   | Rejected of string * string
+  | Cut of float
 
 type candidate = {
   c_index : int;
@@ -204,8 +205,17 @@ let admit ?(domains = 1) ~machine ~steps bench =
 
 let plan ~machine ~steps bench = List.map fst (admit ~machine ~steps bench)
 
+let candidate_steps ~machine ~steps bench =
+  List.map
+    (fun (c, bt) -> (c, Option.map (fun bt -> bt.bt_step) bt))
+    (admit ~machine ~steps bench)
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation by simulated time                                         *)
+
+let store_key st ~machine ~step_name prog =
+  let backend = Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.default_strategy ()) in
+  Store.key ~backend st ~machine ~step_name prog
 
 (* [sims] counts evaluations that actually ran (store misses) — the
    basis of [t_simulated]; atomic because candidates evaluate on the
@@ -218,10 +228,7 @@ let simulate ~sims ?store ~machine ~step_name ?(cost_class = step_name) step pro
       Atomic.incr sims;
       (Driver.run_step ~machine step, None)
   | Some st ->
-      let backend =
-        Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.default_strategy ())
-      in
-      let key = Store.key ~backend st ~machine ~step_name prog in
+      let key = store_key st ~machine ~step_name prog in
       let r =
         match Store.load st ~key ~machine with
         | Some r -> r
@@ -235,6 +242,52 @@ let simulate ~sims ?store ~machine ~step_name ?(cost_class = step_name) step pro
             r
       in
       (r, Some key)
+
+(* What simulating a candidate under a cycle cap established: its full
+   report, or that it models more than [Above]'s bound. *)
+type outcome = Full of Timing.report | Above of float
+
+(* A bounded evaluation's outcome is kept as a derived entry under the
+   candidate's ["tuned"] key. A stored [Above c] settles any cap up to
+   [c]; one below this session's cap proves too little, so the decoder
+   refuses it like a corrupt entry and the bounded run is redone. *)
+let bound_kind = "bound/v1"
+
+let outcome_to_json = function
+  | Full r -> Json.Obj [ ("report", Store.report_to_json r) ]
+  | Above c -> Json.Obj [ ("cut_above", Json.Num c) ]
+
+let outcome_of_json ~machine ~cap j =
+  match j with
+  | Json.Obj [ ("report", r) ] -> Full (Store.report_of_json ~machine r)
+  | Json.Obj [ ("cut_above", Json.Num c) ] when c >= cap -> Above c
+  | Json.Obj [ ("cut_above", Json.Num _) ] -> failwith "Tuner: bound below the cap"
+  | _ -> failwith "Tuner: malformed bound entry"
+
+(* Simulate [step] under [cap]; with a store, the outcome goes through
+   the [bound_kind] entry (the wall time still lands in costs.json's
+   ["tuned candidate"] class). [key] is the candidate's ["tuned"] key. *)
+let simulate_bounded ~sims ?store ~machine ~cap step prog =
+  let run () =
+    Atomic.incr sims;
+    match Driver.run_step ~max_cycles:cap ~machine step with
+    | r -> Full r
+    | exception Timing.Exceeds -> Above cap
+  in
+  match store with
+  | None -> (run (), None)
+  | Some st ->
+      let key = store_key st ~machine ~step_name:"tuned" prog in
+      let timed () =
+        let t0 = Unix.gettimeofday () in
+        let o = run () in
+        Store.record_cost st ~step_name:"tuned candidate"
+          ~cost_s:(Unix.gettimeofday () -. t0);
+        o
+      in
+      ( Store.derived st ~key ~kind:bound_kind ~encode:outcome_to_json
+          ~decode:(outcome_of_json ~machine ~cap) timed,
+        Some key )
 
 (* A winner's validation verdict is as deterministic as its report, so
    with a store it is kept as a derived entry under the candidate's
@@ -309,50 +362,117 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
   let t0 = Unix.gettimeofday () in
   let sims = Atomic.make 0 in
   let admitted = admit ~domains ~machine ~steps bench in
-  let evaluated =
-    Pool.map_list ~domains
-      (fun (c, bt) ->
-        match bt with
-        | None -> (c, None)
-        | Some bt ->
-            let r, key =
-              simulate ~sims ?store ~machine ~step_name:"tuned"
-                ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
-            in
-            ( { c with c_status = Evaluated; c_cycles = Some r.Timing.cycles },
-              Some (bt, r, key) ))
-      admitted
+  let threaded, others =
+    List.partition (fun (c, bt) -> c.c_parallelize && Option.is_some bt) admitted
   in
-  let ranked =
+  let evaluate f =
+    Pool.map_list ~domains (fun (c, bt) ->
+        match bt with None -> (c, None) | Some bt -> (c, Some (bt, f bt)))
+  in
+  (* Stage 1: every candidate compiled with threading, in full. Their
+     slowest report is the cap. *)
+  let stage1 =
+    evaluate
+      (fun bt ->
+        let r, key =
+          simulate ~sims ?store ~machine ~step_name:"tuned"
+            ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
+        in
+        (Full r, key))
+      threaded
+  in
+  let cap =
+    match stage1 with
+    | [] -> Float.infinity
+    | _ ->
+        List.fold_left
+          (fun acc (_, e) ->
+            match e with
+            | Some (_, (Full r, _)) -> Float.max acc r.Timing.cycles
+            | _ -> acc)
+          Float.neg_infinity stage1
+  in
+  (* Stage 2: everything else, each stopped as soon as it provably models
+     more cycles than the cap — slower than every stage-1 candidate. *)
+  let stage2 =
+    evaluate
+      (fun bt -> simulate_bounded ~sims ?store ~machine ~cap bt.bt_step bt.bt_prog)
+      others
+  in
+  let evaluated =
+    List.sort (fun (c1, _) (c2, _) -> Int.compare c1.c_index c2.c_index) (stage1 @ stage2)
+  in
+  (* Ranked: candidates known to model at most [cap] cycles. Above: the
+     rest, which lose to every stage-1 candidate. A stored full report
+     over the cap counts as above too, so statuses do not depend on what
+     earlier sessions left in the store. *)
+  let ranked, above =
     List.filter_map
-      (fun (c, e) -> Option.map (fun (bt, r, key) -> (c, bt, r, key)) e)
+      (fun (c, e) -> Option.map (fun (bt, (o, key)) -> (c, bt, o, key)) e)
       evaluated
-    |> List.stable_sort (fun (c1, _, r1, _) (c2, _, r2, _) ->
-           match Float.compare r1.Timing.cycles r2.Timing.cycles with
-           | 0 -> Int.compare c1.c_index c2.c_index
-           | n -> n)
+    |> List.partition_map (function
+         | c, bt, Full r, key when r.Timing.cycles <= cap -> Either.Left (c, bt, r, key)
+         | above -> Either.Right above)
+  in
+  let rank =
+    List.stable_sort (fun (c1, _, r1, _) (c2, _, r2, _) ->
+        match Float.compare r1.Timing.cycles r2.Timing.cycles with
+        | 0 -> Int.compare c1.c_index c2.c_index
+        | n -> n)
   in
   (* The cheapest simulated candidate must also reproduce the reference
      output on the host interpreter; a winner that does not is rejected
      and the next-best candidate is validated instead. *)
   let rec pick rejected = function
-    | [] ->
-        failwith
-          ("Tuner: no functionally valid candidate for " ^ bench.b_name)
+    | [] -> Error rejected
     | (c, bt, r, key) :: rest -> (
         match validate ?store ~machine key bt.bt_step with
-        | Ok () -> (c, bt, r, rejected)
+        | Ok () -> Ok (c, bt, r, rejected)
         | Error msg -> pick ((c.c_index, msg) :: rejected) rest)
   in
-  let wc, wbt, wr, check_rejected = pick [] ranked in
+  (* Only when every candidate within the cap fails validation can an
+     above-cap one win: then they are simulated in full (their reports
+     stored like any other candidate's) and the pick goes on, so the
+     winner is always the one exhaustive evaluation picks. *)
+  let resolve (c, bt, o, key) =
+    match o with
+    | Full r -> (c, bt, r, key)
+    | Above _ ->
+        let r, key =
+          simulate ~sims ?store ~machine ~step_name:"tuned"
+            ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
+        in
+        (c, bt, r, key)
+  in
+  let (wc, wbt, wr, check_rejected), known =
+    match pick [] (rank ranked) with
+    | Ok w -> (w, ranked)
+    | Error rejected -> (
+        let resolved = Pool.map_list ~domains resolve above in
+        match pick rejected (rank resolved) with
+        | Ok w -> (w, ranked @ resolved)
+        | Error _ ->
+            failwith ("Tuner: no functionally valid candidate for " ^ bench.b_name))
+  in
   let candidates =
     List.map
-      (fun (c, _) ->
-        if c.c_index = wc.c_index then { c with c_status = Winner }
-        else
-          match List.assoc_opt c.c_index check_rejected with
-          | Some msg -> { c with c_status = Rejected ("TUNE_CHECK_FAILED", msg) }
-          | None -> c)
+      (fun (c, e) ->
+        let cycles =
+          List.find_map
+            (fun (k, _, r, _) ->
+              if k.c_index = c.c_index then Some r.Timing.cycles else None)
+            known
+        in
+        let c = { c with c_cycles = cycles } in
+        match (e, cycles) with
+        | None, _ -> c
+        | Some _, None -> { c with c_status = Cut cap }
+        | Some _, Some _ ->
+            if c.c_index = wc.c_index then { c with c_status = Winner }
+            else
+              match List.assoc_opt c.c_index check_rejected with
+              | Some msg -> { c with c_status = Rejected ("TUNE_CHECK_FAILED", msg) }
+              | None -> { c with c_status = Evaluated })
       evaluated
   in
   let run_rung =
@@ -379,7 +499,8 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
       Store.record_cost st ~step_name:"tuned" ~cost_s:(Unix.gettimeofday () -. t0)
   | _ -> ());
   { t_bench = bench.b_name; t_machine = machine.Machine.name; t_scale = scale;
-    t_candidates = candidates; t_winner = { wc with c_status = Winner };
+    t_candidates = candidates;
+    t_winner = { wc with c_status = Winner; c_cycles = Some wr.Timing.cycles };
     t_report = wr; t_naive = naive; t_ninja = ninja;
     t_decisions = decisions wc wbt; t_simulated = Atomic.get sims }
 
@@ -400,7 +521,7 @@ let counts t =
   List.fold_left
     (fun (e, v, d, r) c ->
       match c.c_status with
-      | Winner | Evaluated -> (e + 1, v + 1, d, r)
+      | Winner | Evaluated | Cut _ -> (e + 1, v + 1, d, r)
       | Duplicate _ -> (e + 1, v, d + 1, r)
       | Rejected _ -> (e + 1, v, d, r + 1)
       | Legal -> (e + 1, v, d, r))
@@ -469,6 +590,7 @@ let pp_status ppf = function
   | Evaluated -> Fmt.string ppf "evaluated"
   | Duplicate i -> Fmt.pf ppf "duplicate of #%d" i
   | Rejected (code, detail) -> Fmt.pf ppf "rejected %s: %s" code detail
+  | Cut b -> Fmt.pf ppf "cut above %.3f Mcycles" (b /. 1e6)
 
 let pp ppf t =
   let enumerated, evaluated, duplicates, rejected = counts t in
@@ -484,8 +606,18 @@ let pp ppf t =
         (if d.d_vectorized then "vectorized" else "scalar")
         (if d.d_parallelized then "parallelized" else "serial"))
     t.t_decisions;
-  Fmt.pf ppf "  candidates: %d enumerated, %d evaluated, %d duplicates, %d rejected@."
-    enumerated evaluated duplicates rejected;
+  let cut =
+    List.filter_map
+      (fun c -> match c.c_status with Cut b -> Some b | _ -> None)
+      t.t_candidates
+  in
+  let pp_cut ppf = function
+    | [] -> ()
+    | b :: _ as cut ->
+        Fmt.pf ppf " (%d cut above %.3f Mcycles)" (List.length cut) (b /. 1e6)
+  in
+  Fmt.pf ppf "  candidates: %d enumerated, %d evaluated%a, %d duplicates, %d rejected@."
+    enumerated evaluated pp_cut cut duplicates rejected;
   List.iter
     (fun c ->
       match c.c_status with

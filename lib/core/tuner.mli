@@ -16,12 +16,24 @@
     a winner that fails validation is rejected and the next-best
     candidate wins.
 
+    Evaluation runs in two stages. Stage 1 simulates every candidate
+    compiled with threading in full; the slowest of them sets the cap.
+    Stage 2 simulates every other candidate under
+    {!Ninja_arch.Timing.simulate}'s [max_cycles] at that cap, so a
+    candidate that provably models more cycles stops early and is marked
+    {!Cut}: it loses to every stage-1 candidate. Only when every
+    candidate within the cap fails validation are the cut ones
+    simulated in full and the pick continues among them, so the winner
+    is always the one exhaustive evaluation would pick. The cap depends
+    on neither [-j] nor evaluation order.
+
     Everything is deterministic: candidates are enumerated in a fixed
     order, evaluated results are position-stable under
     {!Ninja_util.Pool.map_list}, and no wall-clock quantity enters the
     result, so the winner and its JSON export are byte-identical across
     domain counts and cold/warm store states. Candidate evaluations are
-    memoized in the persistent {!Store} under the ["tuned"] step tag, and
+    memoized in the persistent {!Store} under the ["tuned"] step tag
+    (stage-2 outcomes as derived entries of kind {!bound_kind}), and
     the winners' validation verdicts as derived entries of kind
     {!check_kind} under the same keys, so a warm tuning run executes
     nothing. *)
@@ -39,6 +51,13 @@ type status =
       (** stable reason code ([TUNE_NOT_APPLICABLE] /
           [TUNE_COMPILE_ERROR] / [TUNE_VERIFY_FAILED] /
           [TUNE_CHECK_FAILED]) and a human-readable detail *)
+  | Cut of float
+      (** simulated under this cycle cap — the slowest threaded
+          candidate's cycles — and found to model more: stopped as soon
+          as that was provable, or run to completion above it. Slower
+          than every threaded candidate, so never the winner unless every
+          candidate within the cap fails validation. [c_cycles] is
+          [None]. *)
 
 type candidate = {
   c_index : int;  (** position in the fixed enumeration order *)
@@ -113,6 +132,17 @@ val check_kind : string
     candidate [TUNE_CHECK_FAILED] with that message. Bump it whenever a
     benchmark's output check or dataset changes. *)
 
+val bound_kind : string
+(** ["bound/v1"], the {!Store.derived} kind of a stage-2 candidate's
+    outcome, under its ["tuned"] key. The payload is
+    [{"cut_above": c}] (the candidate models more than [c] cycles) or
+    [{"report": <report>}] (its full report, when it fit under the cap).
+    A cut candidate simulated in full, after every candidate within the
+    cap failed validation, is stored as an ordinary report under the same
+    key. An entry whose [c] is below the session's cap proves too little
+    and counts as corrupt: the bounded run is redone and the entry
+    overwritten. *)
+
 val plan :
   machine:Ninja_arch.Machine.t ->
   steps:Ninja_kernels.Driver.step list ->
@@ -122,6 +152,15 @@ val plan :
     compilation, verification and fingerprint dedup — zero simulations,
     so goldens can pin the search space cheaply. Surviving candidates
     carry status [Legal]. *)
+
+val candidate_steps :
+  machine:Ninja_arch.Machine.t ->
+  steps:Ninja_kernels.Driver.step list ->
+  Ninja_kernels.Driver.benchmark ->
+  (candidate * Ninja_kernels.Driver.step option) list
+(** {!plan} with the ladder step {!tune} simulates for each surviving
+    candidate (its program is the step's [make]); [None] for rejected and
+    duplicate candidates. For tests that evaluate the space exhaustively. *)
 
 val speedup_vs_naive : t -> float
 (** Modeled-seconds ratio naive/tuned (how much faster tuned is). *)
@@ -137,7 +176,7 @@ val gap_closed : t -> float
 
 val counts : t -> int * int * int * int
 (** [(enumerated, evaluated, duplicates, rejected)] candidate totals;
-    [evaluated] includes the winner. *)
+    [evaluated] includes the winner and every {!Cut} candidate. *)
 
 val to_json : t -> Ninja_report.Json.t
 (** The stable export, schema ["ninja-tune/v1"]: benchmark, machine,
@@ -149,8 +188,9 @@ val to_json : t -> Ninja_report.Json.t
 
 val pp : t Fmt.t
 (** Opt-report-style human rendering: the winner and its per-loop
-    decisions, candidate counts, and each rejected candidate's reason.
-    Deterministic. *)
+    decisions, candidate counts (with how many evaluated candidates were
+    cut, and at which cap, e.g. [10 evaluated (6 cut above 0.232
+    Mcycles)]), and each rejected candidate's reason. Deterministic. *)
 
 val pp_plan : candidate list Fmt.t
 (** Human rendering of {!plan} output (one line per candidate).

@@ -140,12 +140,12 @@ let set_scalar_i mem name v =
   | _, Memory.Ibuf a -> a.(0) <- v
   | _, Memory.Fbuf _ -> invalid_arg (name ^ " is a float parameter")
 
-let run_step ?trace ?strategy ?fast_path ~machine step =
+let run_step ?trace ?strategy ?fast_path ?max_cycles ~machine step =
   let prog = step.make ~machine in
   let mem = memory_for prog (step.bindings ()) in
   let n_threads = if step.parallel then machine.Ninja_arch.Machine.cores else 1 in
   Ninja_arch.Timing.simulate ~machine ~n_threads ~runs:(step.runs machine)
-    ~prepare:(step.prepare machine) ?trace ?strategy ?fast_path prog mem
+    ~prepare:(step.prepare machine) ?trace ?strategy ?fast_path ?max_cycles prog mem
 
 let validate_step ~machine step =
   let prog = step.make ~machine in

@@ -194,7 +194,9 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
   let strategy = match strategy with Some s -> s | None -> default_strategy () in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
-  let remaining_fuel = ref (Option.value fuel ~default:max_int) in
+  (* The fuel cell is shared by every launch of the session and never
+     re-armed: a multi-launch step spends one budget. *)
+  let remaining_fuel = match fuel with Some f -> f | None -> ref max_int in
   let states = Array.init n_threads (fun _ -> make_state prog.regs ~width) in
   let scratch = Array.make width 0. in
   let all_true = Array.make width true in
@@ -622,13 +624,11 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
   (* The launch thunk: everything above (decode, optimize, compile,
      executor selection) ran once; each call below is one kernel launch
      against the same memory. Per-launch architectural state — counts,
-     fuel, the register files — is reset so launch N is indistinguishable
-     from a fresh [run] call. *)
-  let budget = Option.value fuel ~default:max_int in
+     the register files — is reset so launch N is indistinguishable from
+     a fresh [run] call; only the fuel cell spans launches. *)
   fun () ->
     Counts.clear counts;
     instructions := 0;
-    remaining_fuel := budget;
     Array.iter
       (fun st ->
         Array.fill st.si 0 (Array.length st.si) 0;
@@ -669,6 +669,7 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
 
 let run ?n_threads ?width ?sink ?port ?trace ?fuel ?check_races ?strategy
     ?decoded ?on_states prog mem =
+  let fuel = Option.map ref fuel in
   (session ?n_threads ?width ?sink ?port ?trace ?fuel ?check_races ?strategy
      ?decoded ?on_states prog mem)
     ()

@@ -80,7 +80,7 @@ val session :
   ?sink:Event.sink ->
   ?port:Event.port ->
   ?trace:Trace.sink ->
-  ?fuel:int ->
+  ?fuel:int ref ->
   ?check_races:bool ->
   ?strategy:strategy ->
   ?decoded:Decode.t ->
@@ -93,10 +93,16 @@ val session :
     per-program work once — decode, optimizer passes, closure
     compilation — returning a launch thunk. Each call
     of the thunk is one kernel launch against the same memory, with
-    counts, fuel and the register files freshly reset: a sequence of
-    thunk calls is observably identical to the same sequence of {!run}
-    calls, but multi-launch steps no longer pay the per-program costs on
-    every launch. Parameters are those of {!run}. *)
+    counts and the register files freshly reset: without [fuel], a
+    sequence of thunk calls is observably identical to the same sequence
+    of {!run} calls, but multi-launch steps no longer pay the per-program
+    costs on every launch. Parameters are those of {!run}, except:
+
+    @param fuel a dynamic-instruction budget shared by every launch: the
+      cell is decremented as instructions execute and never re-armed, and
+      the launch that drives it below zero traps with "fuel exhausted".
+      A trap raised while the cell is still non-negative is the
+      program's own. *)
 
 val run :
   ?n_threads:int ->

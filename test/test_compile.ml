@@ -443,6 +443,178 @@ let fuel_sweep ~looped ~trapping () =
     (match last.o_outcome with Error _ -> true | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Bounded timing: [Timing.simulate ~max_cycles] stops a run once it has
+   used more than floor(max_cycles * issue_width * n_threads)
+   instructions over all launches. It must be sound both ways: a bound at
+   or above the true cycles changes nothing (bit for bit), and a cut
+   means the true cycles exceed the bound. A trap is a cut only when the
+   shared budget is what ran out. *)
+
+module Timing = Ninja_arch.Timing
+module Machine = Ninja_arch.Machine
+module Driver = Ninja_kernels.Driver
+
+let report_bits r = Ninja_report.Json.to_string (Ninja_core.Store.report_to_json r)
+
+type bounded = Report of string | Cut | Trapped of string
+
+(* The run under [bound], classified; [run] takes [?max_cycles]. *)
+let bounded run bound =
+  match run ~max_cycles:bound with
+  | r -> Report (report_bits r)
+  | exception Timing.Exceeds -> Cut
+  | exception Memory.Trap m -> Trapped m
+
+(* Checks one run against its unbounded report under the five bounds
+   {0, cycles/2, pred cycles, cycles, inf}; returns how many were cut. *)
+let check_bounds ~what run (full : Timing.report) =
+  let bits = report_bits full and c = full.cycles in
+  List.fold_left
+    (fun cuts bound ->
+      match bounded run bound with
+      | Report b ->
+          if b <> bits then Alcotest.failf "%s: bound %h changed the report" what bound;
+          cuts
+      | Cut ->
+          if not (c > bound) then
+            Alcotest.failf "%s: cut at %h but the run models %h cycles" what bound c;
+          cuts + 1
+      | Trapped m -> Alcotest.failf "%s: bound %h trapped: %s" what bound m)
+    0
+    [ 0.; c /. 2.; Float.pred c; c; Float.infinity ]
+
+let test_bounded_ladder () =
+  let cuts = ref 0 and threaded_cuts = ref 0 and multi = ref [] in
+  List.iter
+    (fun (bench : Driver.benchmark) ->
+      let steps = bench.steps ~scale:1 in
+      List.iter
+        (fun (m : Machine.t) ->
+          List.iter
+            (fun (s : Driver.step) ->
+              if s.runs m > 1 then multi := (bench.b_name ^ " " ^ s.step_name) :: !multi;
+              List.iter
+                (fun strategy ->
+                  let what =
+                    Fmt.str "%s / %s / %s / %s" bench.b_name m.name s.step_name
+                      (Interp.strategy_tag strategy)
+                  in
+                  let run ~max_cycles = Driver.run_step ~strategy ~max_cycles ~machine:m s in
+                  let full = Driver.run_step ~strategy ~machine:m s in
+                  let n = check_bounds ~what run full in
+                  cuts := !cuts + n;
+                  if s.parallel then threaded_cuts := !threaded_cuts + n)
+                [ Interp.Tree; Interp.Compiled Optimize.default ])
+            steps)
+        [ Machine.westmere; Machine.knights_ferry ])
+    Ninja_kernels.Registry.all;
+  List.iter
+    (fun step ->
+      Alcotest.(check bool) (step ^ " is multi-launch") true (List.mem step !multi))
+    [ "MergeSort naive serial"; "TreeSearch +algorithmic"; "VolumeRender +algorithmic" ];
+  Alcotest.(check bool) "bounds below the cycles cut runs" true (!cuts > 0);
+  Alcotest.(check bool) "threaded runs were cut too" true (!threaded_cuts > 0)
+
+(* Random verifier-clean programs: bounds around the cycles of those that
+   complete; a trapping one keeps its message under any budget that
+   reaches the trap, and a budget of zero stops it first. *)
+let prop_bounded_random =
+  QCheck.Test.make ~count:100 ~name:"random programs: bounded timing is sound"
+    F.seed_arb (fun seed ->
+      let prog, n_threads, width = F.build_program seed in
+      let machine = { Machine.westmere with simd_width = width } in
+      List.for_all
+        (fun strategy ->
+          let run ?max_cycles () =
+            let mem =
+              Memory.create prog
+                [ ("data", Memory.Fbuf (Array.copy F.fdata_init));
+                  ("idxs", Memory.Ibuf (Array.copy F.idata_init)) ]
+            in
+            Timing.simulate ~machine ~n_threads ~strategy ?max_cycles prog mem
+          in
+          let what = Interp.strategy_tag strategy in
+          (match run () with
+          | full -> ignore (check_bounds ~what (fun ~max_cycles -> run ~max_cycles ()) full : int)
+          | exception Memory.Trap m ->
+              List.iter
+                (fun bound ->
+                  match bounded (fun ~max_cycles -> run ~max_cycles ()) bound with
+                  | Trapped m' when m' = m -> ()
+                  | Cut when bound = 0. -> ()
+                  | _ -> QCheck.Test.fail_reportf "%s: trap %S not kept under bound %h" what m bound)
+                [ 0.; 1e9; Float.infinity ]);
+          true)
+        [ Interp.Tree; Interp.Compiled Optimize.default ])
+
+(* Every budget B from 0 to past the total, over the sweep programs (one
+   block and a fused loop, with and without the division trap) launched
+   [runs] times: the bounded run is cut exactly when a plain run of the
+   same launches with B fuel in all would exhaust it, and otherwise
+   returns the unbounded outcome — the division trap's message, or the
+   report. With [max_cycles] = B / issue_width on one thread the budget
+   is exactly B. *)
+let bounded_sweep ~looped ~trapping ~runs () =
+  let prog = sweep_program ~looped ~trapping in
+  let machine = Machine.westmere in
+  let w = float_of_int machine.issue_width in
+  let memory () =
+    Memory.create prog
+      [ ("data", Memory.Fbuf (Array.copy F.fdata_init));
+        ("idxs", Memory.Ibuf (Array.copy F.idata_init)) ]
+  in
+  (* every launch starts from the same divisors (a launch zeroes some) *)
+  let prepare _ mem =
+    match Memory.find mem "idxs" with
+    | _, Memory.Ibuf a -> Array.blit F.idata_init 0 a 0 (Array.length a)
+    | _, Memory.Fbuf _ -> assert false
+  in
+  List.iter
+    (fun strategy ->
+      let timing ?max_cycles () =
+        Timing.simulate ~machine ~runs ~prepare ~strategy ?max_cycles prog (memory ())
+      in
+      (* fuel exhaustion of the same launches under one shared budget *)
+      let exhausts budget =
+        let mem = memory () in
+        let left = ref budget in
+        let launch = Interp.session ~width:machine.simd_width ~fuel:left ~strategy prog mem in
+        match
+          for run = 0 to runs - 1 do
+            prepare run mem;
+            ignore (launch () : Interp.result)
+          done
+        with
+        | () -> false
+        | exception Memory.Trap _ -> !left < 0
+      in
+      let unbounded =
+        match timing () with
+        | r -> Report (report_bits r)
+        | exception Memory.Trap m -> Trapped m
+      in
+      let rec sweep budget =
+        let got = bounded (fun ~max_cycles -> timing ~max_cycles ()) (float_of_int budget /. w) in
+        let what = Fmt.str "%s, budget %d" (Interp.strategy_tag strategy) budget in
+        if exhausts budget then begin
+          if got <> Cut then Alcotest.failf "%s: fuel runs out but the run was not cut" what;
+          sweep (budget + 1)
+        end
+        else if got <> unbounded then Alcotest.failf "%s: outcome differs from the unbounded run" what
+        else budget
+      in
+      let enough = sweep 0 in
+      Alcotest.(check bool) "swept past several ops" true (enough > 10);
+      List.iter
+        (fun budget ->
+          if bounded (fun ~max_cycles -> timing ~max_cycles ()) (float_of_int budget /. w) <> unbounded
+          then Alcotest.failf "budget %d: outcome differs from the unbounded run" budget)
+        [ enough + 1; 100 * enough ];
+      Alcotest.(check bool) "outcome as designed" trapping
+        (match unbounded with Trapped _ -> true | _ -> false))
+    [ Interp.Tree; Interp.Compiled Optimize.none; Interp.Compiled Optimize.default ]
+
+(* ------------------------------------------------------------------ *)
 (* Placeholder threading over every ladder program. *)
 
 let control_targets (code : Decode.dop array) =
@@ -556,6 +728,17 @@ let suite =
             (fuel_sweep ~looped:true ~trapping:false);
           Alcotest.test_case "fuel sweep: fused loop, division traps" `Quick
             (fuel_sweep ~looped:true ~trapping:true);
+          Alcotest.test_case "bounded timing: every ladder step" `Quick
+            test_bounded_ladder;
+          QCheck_alcotest.to_alcotest prop_bounded_random;
+          Alcotest.test_case "bounded sweep: one block" `Quick
+            (bounded_sweep ~looped:false ~trapping:false ~runs:1);
+          Alcotest.test_case "bounded sweep: fused loop, division traps" `Quick
+            (bounded_sweep ~looped:true ~trapping:true ~runs:1);
+          Alcotest.test_case "bounded sweep: three launches share the budget" `Quick
+            (bounded_sweep ~looped:true ~trapping:false ~runs:3);
+          Alcotest.test_case "bounded sweep: one block, division traps, two launches" `Quick
+            (bounded_sweep ~looped:false ~trapping:true ~runs:2);
           Alcotest.test_case "threading: hand-built shapes" `Quick
             test_thread_shapes;
           Alcotest.test_case "threading: every ladder program" `Quick

@@ -143,9 +143,10 @@ let test_storeless_matches_stored () =
 
 (* ---- validation verdicts are read from the store ---- *)
 
-(* Every derived verdict file under [dir]: [<aa>/<key>.check-v1.json]. *)
-let verdict_keys dir =
-  let suffix = "." ^ String.map (function '/' -> '-' | c -> c) Tuner.check_kind ^ ".json" in
+(* Every derived entry of [kind] under [dir], as (key, path):
+   [<aa>/<key>.<kind with '/' as '-'>.json]. *)
+let derived_entries dir kind =
+  let suffix = "." ^ String.map (function '/' -> '-' | c -> c) kind ^ ".json" in
   Sys.readdir dir |> Array.to_list
   |> List.concat_map (fun sub ->
          let d = Filename.concat dir sub in
@@ -153,9 +154,11 @@ let verdict_keys dir =
            Sys.readdir d |> Array.to_list
            |> List.filter_map (fun f ->
                   if String.ends_with ~suffix f then
-                    Some (String.sub f 0 (String.length f - String.length suffix))
+                    Some (String.sub f 0 (String.length f - String.length suffix), Filename.concat d f)
                   else None)
          else [])
+
+let verdict_keys dir = List.map fst (derived_entries dir Tuner.check_kind)
 
 (* An [Error] verdict planted under the cold winner's key must make the
    next session reject that winner with the planted message — without
@@ -188,6 +191,199 @@ let test_planted_check_failure () =
       Alcotest.(check int) "no candidate re-simulated" 0 warm.Tuner.t_simulated;
       Alcotest.(check int) "the new winner's verdict is stored" 2 (List.length (verdict_keys dir)))
 
+(* ---- bounded evaluation: stage 2 stops at the cap ---- *)
+
+(* Every admitted candidate of one (benchmark, machine) pair simulated in
+   full, outside the tuner: the exhaustive evaluation the two stages must
+   agree with. *)
+type space = {
+  machine : Machine.t;
+  bench : Driver.benchmark;
+  full : (Tuner.candidate * Driver.step * Timing.report) list;
+}
+
+let space_of bench machine =
+  lazy
+    (let steps = E.ladder bench ~scale:bench.Driver.default_scale in
+     { machine; bench;
+       full =
+         List.filter_map
+           (fun (c, step) ->
+             Option.map (fun s -> (c, s, Driver.run_step ~machine s)) step)
+           (Tuner.candidate_steps ~machine ~steps bench) })
+
+let spaces =
+  List.concat_map
+    (fun name ->
+      let bench = Registry.find name in
+      List.map (space_of bench) [ Machine.westmere; Machine.knights_ferry ])
+    [ "BlackScholes"; "Conv2D"; "Stencil7" ]
+
+let label sp = Fmt.str "%s on %s" sp.bench.Driver.b_name sp.machine.Machine.name
+let cycles_of (r : Timing.report) = r.Timing.cycles
+let stage1 sp = List.filter (fun ((c : Tuner.candidate), _, _) -> c.Tuner.c_parallelize) sp.full
+
+(* One session on a store at [dir]; returns the result and the store's
+   counters for that session. *)
+let tune_on ~dir sp =
+  let store = Store.open_ ~dir () in
+  let scale = sp.bench.Driver.default_scale in
+  let steps = E.ladder sp.bench ~scale in
+  let t = Tuner.tune ~store ~machine:sp.machine ~scale ~steps sp.bench in
+  (t, Store.stats store)
+
+let key_of ~dir sp (step : Driver.step) =
+  let backend = Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.default_strategy ()) in
+  Store.key ~backend (Store.open_ ~dir ()) ~machine:sp.machine ~step_name:"tuned"
+    (step.Driver.make ~machine:sp.machine)
+
+(* The winner exhaustive evaluation picks: cheapest first, earliest on
+   ties, skipping candidates whose check is planted to fail. *)
+let exhaustive_winner ?(planted = []) sp =
+  List.sort
+    (fun ((c1 : Tuner.candidate), _, r1) ((c2 : Tuner.candidate), _, r2) ->
+      compare (cycles_of r1, c1.Tuner.c_index) (cycles_of r2, c2.Tuner.c_index))
+    sp.full
+  |> List.find (fun ((c : Tuner.candidate), step, _) ->
+         (not (List.mem c.Tuner.c_index planted))
+         && Driver.validate_step ~machine:sp.machine step = Ok ())
+
+let status_of (t : Tuner.t) i =
+  (List.find (fun (c : Tuner.candidate) -> c.Tuner.c_index = i) t.Tuner.t_candidates)
+    .Tuner.c_status
+
+let test_cut_candidates_lose () =
+  List.iter
+    (fun sp ->
+      let sp = Lazy.force sp in
+      with_temp_dir (fun dir ->
+          let t, _ = tune_on ~dir sp in
+          let cap = List.fold_left (fun m (_, _, r) -> Float.max m (cycles_of r)) 0. (stage1 sp) in
+          let cut = ref 0 in
+          List.iter
+            (fun ((c : Tuner.candidate), _, r) ->
+              let what = Fmt.str "%s: %s" (label sp) (Tuner.candidate_name c) in
+              match status_of t c.Tuner.c_index with
+              | Tuner.Cut b ->
+                  incr cut;
+                  Alcotest.(check bool) (what ^ " cut at the stage-1 maximum") true (b = cap);
+                  List.iter
+                    (fun (s, _, rs) ->
+                      if not (cycles_of r > cycles_of rs) then
+                        Alcotest.failf "%s (%h cycles) is not slower than stage-1 %s (%h)" what
+                          (cycles_of r) (Tuner.candidate_name s) (cycles_of rs))
+                    (stage1 sp)
+              | _ ->
+                  Alcotest.(check (option (float 0.))) (what ^ " cycles") (Some (cycles_of r))
+                    (List.find (fun (c' : Tuner.candidate) -> c'.Tuner.c_index = c.Tuner.c_index)
+                       t.Tuner.t_candidates).Tuner.c_cycles)
+            sp.full;
+          Alcotest.(check bool) (label sp ^ ": some candidate was cut") true (!cut > 0);
+          let w, _, r = exhaustive_winner sp in
+          Alcotest.(check int) (label sp ^ ": exhaustive winner") w.Tuner.c_index
+            t.Tuner.t_winner.Tuner.c_index;
+          Alcotest.(check (float 0.)) (label sp ^ ": winner cycles") (cycles_of r)
+            t.Tuner.t_report.Timing.cycles))
+    spaces
+
+(* Failing checks planted under every candidate within the cap leave
+   only cut candidates: they are simulated in full and the pick goes on
+   among them, to the winner exhaustive evaluation picks. The next
+   session reads the full reports back and simulates nothing. *)
+let test_fallback_matches_exhaustive () =
+  List.iter
+    (fun sp ->
+      let sp = Lazy.force sp in
+      with_temp_dir (fun dir ->
+          let cold, _ = tune_on ~dir sp in
+          let within =
+            List.filter
+              (fun ((c : Tuner.candidate), _, _) ->
+                match status_of cold c.Tuner.c_index with Tuner.Cut _ -> false | _ -> true)
+              sp.full
+          in
+          let store = Store.open_ ~dir () in
+          List.iter
+            (fun (_, step, _) ->
+              Store.derived_save store ~key:(key_of ~dir sp step) ~kind:Tuner.check_kind
+                (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str "planted failure") ]))
+            within;
+          let planted = List.map (fun ((c : Tuner.candidate), _, _) -> c.Tuner.c_index) within in
+          (* a bounded run may also complete above the cap: its report is
+             kept and needs no second simulation *)
+          let stopped =
+            List.filter
+              (fun (_, f) ->
+                Astring_contains.contains
+                  (In_channel.with_open_bin f In_channel.input_all)
+                  "cut_above")
+              (derived_entries dir Tuner.bound_kind)
+          in
+          let t, _ = tune_on ~dir sp in
+          let w, _, r = exhaustive_winner ~planted sp in
+          Alcotest.(check int) (label sp ^ ": exhaustive winner") w.Tuner.c_index
+            t.Tuner.t_winner.Tuner.c_index;
+          Alcotest.(check (float 0.)) (label sp ^ ": winner cycles") (cycles_of r)
+            t.Tuner.t_report.Timing.cycles;
+          Alcotest.(check int) (label sp ^ ": stopped candidates simulated in full")
+            (List.length stopped) t.Tuner.t_simulated;
+          List.iter
+            (fun i ->
+              Alcotest.(check bool) (label sp ^ ": planted check failed") true
+                (status_of t i = Tuner.Rejected ("TUNE_CHECK_FAILED", "planted failure")))
+            planted;
+          Alcotest.(check bool) (label sp ^ ": nothing left cut") true
+            (List.for_all
+               (fun (c : Tuner.candidate) ->
+                 match c.Tuner.c_status with Tuner.Cut _ -> false | _ -> true)
+               t.Tuner.t_candidates);
+          let again, stats = tune_on ~dir sp in
+          Alcotest.(check int) (label sp ^ ": next session simulates nothing") 0
+            again.Tuner.t_simulated;
+          Alcotest.(check int) (label sp ^ ": and writes nothing") 0 stats.Store.writes;
+          Alcotest.(check string) (label sp ^ ": same result")
+            (Json.to_string (Tuner.to_json t)) (Json.to_string (Tuner.to_json again))))
+    spaces
+
+(* Truncated, bit-flipped and too-low [bound/v1] entries all count as
+   corrupt: the bounded runs are redone, with the same result, and the
+   rewritten entries serve the next session. *)
+let test_corrupt_bound_entries () =
+  List.iter
+    (fun sp ->
+      let sp = Lazy.force sp in
+      with_temp_dir (fun dir ->
+          let cold, _ = tune_on ~dir sp in
+          let entries = derived_entries dir Tuner.bound_kind in
+          Alcotest.(check bool) (label sp ^ ": bound entries written") true (entries <> []);
+          let read f = In_channel.with_open_bin f In_channel.input_all in
+          let write f s = Out_channel.with_open_bin f (fun oc -> output_string oc s) in
+          List.iteri
+            (fun i (key, f) ->
+              let s = read f in
+              match i mod 3 with
+              | 0 -> write f (String.sub s 0 (String.length s / 2))
+              | 1 ->
+                  let b = Bytes.of_string s in
+                  let j = String.length s - 10 in
+                  Bytes.set b j (if s.[j] = '1' then '2' else '1');
+                  write f (Bytes.to_string b)
+              | _ ->
+                  (* a well-formed entry whose bound proves too little *)
+                  Store.derived_save (Store.open_ ~dir ()) ~key ~kind:Tuner.bound_kind
+                    (Json.Obj [ ("cut_above", Json.Num 0.) ]))
+            entries;
+          let n = List.length entries in
+          let warm, stats = tune_on ~dir sp in
+          Alcotest.(check int) (label sp ^ ": every damaged entry dropped") n stats.Store.errors;
+          Alcotest.(check int) (label sp ^ ": bounded runs redone") n warm.Tuner.t_simulated;
+          Alcotest.(check string) (label sp ^ ": same result")
+            (Fmt.str "%a" Tuner.pp cold) (Fmt.str "%a" Tuner.pp warm);
+          let again, stats = tune_on ~dir sp in
+          Alcotest.(check int) (label sp ^ ": rewritten entries serve") 0
+            (again.Tuner.t_simulated + stats.Store.errors + stats.Store.writes)))
+    spaces
+
 let suite =
   ( "tune",
     [ Alcotest.test_case "smoke: tuned beats non-ninja rungs, JSON round-trips"
@@ -198,4 +394,10 @@ let suite =
       Alcotest.test_case "storeless run matches stored run" `Quick
         test_storeless_matches_stored;
       Alcotest.test_case "planted check failure picks the next-best" `Quick
-        test_planted_check_failure ] )
+        test_planted_check_failure;
+      Alcotest.test_case "cut candidates lose to every stage-1 candidate" `Quick
+        test_cut_candidates_lose;
+      Alcotest.test_case "all checks within the cap fail: exhaustive winner" `Quick
+        test_fallback_matches_exhaustive;
+      Alcotest.test_case "corrupt bound entries are redone" `Quick
+        test_corrupt_bound_entries ] )
