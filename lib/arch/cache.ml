@@ -9,10 +9,14 @@ type cfg = Machine.cache_cfg
    - the fast layout interleaves two words per way, [tag'; stamp], so one
      set probe touches a single contiguous block (a 16-way set is 256
      bytes instead of 4 scattered regions — the difference between one and
-     many host-cache misses when simulating a multi-megabyte LLC), finds
-     hit way, first invalid way and LRU victim in a single pass, and
-     carries an MRU memo for same-line repeat hits. [tag'] is [-1] when
-     the way is invalid, else [line_addr lsl 1 lor dirty].
+     many host-cache misses when simulating a multi-megabyte LLC). [tag']
+     is [-1] when the way is invalid, else [line_addr lsl 1 lor dirty].
+     Ways are only ever invalidated all at once, and a fill takes the
+     first invalid way, so the valid ways of a set are always a prefix
+     of it: one pass finds the hit, or stops at the first invalid way,
+     while tracking the LRU victim. A way predictor remembers, per hash
+     of the line address, the way that last held such a line, so a
+     predicted hit is one tag compare.
 
    Both layouts implement identical LRU and victim selection (first
    invalid way, else first way with the minimal stamp) and produce
@@ -21,6 +25,7 @@ type t = {
   cfg : cfg;
   n_sets : int;
   set_mask : int; (* n_sets - 1 when a power of two, else -1 *)
+  line_shift : int; (* log2 line_bytes *)
   (* reference layout: flat arrays indexed by set * assoc + way *)
   tags : int array;
   valid : bool array;
@@ -28,16 +33,15 @@ type t = {
   stamp : int array; (* LRU timestamp *)
   (* fast layout: set * assoc * 2 + way * 2 -> tag', +1 -> stamp *)
   data : int array;
+  (* fast layout's way predictor: [pred.(pred_slot line_addr)] is the
+     [data] index of the way that last held a line with that hash. A
+     line lives in at most one way, so when that way's tag is the
+     line's, the line is there; any other entry (stale, aliased, never
+     written: 0 is a valid index) just fails the compare. *)
+  pred : int array;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  (* MRU memo for the fast-hit path: the line and fast-layout index
-     touched by the most recent access, or last_way = -1 when unknown.
-     The most recently touched line cannot have been evicted since (it
-     holds the newest LRU stamp), so a repeat access is an unconditional
-     hit at that way. *)
-  mutable last_line : int;
-  mutable last_way : int;
   fast : bool;
 }
 
@@ -50,6 +54,13 @@ let miss_clean = { hit = false; evicted_dirty = None }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* The predictor has 512 entries whatever the geometry (4 KiB per cache,
+   one per line of a 32 KiB L1). Folding the next 9 address bits into
+   the index keeps lines 32 KiB apart, such as the same element of
+   buffers at aligned addresses, in different entries. *)
+let pred_mask = 511
+let pred_slot line_addr = (line_addr lxor (line_addr lsr 9)) land pred_mask
+
 let create ?(fast_path = true) (cfg : cfg) =
   let lines = cfg.size_bytes / cfg.line_bytes in
   if lines < cfg.assoc then invalid_arg "Cache.create: fewer lines than ways";
@@ -61,16 +72,16 @@ let create ?(fast_path = true) (cfg : cfg) =
     cfg;
     n_sets;
     set_mask = (if is_pow2 n_sets then n_sets - 1 else -1);
+    line_shift = (let s = ref 0 in while 1 lsl !s < cfg.line_bytes do incr s done; !s);
     tags = (if fast_path then [||] else Array.make n 0);
     valid = (if fast_path then [||] else Array.make n false);
     dirty = (if fast_path then [||] else Array.make n false);
     stamp = (if fast_path then [||] else Array.make n 0);
     data = (if fast_path then Array.make (n * 2) (-1) else [||]);
+    pred = (if fast_path then Array.make (pred_mask + 1) 0 else [||]);
     clock = 0;
     hits = 0;
     misses = 0;
-    last_line = 0;
-    last_way = -1;
     fast = fast_path;
   }
 
@@ -129,61 +140,32 @@ let access_ref t ~line_addr ~write =
     | Some _ -> { hit = false; evicted_dirty }
   end
 
-(* The one hit path of the fast layout, split out so the hierarchy can
-   try an L1 hit before committing to the full access. A repeat of the
-   previous access's line hits at the memoized way (the most recently
-   touched line holds the newest stamp, so it cannot have been evicted);
-   otherwise the set is scanned, and the scan stops at the first match: a
-   line lives in at most one way, and ORing the dirty bit into both sides
-   makes one compare cover the tag test and the invalid (-1) test at once
-   (line addresses are non-negative, so [tag' lor 1] of a valid way never
-   equals -1). A hit makes all of the access's clock, stamp, dirty, MRU
-   and statistics updates; a miss touches nothing. The reference layout
-   has no probe: it always declines. *)
-let try_hit t ~line_addr ~write =
+(* The fast layout's hit path: a way-predicted hit, one tag compare at
+   the predicted way (ORing the dirty bit into both sides makes it cover
+   the tag test and the invalid (-1) test at once: line addresses are
+   non-negative, so [tag' lor 1] of a valid way never equals -1). A hit
+   makes all of the access's clock, stamp, dirty and statistics
+   updates; otherwise nothing changes, whether or not the line is
+   cached. The reference layout has no predictor: it always declines. *)
+let[@inline] try_hit t ~line_addr ~write =
   t.fast
   &&
   let d = t.data in
-  if t.last_way >= 0 && t.last_line = line_addr then begin
+  let i = Array.unsafe_get t.pred (pred_slot line_addr) in
+  Array.unsafe_get d i lor 1 = (line_addr lsl 1) lor 1
+  && begin
     t.clock <- t.clock + 1;
     t.hits <- t.hits + 1;
-    d.(t.last_way + 1) <- t.clock;
-    if write then d.(t.last_way) <- d.(t.last_way) lor 1;
+    Array.unsafe_set d (i + 1) t.clock;
+    if write then Array.unsafe_set d i (Array.unsafe_get d i lor 1);
     true
   end
-  else begin
-    let set =
-      if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
-    in
-    let assoc2 = t.cfg.assoc * 2 in
-    let base = set * assoc2 in
-    let probe = (line_addr lsl 1) lor 1 in
-    let found = ref (-1) in
-    let i = ref base in
-    let stop = base + assoc2 in
-    while !found < 0 && !i < stop do
-      if Array.unsafe_get d !i lor 1 = probe then found := !i;
-      i := !i + 2
-    done;
-    !found >= 0
-    && begin
-      let i = !found in
-      t.clock <- t.clock + 1;
-      t.hits <- t.hits + 1;
-      d.(i + 1) <- t.clock;
-      if write then d.(i) <- d.(i) lor 1;
-      t.last_line <- line_addr;
-      t.last_way <- i;
-      true
-    end
-  end
 
-(* The fast layout's miss: fill the line into the first invalid way, else
-   the first way with the minimal stamp. Only valid after [try_hit] said
-   no. *)
-let fill_fast t ~line_addr ~write =
+(* The fast layout's access: one pass over the set that stops at the hit
+   or at the first invalid way (the valid ways are a prefix), tracking
+   the first way with the minimal stamp as the victim for a full set. *)
+let access_fast t ~line_addr ~write =
   t.clock <- t.clock + 1;
-  t.misses <- t.misses + 1;
   let set =
     if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
   in
@@ -191,37 +173,62 @@ let fill_fast t ~line_addr ~write =
   let base = set * assoc2 in
   let stop = base + assoc2 in
   let d = t.data in
-  let first_invalid = ref (-1) in
-  let lru = ref (-1) in
+  let probe = (line_addr lsl 1) lor 1 in
+  let at = ref (-1) in
+  let lru = ref base in
   let best = ref max_int in
   let i = ref base in
-  while !first_invalid < 0 && !i < stop do
-    if Array.unsafe_get d !i = -1 then first_invalid := !i
+  while !at < 0 && !i < stop do
+    let tg = Array.unsafe_get d !i in
+    if tg = -1 || tg lor 1 = probe then at := !i
     else begin
+      (* if s < best then (best, lru) := (s, i), without a branch the
+         host cannot predict: [older] is all ones exactly when s < best
+         (stamps are non-negative, so the difference cannot overflow) *)
       let s = Array.unsafe_get d (!i + 1) in
-      if s < !best then begin
-        best := s;
-        lru := !i
-      end
-    end;
-    i := !i + 2
+      let older = (s - !best) asr 62 in
+      best := !best + ((s - !best) land older);
+      lru := !lru + ((!i - !lru) land older);
+      i := !i + 2
+    end
   done;
-  let i = if !first_invalid >= 0 then !first_invalid else !lru in
-  let tg = d.(i) in
-  let evicted_dirty = if tg <> -1 && tg land 1 = 1 then Some (tg asr 1) else None in
-  d.(i) <- (line_addr lsl 1) lor (if write then 1 else 0);
-  d.(i + 1) <- t.clock;
-  t.last_line <- line_addr;
-  t.last_way <- i;
-  match evicted_dirty with
-  | None -> miss_clean
-  | Some _ -> { hit = false; evicted_dirty }
-
-let fill t ~line_addr ~write =
-  if t.fast then fill_fast t ~line_addr ~write else access_ref t ~line_addr ~write
+  Array.unsafe_set t.pred (pred_slot line_addr) (if !at >= 0 then !at else !lru);
+  if !at >= 0 && Array.unsafe_get d !at <> -1 then begin
+    let i = !at in
+    t.hits <- t.hits + 1;
+    d.(i + 1) <- t.clock;
+    if write then d.(i) <- d.(i) lor 1;
+    hit_clean
+  end
+  else begin
+    let i = if !at >= 0 then !at else !lru in
+    t.misses <- t.misses + 1;
+    let tg = d.(i) in
+    d.(i) <- (line_addr lsl 1) lor (if write then 1 else 0);
+    d.(i + 1) <- t.clock;
+    if tg <> -1 && tg land 1 = 1 then { hit = false; evicted_dirty = Some (tg asr 1) }
+    else miss_clean
+  end
 
 let access t ~line_addr ~write =
-  if try_hit t ~line_addr ~write then hit_clean else fill t ~line_addr ~write
+  if t.fast then access_fast t ~line_addr ~write else access_ref t ~line_addr ~write
+
+(* The L1 stage of the timing model's access port, defined here so that
+   the hit probe above is a direct, inlined call: a single-line access
+   that is not a non-temporal store and hits its core's L1 as predicted
+   is finished in this unit; every other access goes on to [rest]. (The
+   [let] also keeps the port a closure of its own six arguments rather
+   than a partial application of a nine-argument function.) *)
+let hit_port l1s ~hits rest : Ninja_vm.Event.port =
+  let line_shift = l1s.(0).line_shift in
+  fun ~thread ~addr ~bytes ~write ~chain ~nt ->
+  let line_addr = addr lsr line_shift in
+  if
+    (nt && write)
+    || line_addr <> (addr + bytes - 1) lsr line_shift
+    || not (try_hit l1s.(thread) ~line_addr ~write)
+  then rest ~thread ~addr ~bytes ~write ~chain ~nt
+  else hits.(0) <- hits.(0) + 1
 
 let probe t ~line_addr =
   if t.fast then begin
@@ -255,8 +262,7 @@ let invalidate_all t =
   else begin
     Array.fill t.valid 0 (Array.length t.valid) false;
     Array.fill t.dirty 0 (Array.length t.dirty) false
-  end;
-  t.last_way <- -1
+  end
 
 let stats_hits t = t.hits
 let stats_misses t = t.misses

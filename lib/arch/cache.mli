@@ -16,12 +16,12 @@ type outcome = {
 val create : ?fast_path:bool -> cfg -> t
 (** An empty cache with the configuration's geometry.
 
-    @param fast_path enable the MRU fast-hit path (default [true]): a
-      repeat access to the line touched by the immediately preceding
-      access is serviced without the way scan. Behaviour (outcomes, LRU
-      order, statistics) is bit-identical either way — the most recently
-      touched line holds the newest LRU stamp so it cannot have been
-      evicted; [false] exists for differential testing. *)
+    @param fast_path select the fast layout (default [true]): ways
+      interleaved in one array, a one-pass {!access}, and a way
+      predictor behind {!try_hit}. Behaviour (outcomes, LRU order,
+      statistics) is bit-identical either way; [false] selects the
+      reference layout, which exists for differential testing and as
+      the self-benchmark's baseline. *)
 
 val line_bytes : t -> int
 (** Line size in bytes. *)
@@ -37,15 +37,21 @@ val access : t -> line_addr:int -> write:bool -> outcome
     marks the (resulting) line dirty. *)
 
 val try_hit : t -> line_addr:int -> write:bool -> bool
-(** [try_hit t ~line_addr ~write] services the access if it hits and
-    says whether it did: a hit makes exactly {!access}'s updates (LRU
-    stamp, dirty bit, statistics); a miss changes nothing. {!access} is
-    [try_hit], then {!fill} on a miss. A cache created without the fast
-    path always answers [false]. *)
+(** [try_hit t ~line_addr ~write] services the access if the way
+    predictor finds the line (one tag compare at the way that last held
+    a line with the same hash of its address) and says whether it did: a
+    hit makes exactly {!access}'s updates (LRU stamp, dirty bit,
+    statistics). [false] changes nothing and does not mean a miss: the
+    line may sit in another way, so follow it with {!access}. A cache
+    created without the fast path always answers [false]. *)
 
-val fill : t -> line_addr:int -> write:bool -> outcome
-(** The rest of {!access} after {!try_hit} answered [false]: fill the
-    line, possibly evicting. Calling it otherwise is unspecified. *)
+val hit_port : t array -> hits:int array -> Ninja_vm.Event.port -> Ninja_vm.Event.port
+(** [hit_port l1s ~hits rest] is the L1 stage of an access port, one
+    cache per thread, all with the line size of [l1s.(0)]: an access
+    that spans one line, is not a non-temporal store and is serviced by
+    {!try_hit} on [l1s.(thread)] only adds one to [hits.(0)]; any other
+    access is passed on to [rest] untouched. It lives in this unit so
+    that the hit probe is a direct call. *)
 
 val probe : t -> line_addr:int -> bool
 (** Non-destructive hit test (no fill, no LRU update). *)

@@ -51,13 +51,14 @@ let line_bytes t = t.machine.l1.line_bytes
 
 (* One cache-line access. Returns [level_index * 2 + covered] — an
    immediate int rather than a tuple, so the per-line path allocates
-   nothing. Write-back dirty state is propagated down at fill time so
+   nothing. L1 tries the way-predicted hit first, then its one-pass
+   access. Write-back dirty state is propagated down at fill time so
    that LLC evictions of written lines generate DRAM write-back
    traffic. *)
-let miss_line t c ~line_addr ~write =
-  (* the L1 probe said no: the rest of the line's access *)
-  let l1r = Cache.fill c.l1 ~line_addr ~write in
-  if l1r.hit then 0 (* L1; covered is reported separately for L1 hits *)
+let access_line t ~core ~line_addr ~write =
+  let c = t.cores.(core) in
+  if Cache.try_hit c.l1 ~line_addr ~write || (Cache.access c.l1 ~line_addr ~write).hit
+  then 0 (* L1; covered is reported separately for L1 hits *)
   else begin
     let covered =
       t.machine.prefetch && Prefetch.observe c.pf ~line_addr
@@ -77,10 +78,6 @@ let miss_line t c ~line_addr ~write =
     end
   end
 
-let access_line t ~core ~line_addr ~write =
-  let c = t.cores.(core) in
-  if Cache.try_hit c.l1 ~line_addr ~write then 0 else miss_line t c ~line_addr ~write
-
 let access t ~core ~addr ~bytes ~write ~nt =
   if nt && write then begin
     (* streaming store: write-combining buffers send full lines to DRAM
@@ -91,35 +88,22 @@ let access t ~core ~addr ~bytes ~write ~nt =
   else begin
     let sh = t.line_shift in
     let first = addr lsr sh and last = (addr + bytes - 1) lsr sh in
-    if first = last then begin
-      (* common case: the access touches one line — no spanning loop —
-         and hits in L1: the cache's hit probe and one count, nothing
-         else. A probe miss has changed nothing and takes the full path. *)
-      let c = t.cores.(core) in
-      let code =
-        if Cache.try_hit c.l1 ~line_addr:first ~write then 0
-        else miss_line t c ~line_addr:first ~write
-      in
+    let deepest = ref 0 in
+    let all_covered = ref true in
+    for line_addr = first to last do
+      let code = access_line t ~core ~line_addr ~write in
       let li = code lsr 1 in
-      t.by_level.(li) <- t.by_level.(li) + 1;
-      (* an L1 hit is always "covered": no stall is charged for it *)
-      result_tbl.(if li = 0 then 1 else code)
-    end
-    else begin
-      let deepest = ref 0 in
-      let all_covered = ref true in
-      for line_addr = first to last do
-        let code = access_line t ~core ~line_addr ~write in
-        let li = code lsr 1 in
-        if li > !deepest then deepest := li;
-        if li <> 0 && code land 1 = 0 then all_covered := false
-      done;
-      let li = !deepest in
-      let covered = li = 0 || !all_covered in
-      t.by_level.(li) <- t.by_level.(li) + 1;
-      result_tbl.((li * 2) + if covered then 1 else 0)
-    end
+      if li > !deepest then deepest := li;
+      if li <> 0 && code land 1 = 0 then all_covered := false
+    done;
+    let li = !deepest in
+    let covered = li = 0 || !all_covered in
+    t.by_level.(li) <- t.by_level.(li) + 1;
+    result_tbl.((li * 2) + if covered then 1 else 0)
   end
+
+let hit_port t rest =
+  Cache.hit_port (Array.map (fun c -> c.l1) t.cores) ~hits:t.by_level rest
 
 (* Steady-state accounting: dirty lines still resident at the end of a
    measurement will eventually be written back; drain them into the DRAM

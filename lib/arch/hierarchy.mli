@@ -16,15 +16,24 @@ type result = {
 val create : ?fast_path:bool -> Machine.t -> t
 (** A cold hierarchy shaped by the machine's cache configurations.
 
-    @param fast_path forwarded to every {!Cache.create} (default [true]):
-      enables the per-cache MRU fast-hit path. Results are bit-identical
-      either way; [false] exists for differential testing. *)
+    @param fast_path forwarded to every {!Cache.create} and
+      {!Prefetch.create} (default [true]): selects the fast layouts (the
+      way-predicted L1 hit, one-pass cache accesses, the prefetcher's
+      O(1) miss). Results are bit-identical either way; [false] exists
+      for differential testing. *)
 
 val access :
   t -> core:int -> addr:int -> bytes:int -> write:bool -> nt:bool -> result
 (** Route one access through core [core]'s private caches and the shared
     LLC. Non-temporal writes ([nt]) bypass the hierarchy entirely and count
     as DRAM write traffic. *)
+
+val hit_port : t -> Ninja_vm.Event.port -> Ninja_vm.Event.port
+(** [hit_port t rest] is an access port that counts a single-line
+    access hitting its core's L1 as predicted ({!Cache.try_hit}) as an
+    L1 access and does nothing else: no other cache, counter or
+    prefetcher is touched. Every other access goes to [rest], which is
+    expected to pass it to {!access} (core = thread). *)
 
 val drain_writebacks : t -> unit
 (** Count still-resident dirty lines as DRAM write traffic (end-of-run

@@ -8,42 +8,76 @@ type stream = {
 (* Two interchangeable layouts, selected at [create] time. The reference
    layout is one record per stream, scanned with a closure over an option
    ref — the original implementation, kept as the honest baseline for the
-   self-benchmark. The fast layout packs the same four fields into one
-   contiguous int array, 4 words per stream ([last; stride; confidence;
-   tick]), scanned with an early-exit loop: with 32 streams the whole
-   table is 1 KiB, so the scan every L1 miss pays stays in the host's L1
-   instead of chasing 32 heap pointers and allocating option cells.
-   Match selection (first stream in table order within [window]) and LRU
-   tie-breaking (first minimal tick) are identical in both. *)
+   self-benchmark. The fast layout packs each stream into [flat] as
+   [last; stride; confidence; older; newer] and keeps two side
+   structures that make a miss O(1):
+
+   - [near], an occupancy filter: the number of stream heads whose
+     [last asr 3] hashes to each bucket. A head within [window] (8) of a
+     line is in the line's bucket or a neighbour (window <= 8 = the
+     bucket width), so when those three
+     counts are zero no stream can match and the table is not scanned;
+   - an LRU list threaded through [older]/[newer] (flat offsets, -1 at
+     the ends, [lru]/[mru] the ends), with each touched stream moved to
+     the MRU end. The reference's victim is the first stream with the
+     minimal tick; ticks are distinct clock values except that untouched
+     streams all have tick 0, and those sit at the LRU end in index
+     order, so the list's LRU end is that same stream.
+
+   Match selection (first stream in table order within [window]) is the
+   reference's, by an early-exit scan when the filter lets a stream
+   match. *)
 type t = {
   table : stream array;
   flat : int array;
-  mutable clock : int;
+  near : int array;
+  mutable lru : int;
+  mutable mru : int;
+  mutable clock : int; (* the reference layout's LRU ticks *)
   fast : bool;
 }
 
+(* words per stream in [flat] *)
+let sw = 5
+
+(* filter buckets; a power of two *)
+let near_mask = 255
+
+(* the fast layout's empty state: no heads, LRU order = index order *)
+let clear t =
+  let d = t.flat in
+  let n = Array.length d / sw in
+  for k = 0 to n - 1 do
+    let i = k * sw in
+    d.(i) <- min_int;
+    d.(i + 1) <- 0;
+    d.(i + 2) <- 0;
+    d.(i + 3) <- (if k = 0 then -1 else i - sw);
+    d.(i + 4) <- (if k = n - 1 then -1 else i + sw)
+  done;
+  Array.fill t.near 0 (Array.length t.near) 0;
+  t.lru <- 0;
+  t.mru <- (n - 1) * sw
+
 let create ?(fast_path = true) ~streams () =
   if streams < 1 then invalid_arg "Prefetch.create: streams < 1";
-  let flat =
-    if fast_path then begin
-      let d = Array.make (streams * 4) 0 in
-      for k = 0 to streams - 1 do
-        d.(k * 4) <- min_int
-      done;
-      d
-    end
-    else [||]
+  let t =
+    {
+      table =
+        (if fast_path then [||]
+         else
+           Array.init streams (fun _ ->
+               { last = min_int; stride = 0; confidence = 0; tick = 0 }));
+      flat = (if fast_path then Array.make (streams * sw) 0 else [||]);
+      near = (if fast_path then Array.make (near_mask + 1) 0 else [||]);
+      lru = 0;
+      mru = 0;
+      clock = 0;
+      fast = fast_path;
+    }
   in
-  {
-    table =
-      (if fast_path then [||]
-       else
-         Array.init streams (fun _ ->
-             { last = min_int; stride = 0; confidence = 0; tick = 0 }));
-    flat;
-    clock = 0;
-    fast = fast_path;
-  }
+  if fast_path then clear t;
+  t
 
 (* A stream matches if the access lands within a small window ahead of the
    stream head — real streamers tolerate slightly out-of-order accesses
@@ -82,56 +116,102 @@ let observe_ref t ~line_addr =
       s.tick <- t.clock;
       false
 
+(* Move stream [i] (a flat offset) to the MRU end of the LRU list. *)
+let touch t i =
+  if i <> t.mru then begin
+    let d = t.flat in
+    let older = d.(i + 3) and newer = d.(i + 4) in
+    if older >= 0 then d.(older + 4) <- newer else t.lru <- newer;
+    d.(newer + 3) <- older;
+    d.(i + 3) <- t.mru;
+    d.(i + 4) <- -1;
+    d.(t.mru + 4) <- i;
+    t.mru <- i
+  end
+
+(* Move stream [i]'s head to [line_addr], keeping [near] in step. *)
+let move_head t i ~line_addr =
+  let d = t.flat and near = t.near in
+  let last = d.(i) in
+  if last <> min_int then begin
+    let b = (last asr 3) land near_mask in
+    near.(b) <- near.(b) - 1
+  end;
+  let b = (line_addr asr 3) land near_mask in
+  near.(b) <- near.(b) + 1;
+  d.(i) <- line_addr
+
 let observe_fast t ~line_addr =
-  t.clock <- t.clock + 1;
-  let d = t.flat in
-  let n = Array.length d in
-  (* One fused pass: stop at the first matching stream (same selection as
-     the reference's table-order scan); track the first-minimal-tick LRU
-     victim along the way, so a miss — the whole table scanned — needs no
-     second pass. The victim is only read when no stream matched, i.e.
-     when the pass covered every stream. *)
+  let d = t.flat and near = t.near in
+  let b = line_addr asr 3 in
   let idx = ref (-1) in
-  let v = ref 0 and vt = ref max_int in
-  let i = ref 0 in
-  while !idx < 0 && !i < n do
-    let last = Array.unsafe_get d !i in
-    let dl = line_addr - last in
-    let ad = if dl >= 0 then dl else -dl in
-    if last <> min_int && ad <= window then idx := !i
-    else begin
-      let tk = Array.unsafe_get d (!i + 3) in
-      if tk < !vt then begin
-        v := !i;
-        vt := tk
-      end;
-      i := !i + 4
-    end
-  done;
+  if
+    near.((b - 1) land near_mask) + near.(b land near_mask) + near.((b + 1) land near_mask)
+    > 0
+  then begin
+    let n = Array.length d in
+    let i = ref 0 in
+    while !idx < 0 && !i < n do
+      let last = Array.unsafe_get d !i in
+      (* |line_addr - last| <= window, by one rarely-true test: off lsr 5
+         is 0 only for 0 <= off < 32, and 2 * window < 32 *)
+      let off = line_addr - last + window in
+      if off lsr 5 = 0 && off <= 2 * window && last <> min_int then idx := !i
+      else i := !i + sw
+    done
+  end;
   if !idx >= 0 then begin
     let i = !idx in
     let delta = line_addr - d.(i) in
     let stride = d.(i + 1) and confidence = d.(i + 2) in
     let covered = confidence >= 2 && (delta = stride || delta = 0) in
     if delta = 0 then ()
-    else if delta = stride then
-      d.(i + 2) <- (if confidence + 1 > 8 then 8 else confidence + 1)
     else begin
-      d.(i + 1) <- delta;
-      d.(i + 2) <- 1
+      if delta = stride then
+        d.(i + 2) <- (if confidence + 1 > 8 then 8 else confidence + 1)
+      else begin
+        d.(i + 1) <- delta;
+        d.(i + 2) <- 1
+      end;
+      move_head t i ~line_addr
     end;
-    d.(i) <- line_addr;
-    d.(i + 3) <- t.clock;
+    touch t i;
     covered
   end
   else begin
-    let i = !v in
-    d.(i) <- line_addr;
+    let i = t.lru in
+    move_head t i ~line_addr;
     d.(i + 1) <- 0;
     d.(i + 2) <- 0;
-    d.(i + 3) <- t.clock;
+    touch t i;
     false
   end
+
+let consistent t =
+  (not t.fast)
+  ||
+  let d = t.flat in
+  let n = Array.length d / sw in
+  let near = Array.make (near_mask + 1) 0 in
+  for k = 0 to n - 1 do
+    let last = d.(k * sw) in
+    if last <> min_int then begin
+      let b = (last asr 3) land near_mask in
+      near.(b) <- near.(b) + 1
+    end
+  done;
+  (* walk the LRU list from its LRU end: every stream once, links mutual *)
+  let seen = Array.make n false in
+  let rec walk i older count =
+    if i < 0 then older = t.mru && count = n
+    else
+      i mod sw = 0 && i / sw < n
+      && (not seen.(i / sw))
+      && d.(i + 3) = older
+      && (seen.(i / sw) <- true;
+          walk d.(i + 4) i (count + 1))
+  in
+  near = t.near && walk t.lru (-1) 0
 
 let observe t ~line_addr =
   if t.fast then observe_fast t ~line_addr else observe_ref t ~line_addr
@@ -145,12 +225,4 @@ let reset t =
       s.confidence <- 0;
       s.tick <- 0)
     t.table;
-  let d = t.flat in
-  let k = ref 0 in
-  while !k < Array.length d do
-    d.(!k) <- min_int;
-    d.(!k + 1) <- 0;
-    d.(!k + 2) <- 0;
-    d.(!k + 3) <- 0;
-    k := !k + 4
-  done
+  if t.fast then clear t

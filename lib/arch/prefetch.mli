@@ -13,13 +13,23 @@ type t
 
 val create : ?fast_path:bool -> streams:int -> unit -> t
 (** [streams] is the table capacity (typically 16). [fast_path] (default
-    [true]) selects a hand-rolled early-exit table scan over the closure
-    based reference walk; both produce identical training decisions, the
-    reference scan exists as the honest pre-optimization baseline for the
-    self-benchmark ({!Hierarchy.create} forwards its own [?fast_path]). *)
+    [true]) selects the packed layout, whose miss is O(1): an occupancy
+    filter over the stream heads skips the table scan when no head is
+    near the line, and an LRU list names the victim. Both layouts make
+    identical training decisions; the reference walk exists as the
+    honest pre-optimization baseline for the self-benchmark
+    ({!Hierarchy.create} forwards its own [?fast_path]). *)
 
 val observe : t -> line_addr:int -> bool
 (** Feed one access; returns [true] if the access was covered by an
     established stream. Also trains the table. *)
 
 val reset : t -> unit
+(** Forget every stream (an empty table, as after {!create}). *)
+
+val consistent : t -> bool
+(** Whether the fast layout's side structures agree with its stream
+    table: each occupancy-filter count is the number of live stream
+    heads in its bucket, and the LRU list links every stream exactly
+    once. Always [true] (and trivially so for the reference layout);
+    exposed for the differential tests. *)

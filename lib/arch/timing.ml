@@ -62,7 +62,8 @@ let level_penalty (m : Machine.t) (level : Hierarchy.level) =
 let stall_port (m : Machine.t) hier stalls : Event.port =
   let mlp = float_of_int m.mlp in
   let penalty = Array.map (level_penalty m) Hierarchy.[| L1; L2; LLC; Dram |] in
-  fun ~thread ~addr ~bytes ~write ~chain ~nt ->
+  (* a predicted L1 hit ends in [Hierarchy.hit_port], with no stall *)
+  Hierarchy.hit_port hier (fun ~thread ~addr ~bytes ~write ~chain ~nt ->
     (* n_threads <= m.cores is enforced by [simulate]: core = thread *)
     let r = Hierarchy.access hier ~core:thread ~addr ~bytes ~write ~nt in
     if not r.covered then begin
@@ -72,7 +73,7 @@ let stall_port (m : Machine.t) hier stalls : Event.port =
       in
       let s = if chain then p else p /. mlp in
       stalls.(thread) <- stalls.(thread) +. s
-    end
+    end)
 
 exception Exceeds
 

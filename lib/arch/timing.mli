@@ -45,7 +45,7 @@ val simulate :
     [strategy] selects the execution backend (default: the
     process-wide {!Ninja_vm.Interp.default_strategy}, normally the
     compiled backend) and
-    [fast_path] the cache-simulation fast-hit path (default on); both are
+    [fast_path] the cache model's fast layouts (default on); both are
     pure performance knobs with bit-identical reports, exposed so the
     self-benchmark and differential tests can run the reference paths.
 
@@ -86,8 +86,11 @@ val stall_port :
     compiled executor on its untraced fast path: each access walks
     [hier] on core [thread] and adds its stall cycles (level latency,
     divided by the machine's MLP unless [chain]; nothing for L1 hits or
-    prefetch-covered misses) to [stalls.(thread)]. Exposed for the
-    model-side differential against {!Hierarchy.access}. *)
+    prefetch-covered misses) to [stalls.(thread)]. A single-line access
+    that hits L1 as predicted ends in {!Hierarchy.hit_port} without
+    another call; every other access goes through {!Hierarchy.access}.
+    Exposed for the model-side differential against
+    {!Hierarchy.access}. *)
 
 val issue_time : Machine.t -> Ninja_vm.Counts.t -> thread:int -> float
 (** Port-model issue time (cycles) for one thread's instruction counts:

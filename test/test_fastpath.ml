@@ -6,15 +6,17 @@
      register files, memory, per-thread instruction counts, the
      memory-access event stream, the profiling trace, and — for programs
      that fault — the trap message and the memory state at the fault;
-   - the cache and hierarchy fast layouts ([~fast_path:true], the default)
-     must produce access-by-access identical outcomes and end-of-run
-     counters to the reference layouts, including evictions, dirty lines
-     and write-back drains. *)
+   - the cache, prefetch and hierarchy fast layouts ([~fast_path:true],
+     the default) and the timing model's access port must produce
+     access-by-access identical outcomes and end-of-run counters to the
+     reference layouts, including evictions, dirty lines, prefetch
+     coverage and write-back drains. *)
 
 open Ninja_vm
 module Machine = Ninja_arch.Machine
 module Cache = Ninja_arch.Cache
 module Hierarchy = Ninja_arch.Hierarchy
+module Prefetch = Ninja_arch.Prefetch
 
 (* ------------------------------------------------------------------ *)
 (* Random verifier-clean programs.
@@ -532,6 +534,151 @@ let prop_cache_fast_matches_reference =
              Cache.probe fast ~line_addr = Cache.probe refc ~line_addr)
            (List.init 61 Fun.id))
 
+(* The same comparison over wide, set-concentrated streams, made access
+   by access: line addresses up to 2^24 (so the way predictor's table
+   aliases), strides of [n_sets] (many lines in one set), NBody's four
+   buffers 8 KiB apart, lines that share one predictor entry, and
+   [invalidate_all] mid-stream followed by reuse of the freed ways. The
+   fast side takes each access either as [try_hit] then [access] (the
+   L1 path) or as [access] alone (the L2/LLC path). *)
+
+type cache_op = Access of int * bool * bool (* line, write, try_hit first *) | Invalidate
+
+let wide_cache_arb =
+  let open QCheck.Gen in
+  let ops n_sets =
+    let line =
+      frequency
+        [ (3, int_bound (1 lsl 24));
+          (3, map2 (fun s k -> s + (k * n_sets)) (int_bound 2) (int_bound 40));
+          (3, map2 (fun b j -> (b * 128) + j) (int_bound 3) (int_bound 20));
+          (1, map (fun b -> (b * 512) + (b lxor 7)) (int_bound 50)) ]
+    in
+    list_size (1 -- 400)
+      (frequency
+         [ (40, map3 (fun l w p -> Access (l, w, p)) line bool bool); (1, return Invalidate) ])
+  in
+  QCheck.make
+    ~print:(fun (s, a, ops) ->
+      Fmt.str "sets=%d assoc=%d ops=%a" s a
+        Fmt.(Dump.list (fun ppf -> function
+          | Access (l, w, p) -> Fmt.pf ppf "(%d,%b,%b)" l w p
+          | Invalidate -> Fmt.string ppf "invalidate"))
+        ops)
+    (oneofl [ 1; 3; 4; 12; 16; 64 ] >>= fun n_sets ->
+     oneofl [ 1; 2; 4; 8; 16 ] >>= fun assoc ->
+     map (fun ops -> (n_sets, assoc, ops)) (ops n_sets))
+
+let prop_cache_wide_fast_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"cache fast layout = reference on wide, set-concentrated streams (access by access)"
+    wide_cache_arb
+    (fun (n_sets, assoc, ops) ->
+      let cfg : Machine.cache_cfg =
+        { size_bytes = n_sets * assoc * 64; assoc; line_bytes = 64; latency = 1 }
+      in
+      let fast = Cache.create ~fast_path:true cfg in
+      let refc = Cache.create ~fast_path:false cfg in
+      let same_state line_addr =
+        Cache.stats_hits fast = Cache.stats_hits refc
+        && Cache.stats_misses fast = Cache.stats_misses refc
+        && Cache.dirty_lines fast = Cache.dirty_lines refc
+        && List.for_all
+             (fun line_addr -> Cache.probe fast ~line_addr = Cache.probe refc ~line_addr)
+             [ line_addr; line_addr + n_sets; line_addr + 512 ]
+      in
+      List.for_all
+        (function
+          | Invalidate ->
+              Cache.invalidate_all fast;
+              Cache.invalidate_all refc;
+              same_state 0
+          | Access (line_addr, write, predicted) ->
+              let a : Cache.outcome =
+                if predicted && Cache.try_hit fast ~line_addr ~write then
+                  { hit = true; evicted_dirty = None }
+                else Cache.access fast ~line_addr ~write
+              in
+              let b = Cache.access refc ~line_addr ~write in
+              if a <> b then
+                QCheck.Test.fail_reportf "line %d write %b try_hit %b: fast %b/%a, ref %b/%a"
+                  line_addr write predicted a.hit
+                  Fmt.(Dump.option int)
+                  a.evicted_dirty b.hit
+                  Fmt.(Dump.option int)
+                  b.evicted_dirty
+              else if not (same_state line_addr) then
+                QCheck.Test.fail_reportf "line %d: stats, dirty lines or probes differ" line_addr
+              else true)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Prefetch: fast vs reference stream tables on walkers that step by
+   their own stride (zero and negative included) or by a delta at the
+   window's edge (+-8, +-9), more walkers than the 32-entry table holds
+   (so the victim path runs on a full table), clustered bases (so
+   windows overlap and table order decides the match) and wide ones (so
+   the occupancy filter's buckets alias), with [reset] mid-stream. After
+   every step the fast table's filter and LRU list must be consistent. *)
+
+type pf_op = Step of int * int option (* walker, delta (None: its stride) *) | Reset
+
+let prefetch_arb =
+  let open QCheck.Gen in
+  let walkers = 40 in
+  let base =
+    frequency
+      [ (2, int_bound (1 lsl 24)); (1, map (fun k -> k * 2048) (int_bound 64));
+        (1, map (fun k -> 5000 + (k * 6)) (int_bound 20)) ]
+  in
+  let stride = oneofl [ 0; 1; 1; 2; -1; -3; 8; -8; 9 ] in
+  let delta = oneofl [ -9; -8; -7; -1; 0; 1; 3; 7; 8; 9; 100 ] in
+  let op =
+    frequency
+      [ (30, map2 (fun w d -> Step (w, d)) (int_bound (walkers - 1)) (opt ~ratio:0.3 delta));
+        (1, return Reset) ]
+  in
+  QCheck.make
+    ~print:(fun (n, walkers, ops) ->
+      Fmt.str "streams=%d walkers=%a ops=%a" n
+        Fmt.(Dump.list (Dump.pair int int))
+        walkers
+        Fmt.(Dump.list (fun ppf -> function
+          | Step (w, d) -> Fmt.pf ppf "(%d,%a)" w (Dump.option int) d
+          | Reset -> Fmt.string ppf "reset"))
+        ops)
+    (triple (oneofl [ 1; 4; 32 ])
+       (list_repeat walkers (pair base stride))
+       (list_size (1 -- 600) op))
+
+let prop_prefetch_fast_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"prefetch fast layout = reference (coverage per access, filter, LRU list)"
+    prefetch_arb
+    (fun (streams, walkers, ops) ->
+      let fast = Prefetch.create ~fast_path:true ~streams () in
+      let refp = Prefetch.create ~fast_path:false ~streams () in
+      let pos = Array.of_list (List.map fst walkers) in
+      let strides = Array.of_list (List.map snd walkers) in
+      List.for_all
+        (function
+          | Reset ->
+              Prefetch.reset fast;
+              Prefetch.reset refp;
+              Prefetch.consistent fast
+          | Step (w, d) ->
+              pos.(w) <- pos.(w) + Option.value d ~default:strides.(w);
+              let line_addr = pos.(w) in
+              let a = Prefetch.observe fast ~line_addr in
+              let b = Prefetch.observe refp ~line_addr in
+              if a <> b then
+                QCheck.Test.fail_reportf "walker %d line %d: fast %b, ref %b" w line_addr a b
+              else if not (Prefetch.consistent fast) then
+                QCheck.Test.fail_reportf "walker %d line %d: filter or LRU list inconsistent" w
+                  line_addr
+              else true)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Hierarchy: fast vs reference caches under a multi-level machine with
    tiny caches (so capacity evictions, writebacks and LLC sharing all
@@ -562,10 +709,8 @@ let hierarchy_stream_arb =
               (oneofl [ 1; 4; 16; 64; 128 ])
               bool bool)))
 
-let prop_hierarchy_fast_matches_reference =
-  QCheck.Test.make ~count:200
-    ~name:"hierarchy fast path = reference (levels, traffic, drains)"
-    hierarchy_stream_arb
+let hierarchy_matches_reference ~name arb =
+  QCheck.Test.make ~count:200 ~name arb
     (fun trace ->
       let fast = Hierarchy.create ~fast_path:true tiny_machine in
       let refh = Hierarchy.create ~fast_path:false tiny_machine in
@@ -602,6 +747,59 @@ let prop_hierarchy_fast_matches_reference =
        && Hierarchy.dram_write_bytes fast = 0
        && same_counters ()))
 
+let prop_hierarchy_fast_matches_reference =
+  hierarchy_matches_reference ~name:"hierarchy fast path = reference (levels, traffic, drains)"
+    hierarchy_stream_arb
+
+(* Wide streams for the hierarchy and the port: 40 walkers (more than a
+   core's 32 prefetch streams) at bases up to 1 GiB, clustered or not,
+   each stepping by its own line stride (zero and negative included) or
+   by a delta at the prefetch window's edge; bytes may span lines. *)
+let wide_access_gen =
+  let open QCheck.Gen in
+  let walkers = 40 in
+  let base =
+    frequency
+      [ (2, int_bound (1 lsl 30)); (1, map (fun k -> k * 131072) (int_bound 64));
+        (1, map (fun k -> 1 lsl 20 + (k * 384)) (int_bound 20)) ]
+  in
+  let stride = oneofl [ 0; 1; 1; 2; -1; -3; 8; -8; 9 ] in
+  let step =
+    map
+      (fun ((w, d, off), (core, bytes), (write, chain, nt)) ->
+        (w, d, off, core, bytes, write, chain, write && nt))
+      (triple
+         (triple (int_bound (walkers - 1))
+            (opt ~ratio:0.3 (oneofl [ -9; -8; -1; 0; 1; 8; 9; 1000 ]))
+            (int_bound 63))
+         (pair (int_bound 1) (oneofl [ 4; 4; 16; 64; 128 ]))
+         (triple bool bool (map (fun k -> k = 0) (int_bound 5))))
+  in
+  map2
+    (fun walkers steps ->
+      let pos = Array.of_list (List.map fst walkers) in
+      let strides = Array.of_list (List.map snd walkers) in
+      List.map
+        (fun (w, d, off, core, bytes, write, chain, nt) ->
+          pos.(w) <- max 0 (pos.(w) + (64 * Option.value d ~default:strides.(w)));
+          (core, pos.(w) + off, bytes, write, chain, nt))
+        steps)
+    (list_repeat walkers (pair base stride))
+    (list_size (1 -- 400) step)
+
+let prop_hierarchy_wide_matches_reference =
+  hierarchy_matches_reference
+    ~name:"hierarchy fast path = reference on wide streams (levels, traffic, drains)"
+    (QCheck.make
+       ~print:(fun tr ->
+         Fmt.str "%a"
+           Fmt.(Dump.list (fun ppf (c, a, b, w, nt) ->
+               Fmt.pf ppf "(core %d, addr %d, bytes %d, write %b, nt %b)" c a b w nt))
+           tr)
+       (QCheck.Gen.map
+          (List.map (fun (c, a, b, w, _, nt) -> (c, a, b, w, nt)))
+          wide_access_gen))
+
 (* ------------------------------------------------------------------ *)
 (* The timing model's access port (the L1 hit probe, then the full path
    on a miss) against [Hierarchy.access] on reference caches, with the
@@ -627,10 +825,8 @@ let port_stream_arb =
                  (triple (int_bound 1) (int_bound 8192) (oneofl [ 4; 4; 16; 64; 128 ]))
                  (triple bool bool (map (fun k -> k = 0) (int_bound 5)))))))
 
-let prop_port_matches_hierarchy =
-  QCheck.Test.make ~count:200
-    ~name:"timing port = Hierarchy.access (stalls, levels, traffic, drains)"
-    port_stream_arb
+let port_matches_hierarchy ~name arb =
+  QCheck.Test.make ~count:200 ~name arb
     (fun (prefetch, trace) ->
       let m = Machine.with_prefetch tiny_machine prefetch in
       let fast = Hierarchy.create ~fast_path:true m in
@@ -667,6 +863,16 @@ let prop_port_matches_hierarchy =
        Hierarchy.drain_writebacks refh;
        same ()))
 
+let prop_port_matches_hierarchy =
+  port_matches_hierarchy ~name:"timing port = Hierarchy.access (stalls, levels, traffic, drains)"
+    port_stream_arb
+
+let prop_port_wide_matches_hierarchy =
+  port_matches_hierarchy
+    ~name:"timing port = Hierarchy.access on wide streams (stalls, levels, traffic, drains)"
+    (QCheck.make ?print:port_stream_arb.print
+       QCheck.Gen.(pair bool wide_access_gen))
+
 let suite =
   ( "fastpath",
     [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled_plain;
@@ -675,5 +881,9 @@ let suite =
       Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
       Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
       QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
+      QCheck_alcotest.to_alcotest prop_cache_wide_fast_matches_reference;
+      QCheck_alcotest.to_alcotest prop_prefetch_fast_matches_reference;
       QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_port_matches_hierarchy ] )
+      QCheck_alcotest.to_alcotest prop_hierarchy_wide_matches_reference;
+      QCheck_alcotest.to_alcotest prop_port_matches_hierarchy;
+      QCheck_alcotest.to_alcotest prop_port_wide_matches_hierarchy ] )
