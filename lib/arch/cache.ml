@@ -1,48 +1,32 @@
 type cfg = Machine.cache_cfg
 
-(* Two interchangeable storage layouts, selected at [create] time:
-
-   - the reference layout keeps per-way state in four parallel arrays
-     (tags/valid/dirty/stamp) and walks a set twice on a miss — the
-     original implementation, kept as the honest baseline the
-     self-benchmark measures against;
-   - the fast layout interleaves two words per way, [tag'; stamp], so one
-     set probe touches a single contiguous block (a 16-way set is 256
-     bytes instead of 4 scattered regions — the difference between one and
-     many host-cache misses when simulating a multi-megabyte LLC). [tag']
-     is [-1] when the way is invalid, else [line_addr lsl 1 lor dirty].
-     Ways are only ever invalidated all at once, and a fill takes the
-     first invalid way, so the valid ways of a set are always a prefix
-     of it: one pass finds the hit, or stops at the first invalid way,
-     while tracking the LRU victim. A way predictor remembers, per hash
-     of the line address, the way that last held such a line, so a
-     predicted hit is one tag compare.
-
-   Both layouts implement identical LRU and victim selection (first
-   invalid way, else first way with the minimal stamp) and produce
-   identical hit/miss/eviction sequences. *)
+(* Per-way state is two interleaved words, [tag'; stamp], so one set
+   probe touches a single contiguous block (a 16-way set is 256 bytes,
+   which keeps host-cache misses down when simulating a multi-megabyte
+   LLC). [tag'] is [-1] when the way is invalid, else
+   [line_addr lsl 1 lor dirty]. Ways are only ever invalidated all at
+   once, and a fill takes the first invalid way, so the valid ways of a
+   set are always a prefix of it: one pass finds the hit, or stops at
+   the first invalid way, while tracking the LRU victim (the first way
+   with the minimal stamp). A way predictor remembers, per hash of the
+   line address, the way that last held such a line, so a predicted hit
+   is one tag compare. *)
 type t = {
   cfg : cfg;
   n_sets : int;
   set_mask : int; (* n_sets - 1 when a power of two, else -1 *)
   line_shift : int; (* log2 line_bytes *)
-  (* reference layout: flat arrays indexed by set * assoc + way *)
-  tags : int array;
-  valid : bool array;
-  dirty : bool array;
-  stamp : int array; (* LRU timestamp *)
-  (* fast layout: set * assoc * 2 + way * 2 -> tag', +1 -> stamp *)
+  (* set * assoc * 2 + way * 2 -> tag', +1 -> stamp *)
   data : int array;
-  (* fast layout's way predictor: [pred.(pred_slot line_addr)] is the
-     [data] index of the way that last held a line with that hash. A
-     line lives in at most one way, so when that way's tag is the
-     line's, the line is there; any other entry (stale, aliased, never
-     written: 0 is a valid index) just fails the compare. *)
+  (* the way predictor: [pred.(pred_slot line_addr)] is the [data]
+     index of the way that last held a line with that hash. A line
+     lives in at most one way, so when that way's tag is the line's,
+     the line is there; any other entry (stale, aliased, never written:
+     0 is a valid index) just fails the compare. *)
   pred : int array;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  fast : bool;
 }
 
 type outcome = { hit : bool; evicted_dirty : int option }
@@ -61,7 +45,7 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let pred_mask = 511
 let pred_slot line_addr = (line_addr lxor (line_addr lsr 9)) land pred_mask
 
-let create ?(fast_path = true) (cfg : cfg) =
+let create (cfg : cfg) =
   let lines = cfg.size_bytes / cfg.line_bytes in
   if lines < cfg.assoc then invalid_arg "Cache.create: fewer lines than ways";
   let n_sets = lines / cfg.assoc in
@@ -73,83 +57,24 @@ let create ?(fast_path = true) (cfg : cfg) =
     n_sets;
     set_mask = (if is_pow2 n_sets then n_sets - 1 else -1);
     line_shift = (let s = ref 0 in while 1 lsl !s < cfg.line_bytes do incr s done; !s);
-    tags = (if fast_path then [||] else Array.make n 0);
-    valid = (if fast_path then [||] else Array.make n false);
-    dirty = (if fast_path then [||] else Array.make n false);
-    stamp = (if fast_path then [||] else Array.make n 0);
-    data = (if fast_path then Array.make (n * 2) (-1) else [||]);
-    pred = (if fast_path then Array.make (pred_mask + 1) 0 else [||]);
+    data = Array.make (n * 2) (-1);
+    pred = Array.make (pred_mask + 1) 0;
     clock = 0;
     hits = 0;
     misses = 0;
-    fast = fast_path;
   }
 
 let line_bytes t = t.cfg.line_bytes
 let sets t = t.n_sets
 let assoc t = t.cfg.assoc
 
-(* The stored tag is the full line address (the set index bits are
-   redundant but harmless, and eviction reporting stays trivial). *)
-let set_of t line_addr = line_addr mod t.n_sets
-
-let access_ref t ~line_addr ~write =
-  t.clock <- t.clock + 1;
-  let set = set_of t line_addr in
-  let base = set * t.cfg.assoc in
-  let found = ref (-1) in
-  for w = 0 to t.cfg.assoc - 1 do
-    let i = base + w in
-    if t.valid.(i) && t.tags.(i) = line_addr then found := i
-  done;
-  if !found >= 0 then begin
-    let i = !found in
-    t.hits <- t.hits + 1;
-    t.stamp.(i) <- t.clock;
-    if write then t.dirty.(i) <- true;
-    hit_clean
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* victim: first invalid way, else LRU *)
-    let victim = ref base in
-    let best = ref max_int in
-    (try
-       for w = 0 to t.cfg.assoc - 1 do
-         let i = base + w in
-         if not t.valid.(i) then begin
-           victim := i;
-           raise Exit
-         end;
-         if t.stamp.(i) < !best then begin
-           best := t.stamp.(i);
-           victim := i
-         end
-       done
-     with Exit -> ());
-    let i = !victim in
-    let evicted_dirty =
-      if t.valid.(i) && t.dirty.(i) then Some t.tags.(i) else None
-    in
-    t.tags.(i) <- line_addr;
-    t.valid.(i) <- true;
-    t.dirty.(i) <- write;
-    t.stamp.(i) <- t.clock;
-    match evicted_dirty with
-    | None -> miss_clean
-    | Some _ -> { hit = false; evicted_dirty }
-  end
-
-(* The fast layout's hit path: a way-predicted hit, one tag compare at
-   the predicted way (ORing the dirty bit into both sides makes it cover
-   the tag test and the invalid (-1) test at once: line addresses are
-   non-negative, so [tag' lor 1] of a valid way never equals -1). A hit
-   makes all of the access's clock, stamp, dirty and statistics
-   updates; otherwise nothing changes, whether or not the line is
-   cached. The reference layout has no predictor: it always declines. *)
+(* The hit path: a way-predicted hit, one tag compare at the predicted
+   way (ORing the dirty bit into both sides makes it cover the tag test
+   and the invalid (-1) test at once: line addresses are non-negative,
+   so [tag' lor 1] of a valid way never equals -1). A hit makes all of
+   the access's clock, stamp, dirty and statistics updates; otherwise
+   nothing changes, whether or not the line is cached. *)
 let[@inline] try_hit t ~line_addr ~write =
-  t.fast
-  &&
   let d = t.data in
   let i = Array.unsafe_get t.pred (pred_slot line_addr) in
   Array.unsafe_get d i lor 1 = (line_addr lsl 1) lor 1
@@ -161,17 +86,22 @@ let[@inline] try_hit t ~line_addr ~write =
     true
   end
 
-(* The fast layout's access: one pass over the set that stops at the hit
-   or at the first invalid way (the valid ways are a prefix), tracking
-   the first way with the minimal stamp as the victim for a full set. *)
-let access_fast t ~line_addr ~write =
-  t.clock <- t.clock + 1;
+(* The [data] index of [line_addr]'s set. The stored tag is the full
+   line address (the set index bits are redundant but harmless, and
+   eviction reporting stays trivial). *)
+let[@inline] set_base t line_addr =
   let set =
     if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
   in
-  let assoc2 = t.cfg.assoc * 2 in
-  let base = set * assoc2 in
-  let stop = base + assoc2 in
+  set * t.cfg.assoc * 2
+
+(* One pass over the set that stops at the hit or at the first invalid
+   way (the valid ways are a prefix), tracking the first way with the
+   minimal stamp as the victim for a full set. *)
+let access t ~line_addr ~write =
+  t.clock <- t.clock + 1;
+  let base = set_base t line_addr in
+  let stop = base + (t.cfg.assoc * 2) in
   let d = t.data in
   let probe = (line_addr lsl 1) lor 1 in
   let at = ref (-1) in
@@ -210,9 +140,6 @@ let access_fast t ~line_addr ~write =
     else miss_clean
   end
 
-let access t ~line_addr ~write =
-  if t.fast then access_fast t ~line_addr ~write else access_ref t ~line_addr ~write
-
 (* The L1 stage of the timing model's access port, defined here so that
    the hit probe above is a direct, inlined call: a single-line access
    that is not a non-temporal store and hits its core's L1 as predicted
@@ -231,57 +158,30 @@ let hit_port l1s ~hits rest : Ninja_vm.Event.port =
   else hits.(0) <- hits.(0) + 1
 
 let probe t ~line_addr =
-  if t.fast then begin
-    let set =
-      if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.n_sets
-    in
-    let assoc2 = t.cfg.assoc * 2 in
-    let base = set * assoc2 in
-    let found = ref false in
-    let i = ref base in
-    while !i < base + assoc2 do
-      let tg = t.data.(!i) in
-      if tg <> -1 && tg asr 1 = line_addr then found := true;
-      i := !i + 2
-    done;
-    !found
-  end
-  else begin
-    let set = set_of t line_addr in
-    let base = set * t.cfg.assoc in
-    let found = ref false in
-    for w = 0 to t.cfg.assoc - 1 do
-      let i = base + w in
-      if t.valid.(i) && t.tags.(i) = line_addr then found := true
-    done;
-    !found
-  end
+  let base = set_base t line_addr in
+  let found = ref false in
+  let i = ref base in
+  while !i < base + (t.cfg.assoc * 2) do
+    let tg = t.data.(!i) in
+    if tg <> -1 && tg asr 1 = line_addr then found := true;
+    i := !i + 2
+  done;
+  !found
 
-let invalidate_all t =
-  if t.fast then Array.fill t.data 0 (Array.length t.data) (-1)
-  else begin
-    Array.fill t.valid 0 (Array.length t.valid) false;
-    Array.fill t.dirty 0 (Array.length t.dirty) false
-  end
+let invalidate_all t = Array.fill t.data 0 (Array.length t.data) (-1)
 
 let stats_hits t = t.hits
 let stats_misses t = t.misses
 
 let dirty_lines t =
   let n = ref 0 in
-  if t.fast then begin
-    let d = t.data in
-    let i = ref 0 in
-    while !i < Array.length d do
-      let tg = d.(!i) in
-      if tg <> -1 && tg land 1 = 1 then incr n;
-      i := !i + 2
-    done
-  end
-  else
-    for i = 0 to Array.length t.valid - 1 do
-      if t.valid.(i) && t.dirty.(i) then incr n
-    done;
+  let d = t.data in
+  let i = ref 0 in
+  while !i < Array.length d do
+    let tg = d.(!i) in
+    if tg <> -1 && tg land 1 = 1 then incr n;
+    i := !i + 2
+  done;
   !n
 
 let reset_stats t =

@@ -1,6 +1,11 @@
 (** A single set-associative, write-back, write-allocate cache with LRU
     replacement, operating on line addresses. Used as a building block for
-    the per-core L1/L2 and the shared LLC in {!Hierarchy}. *)
+    the per-core L1/L2 and the shared LLC in {!Hierarchy}.
+
+    A fill takes the set's first invalid way, else the first way with
+    the oldest access (LRU). Each set's ways are stored together, one
+    pass finds a hit or the victim, and a way predictor behind
+    {!try_hit} makes a predicted hit one tag compare. *)
 
 type t
 
@@ -13,15 +18,10 @@ type outcome = {
       (** line address of a dirty line displaced by the fill, if any *)
 }
 
-val create : ?fast_path:bool -> cfg -> t
-(** An empty cache with the configuration's geometry.
-
-    @param fast_path select the fast layout (default [true]): ways
-      interleaved in one array, a one-pass {!access}, and a way
-      predictor behind {!try_hit}. Behaviour (outcomes, LRU order,
-      statistics) is bit-identical either way; [false] selects the
-      reference layout, which exists for differential testing and as
-      the self-benchmark's baseline. *)
+val create : cfg -> t
+(** An empty cache with the configuration's geometry. Raises
+    [Invalid_argument] when it holds fewer lines than ways or the line
+    size is not a power of two. *)
 
 val line_bytes : t -> int
 (** Line size in bytes. *)
@@ -42,8 +42,7 @@ val try_hit : t -> line_addr:int -> write:bool -> bool
     a line with the same hash of its address) and says whether it did: a
     hit makes exactly {!access}'s updates (LRU stamp, dirty bit,
     statistics). [false] changes nothing and does not mean a miss: the
-    line may sit in another way, so follow it with {!access}. A cache
-    created without the fast path always answers [false]. *)
+    line may sit in another way, so follow it with {!access}. *)
 
 val hit_port : t array -> hits:int array -> Ninja_vm.Event.port -> Ninja_vm.Event.port
 (** [hit_port l1s ~hits rest] is the L1 stage of an access port, one

@@ -27,17 +27,17 @@ let result_tbl =
 let mk_result level covered =
   result_tbl.((level_index level * 2) + if covered then 1 else 0)
 
-let create ?(fast_path = true) (m : Machine.t) =
+let create (m : Machine.t) =
   {
     machine = m;
     cores =
       Array.init m.cores (fun _ ->
           {
-            l1 = Cache.create ~fast_path m.l1;
-            l2 = Cache.create ~fast_path m.l2;
-            pf = Prefetch.create ~fast_path ~streams:32 ();
+            l1 = Cache.create m.l1;
+            l2 = Cache.create m.l2;
+            pf = Prefetch.create ~streams:32 ();
           });
-    llc = Cache.create ~fast_path m.llc;
+    llc = Cache.create m.llc;
     line_shift =
       (let s = ref 0 in
        while 1 lsl !s < m.l1.line_bytes do incr s done;

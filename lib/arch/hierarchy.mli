@@ -13,14 +13,10 @@ type result = {
   covered : bool;  (** all missing lines were prefetch-covered *)
 }
 
-val create : ?fast_path:bool -> Machine.t -> t
-(** A cold hierarchy shaped by the machine's cache configurations.
-
-    @param fast_path forwarded to every {!Cache.create} and
-      {!Prefetch.create} (default [true]): selects the fast layouts (the
-      way-predicted L1 hit, one-pass cache accesses, the prefetcher's
-      O(1) miss). Results are bit-identical either way; [false] exists
-      for differential testing. *)
+val create : Machine.t -> t
+(** A cold hierarchy shaped by the machine's cache configurations: per
+    core an L1, an L2 and a 32-stream {!Prefetch} table, and one shared
+    LLC. *)
 
 val access :
   t -> core:int -> addr:int -> bytes:int -> write:bool -> nt:bool -> result

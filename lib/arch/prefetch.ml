@@ -1,40 +1,24 @@
-type stream = {
-  mutable last : int; (* last line address seen *)
-  mutable stride : int; (* line stride; 0 = untrained *)
-  mutable confidence : int;
-  mutable tick : int; (* for LRU replacement *)
-}
-
-(* Two interchangeable layouts, selected at [create] time. The reference
-   layout is one record per stream, scanned with a closure over an option
-   ref — the original implementation, kept as the honest baseline for the
-   self-benchmark. The fast layout packs each stream into [flat] as
-   [last; stride; confidence; older; newer] and keeps two side
-   structures that make a miss O(1):
+(* Each stream is packed into [flat] as [last; stride; confidence;
+   older; newer] ([last] = [min_int] for a stream never allocated).
+   Match selection is the first stream in table order within [window]
+   of the line, by an early-exit scan; two side structures make a miss
+   O(1):
 
    - [near], an occupancy filter: the number of stream heads whose
      [last asr 3] hashes to each bucket. A head within [window] (8) of a
      line is in the line's bucket or a neighbour (window <= 8 = the
-     bucket width), so when those three
-     counts are zero no stream can match and the table is not scanned;
+     bucket width), so when those three counts are zero no stream can
+     match and the table is not scanned;
    - an LRU list threaded through [older]/[newer] (flat offsets, -1 at
      the ends, [lru]/[mru] the ends), with each touched stream moved to
-     the MRU end. The reference's victim is the first stream with the
-     minimal tick; ticks are distinct clock values except that untouched
-     streams all have tick 0, and those sit at the LRU end in index
-     order, so the list's LRU end is that same stream.
-
-   Match selection (first stream in table order within [window]) is the
-   reference's, by an early-exit scan when the filter lets a stream
-   match. *)
+     the MRU end. The victim of an allocation is its LRU end: the least
+     recently touched stream, with never-touched streams first, in
+     index order. *)
 type t = {
-  table : stream array;
   flat : int array;
   near : int array;
   mutable lru : int;
   mutable mru : int;
-  mutable clock : int; (* the reference layout's LRU ticks *)
-  fast : bool;
 }
 
 (* words per stream in [flat] *)
@@ -43,8 +27,8 @@ let sw = 5
 (* filter buckets; a power of two *)
 let near_mask = 255
 
-(* the fast layout's empty state: no heads, LRU order = index order *)
-let clear t =
+(* the empty state: no heads, LRU order = index order *)
+let reset t =
   let d = t.flat in
   let n = Array.length d / sw in
   for k = 0 to n - 1 do
@@ -59,62 +43,18 @@ let clear t =
   t.lru <- 0;
   t.mru <- (n - 1) * sw
 
-let create ?(fast_path = true) ~streams () =
+let create ~streams () =
   if streams < 1 then invalid_arg "Prefetch.create: streams < 1";
   let t =
-    {
-      table =
-        (if fast_path then [||]
-         else
-           Array.init streams (fun _ ->
-               { last = min_int; stride = 0; confidence = 0; tick = 0 }));
-      flat = (if fast_path then Array.make (streams * sw) 0 else [||]);
-      near = (if fast_path then Array.make (near_mask + 1) 0 else [||]);
-      lru = 0;
-      mru = 0;
-      clock = 0;
-      fast = fast_path;
-    }
+    { flat = Array.make (streams * sw) 0; near = Array.make (near_mask + 1) 0; lru = 0; mru = 0 }
   in
-  if fast_path then clear t;
+  reset t;
   t
 
 (* A stream matches if the access lands within a small window ahead of the
    stream head — real streamers tolerate slightly out-of-order accesses
    within a stream (e.g. the lines of one vector load). *)
 let window = 8
-
-let observe_ref t ~line_addr =
-  t.clock <- t.clock + 1;
-  let found = ref None in
-  Array.iter
-    (fun s ->
-      if !found = None && s.last <> min_int && abs (line_addr - s.last) <= window then
-        found := Some s)
-    t.table;
-  match !found with
-  | Some s ->
-      let delta = line_addr - s.last in
-      let covered = s.confidence >= 2 && (delta = s.stride || delta = 0) in
-      if delta = 0 then ()
-      else if delta = s.stride then s.confidence <- min (s.confidence + 1) 8
-      else begin
-        s.stride <- delta;
-        s.confidence <- 1
-      end;
-      s.last <- line_addr;
-      s.tick <- t.clock;
-      covered
-  | None ->
-      (* allocate: LRU entry *)
-      let victim = ref t.table.(0) in
-      Array.iter (fun s -> if s.tick < !victim.tick then victim := s) t.table;
-      let s = !victim in
-      s.last <- line_addr;
-      s.stride <- 0;
-      s.confidence <- 0;
-      s.tick <- t.clock;
-      false
 
 (* Move stream [i] (a flat offset) to the MRU end of the LRU list. *)
 let touch t i =
@@ -141,7 +81,7 @@ let move_head t i ~line_addr =
   near.(b) <- near.(b) + 1;
   d.(i) <- line_addr
 
-let observe_fast t ~line_addr =
+let observe t ~line_addr =
   let d = t.flat and near = t.near in
   let b = line_addr asr 3 in
   let idx = ref (-1) in
@@ -188,8 +128,6 @@ let observe_fast t ~line_addr =
   end
 
 let consistent t =
-  (not t.fast)
-  ||
   let d = t.flat in
   let n = Array.length d / sw in
   let near = Array.make (near_mask + 1) 0 in
@@ -213,16 +151,3 @@ let consistent t =
   in
   near = t.near && walk t.lru (-1) 0
 
-let observe t ~line_addr =
-  if t.fast then observe_fast t ~line_addr else observe_ref t ~line_addr
-
-let reset t =
-  t.clock <- 0;
-  Array.iter
-    (fun s ->
-      s.last <- min_int;
-      s.stride <- 0;
-      s.confidence <- 0;
-      s.tick <- 0)
-    t.table;
-  if t.fast then clear t

@@ -11,14 +11,13 @@
 
 type t
 
-val create : ?fast_path:bool -> streams:int -> unit -> t
-(** [streams] is the table capacity (typically 16). [fast_path] (default
-    [true]) selects the packed layout, whose miss is O(1): an occupancy
-    filter over the stream heads skips the table scan when no head is
-    near the line, and an LRU list names the victim. Both layouts make
-    identical training decisions; the reference walk exists as the
-    honest pre-optimization baseline for the self-benchmark
-    ({!Hierarchy.create} forwards its own [?fast_path]). *)
+val create : streams:int -> unit -> t
+(** [streams] is the table capacity (typically 16). An access matches
+    the first stream, in table order, whose head is within 8 lines of
+    it; with no match it replaces the least recently touched stream
+    (never-touched streams first, in table order). A miss is O(1): an
+    occupancy filter over the stream heads skips the table scan when no
+    head is near the line, and an LRU list names the victim. *)
 
 val observe : t -> line_addr:int -> bool
 (** Feed one access; returns [true] if the access was covered by an
@@ -28,8 +27,7 @@ val reset : t -> unit
 (** Forget every stream (an empty table, as after {!create}). *)
 
 val consistent : t -> bool
-(** Whether the fast layout's side structures agree with its stream
-    table: each occupancy-filter count is the number of live stream
-    heads in its bucket, and the LRU list links every stream exactly
-    once. Always [true] (and trivially so for the reference layout);
-    exposed for the differential tests. *)
+(** Whether the side structures agree with the stream table: each
+    occupancy-filter count is the number of live stream heads in its
+    bucket, and the LRU list links every stream exactly once. Always
+    [true]; exposed for the model-based tests. *)

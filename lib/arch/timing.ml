@@ -102,8 +102,8 @@ let instruction_budget (m : Machine.t) ~n_threads max_cycles =
     Some (!k - 1)
   end
 
-let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fast_path
-    ?max_cycles prog mem =
+let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?max_cycles
+    prog mem =
   let m : Machine.t = machine in
   if n_threads > m.cores then
     invalid_arg
@@ -115,7 +115,7 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
     Option.bind max_cycles (fun c ->
         Option.map ref (instruction_budget m ~n_threads c))
   in
-  let hier = Hierarchy.create ?fast_path m in
+  let hier = Hierarchy.create m in
   let stalls = Array.make n_threads 0. in
   let mlp = float_of_int m.mlp in
   let level_penalty = level_penalty m in
@@ -123,57 +123,32 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?fa
   (* The access consumer is selected once on trace presence: the untraced
      (common) case is [stall_port], called directly by the compiled
      executor with no event record and no dram-delta bookkeeping, so
-     profiling costs nothing when it is off. With [~fast_path:false] the
-     original sink — one closure matching [trace] per event — is used
-     instead, keeping the baseline configuration's costs faithful to the
-     pre-fast-path simulator. *)
-  let reference_sink (e : Event.t) =
-    let core = e.thread mod m.cores in
-    let write = e.kind = Event.Write in
-    let dram_before = match trace with None -> 0 | Some _ -> dram_total () in
-    let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
-    let stall =
-      if r.covered then 0.
-      else begin
-        let p = level_penalty r.level in
-        let s = if e.chain then p else p /. mlp in
-        stalls.(e.thread) <- stalls.(e.thread) +. s;
-        s
-      end
-    in
-    match trace with
-    | None -> ()
-    | Some f ->
-        f
-          (Trace.Access
-             { thread = e.thread; level = trace_level r.level; covered = r.covered;
-               stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })
-  in
+     profiling costs nothing when it is off; a traced run takes every
+     access as an event and reports what it cost. *)
   let sink, port =
-    if fast_path = Some false then (Some reference_sink, None)
-    else
-      match trace with
-      | None -> (None, Some (stall_port m hier stalls))
-      | Some f ->
-          Some (fun (e : Event.t) ->
-          let core = e.thread in (* n_threads <= m.cores is enforced above *)
-          let write = match e.kind with Event.Write -> true | Event.Read -> false in
-          let dram_before = dram_total () in
-          let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
-          let stall =
-            if r.covered then 0.
-            else begin
-              let p = level_penalty r.level in
-              let s = if e.chain then p else p /. mlp in
-              stalls.(e.thread) <- stalls.(e.thread) +. s;
-              s
-            end
-          in
-          f
-            (Trace.Access
-               { thread = e.thread; level = trace_level r.level; covered = r.covered;
-                 stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })),
-          None
+    match trace with
+    | None -> (None, Some (stall_port m hier stalls))
+    | Some f ->
+        ( Some
+            (fun (e : Event.t) ->
+              let core = e.thread in (* n_threads <= m.cores is enforced above *)
+              let write = match e.kind with Event.Write -> true | Event.Read -> false in
+              let dram_before = dram_total () in
+              let r = Hierarchy.access hier ~core ~addr:e.addr ~bytes:e.bytes ~write ~nt:e.nt in
+              let stall =
+                if r.covered then 0.
+                else begin
+                  let p = level_penalty r.level in
+                  let s = if e.chain then p else p /. mlp in
+                  stalls.(e.thread) <- stalls.(e.thread) +. s;
+                  s
+                end
+              in
+              f
+                (Trace.Access
+                   { thread = e.thread; level = trace_level r.level; covered = r.covered;
+                     stall; bytes = e.bytes; write; dram_bytes = dram_total () - dram_before })),
+          None )
   in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in

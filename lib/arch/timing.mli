@@ -33,7 +33,6 @@ val simulate :
   ?prepare:(int -> Ninja_vm.Memory.t -> unit) ->
   ?trace:Ninja_vm.Trace.sink ->
   ?strategy:Ninja_vm.Interp.strategy ->
-  ?fast_path:bool ->
   ?max_cycles:float ->
   Ninja_vm.Isa.program ->
   Ninja_vm.Memory.t ->
@@ -44,10 +43,9 @@ val simulate :
 
     [strategy] selects the execution backend (default: the
     process-wide {!Ninja_vm.Interp.default_strategy}, normally the
-    compiled backend) and
-    [fast_path] the cache model's fast layouts (default on); both are
-    pure performance knobs with bit-identical reports, exposed so the
-    self-benchmark and differential tests can run the reference paths.
+    compiled backend): a pure performance knob with bit-identical
+    reports, exposed so the self-benchmark and differential tests can
+    run the tree-walking baseline.
 
     [runs] (default 1) executes the program that many times against the same
     memory and cache state, summing the modeled time — this models repeated
@@ -83,14 +81,14 @@ exception Exceeds
 val stall_port :
   Machine.t -> Hierarchy.t -> float array -> Ninja_vm.Event.port
 (** [stall_port m hier stalls] is the access port {!simulate} hands the
-    compiled executor on its untraced fast path: each access walks
+    compiled executor when a run is not traced: each access walks
     [hier] on core [thread] and adds its stall cycles (level latency,
     divided by the machine's MLP unless [chain]; nothing for L1 hits or
     prefetch-covered misses) to [stalls.(thread)]. A single-line access
     that hits L1 as predicted ends in {!Hierarchy.hit_port} without
     another call; every other access goes through {!Hierarchy.access}.
-    Exposed for the model-side differential against
-    {!Hierarchy.access}. *)
+    Exposed for the tests, which check it access by access against a
+    pure model of the hierarchy. *)
 
 val issue_time : Machine.t -> Ninja_vm.Counts.t -> thread:int -> float
 (** Port-model issue time (cycles) for one thread's instruction counts:

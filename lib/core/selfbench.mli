@@ -3,12 +3,12 @@
     Measures the simulator's own wall-clock throughput — simulated
     instructions per second — over a grid of (benchmark, machine, ladder
     step) jobs, in two configurations: the compiled backend
-    ([Compiled Optimize.default] over the fast cache hierarchy — the
-    simulation default) and the reference baseline (tree-walking
-    interpreter over the reference hierarchy). Both produce bit-identical
-    simulation reports — the whole compiled report is compared
-    structurally against the baseline's on every job — so the ratio is a
-    pure measure of simulator overhead. Results are written as
+    ([Compiled Optimize.default] — the simulation default) and the
+    tree-walking baseline ([Tree]), both on the one cache hierarchy.
+    Both produce bit-identical simulation reports — the whole compiled
+    report is compared structurally against the baseline's on every
+    job — so the ratio is a pure measure of the execution backend's
+    overhead. Results are written as
     [BENCH_simulator.json] (schema {!schema_version}) by the
     [bench/main.exe simulate] harness mode. *)
 

@@ -96,15 +96,14 @@ val forced_count : unit -> int
 val run_step :
   ?trace:Ninja_vm.Trace.sink ->
   ?strategy:Ninja_vm.Interp.strategy ->
-  ?fast_path:bool ->
   ?max_cycles:float ->
   machine:Ninja_arch.Machine.t -> step -> Ninja_arch.Timing.report
 (** Simulate one step on [machine] (threads = cores when [parallel]).
     [trace] forwards profiling events to the cycle-attribution profiler;
-    passing it changes no reported number. [strategy] and [fast_path]
-    forward to {!Ninja_arch.Timing.simulate} — pure performance knobs
-    with bit-identical reports, used by the self-benchmark to measure
-    the reference paths. [max_cycles] forwards too: the step's launches
+    passing it changes no reported number. [strategy] forwards to
+    {!Ninja_arch.Timing.simulate} — a pure performance knob with
+    bit-identical reports, used by the self-benchmark to measure the
+    tree-walking baseline. [max_cycles] forwards too: the step's launches
     share one instruction budget, and a step that provably models more
     cycles raises {!Ninja_arch.Timing.Exceeds} (the tuner's bounded
     evaluation). *)

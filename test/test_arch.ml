@@ -177,37 +177,11 @@ let test_speedup_and_flops () =
   Alcotest.(check (float 1e-9)) "self speedup" 1.0 (Timing.speedup ~baseline:r r)
 
 (* ---- qcheck properties for the cache ----
-   A pure reference model of a set-associative LRU cache (per-set MRU-first
-   association lists) differentially checked against Cache.access, plus
-   counter and full-associativity invariants. *)
+   The pure LRU model of [Models] (per-set MRU-first association lists)
+   differentially checked against Cache.access, plus counter and
+   full-associativity invariants. *)
 
-module Lru_model = struct
-  type t = { assoc : int; sets : (int * bool ref) list ref array }
-
-  let create ~n_sets ~assoc = { assoc; sets = Array.init n_sets (fun _ -> ref []) }
-
-  (* mirror of Cache.access: returns the same outcome record *)
-  let access m ~line_addr ~write : Cache.outcome =
-    let set = m.sets.(line_addr mod Array.length m.sets) in
-    match List.assoc_opt line_addr !set with
-    | Some dirty ->
-        if write then dirty := true;
-        set := (line_addr, dirty) :: List.remove_assoc line_addr !set;
-        { hit = true; evicted_dirty = None }
-    | None ->
-        let kept = (line_addr, ref write) :: !set in
-        let evicted_dirty =
-          if List.length kept <= m.assoc then None
-          else
-            match List.rev kept with
-            | (victim, dirty) :: _ -> if !dirty then Some victim else None
-            | [] -> assert false
-        in
-        set :=
-          (if List.length kept <= m.assoc then kept
-           else List.filteri (fun i _ -> i < m.assoc) kept);
-        { hit = false; evicted_dirty }
-end
+module Lru_model = Models.Lru_model
 
 (* (sets, assoc, accesses): small geometries so eviction is exercised *)
 let cache_trace_gen =

@@ -1,22 +1,22 @@
-(* Differential properties for the fast paths introduced alongside the
-   self-benchmark:
+(* Differential properties for the simulator's hot paths:
 
    - random verifier-clean programs run under both execution strategies
      ([Tree] vs [Compiled config]) must agree on every observable: final
      register files, memory, per-thread instruction counts, the
      memory-access event stream, the profiling trace, and — for programs
      that fault — the trap message and the memory state at the fault;
-   - the cache, prefetch and hierarchy fast layouts ([~fast_path:true],
-     the default) and the timing model's access port must produce
-     access-by-access identical outcomes and end-of-run counters to the
-     reference layouts, including evictions, dirty lines, prefetch
-     coverage and write-back drains. *)
+   - the cache, the prefetcher, the hierarchy and the timing model's
+     access port must produce access-by-access the outcomes and counters
+     of the pure models in [Models] (LRU cache, prefetch stream table,
+     hierarchy built from the two), including evictions, dirty lines,
+     prefetch coverage, stalls and write-back drains. *)
 
 open Ninja_vm
 module Machine = Ninja_arch.Machine
 module Cache = Ninja_arch.Cache
 module Hierarchy = Ninja_arch.Hierarchy
 module Prefetch = Ninja_arch.Prefetch
+open Models
 
 (* ------------------------------------------------------------------ *)
 (* Random verifier-clean programs.
@@ -474,8 +474,8 @@ let test_trap_nonpositive_step () =
   Alcotest.(check bool) "step in message" true (Astring_contains.contains msg "step")
 
 (* ------------------------------------------------------------------ *)
-(* Cache: fast layout vs reference layout on identical access streams,
-   with same-line repeats (the MRU memo) and mid-stream invalidations. *)
+(* Cache against the LRU model on identical access streams, with
+   same-line repeats and mid-stream invalidations. *)
 
 let cache_stream_arb =
   QCheck.make
@@ -487,29 +487,29 @@ let cache_stream_arb =
         (oneofl [ 1; 2; 4; 8 ])
         (list_size (1 -- 300) (pair (int_bound 60) bool)))
 
-let prop_cache_fast_matches_reference =
+let prop_cache_matches_model =
   QCheck.Test.make ~count:300
-    ~name:"cache fast layout = reference layout (outcomes, stats, dirty lines)"
+    ~name:"cache = LRU model (outcomes, stats, dirty lines)"
     cache_stream_arb
     (fun (n_sets, assoc, trace) ->
       let cfg : Machine.cache_cfg =
         { size_bytes = n_sets * assoc * 64; assoc; line_bytes = 64; latency = 1 }
       in
-      let fast = Cache.create ~fast_path:true cfg in
-      let refc = Cache.create ~fast_path:false cfg in
+      let c = Cache.create cfg in
+      let m = Lru_model.create ~n_sets ~assoc in
       let step (line_addr, write) =
         (* every third access repeats immediately with the other kind, so
-           the MRU memo path is exercised with both read and write hits *)
+           a line is hit by both reads and writes *)
         let probes =
           if line_addr mod 3 = 0 then [ (line_addr, write); (line_addr, not write) ]
           else [ (line_addr, write) ]
         in
         List.for_all
           (fun (line_addr, write) ->
-            let a = Cache.access fast ~line_addr ~write in
-            let b = Cache.access refc ~line_addr ~write in
+            let a = Cache.access c ~line_addr ~write in
+            let b = Lru_model.access m ~line_addr ~write in
             if a <> b then
-              QCheck.Test.fail_reportf "line %d write %b: fast %b/%a, ref %b/%a"
+              QCheck.Test.fail_reportf "line %d write %b: cache %b/%a, model %b/%a"
                 line_addr write a.Cache.hit
                 Fmt.(Dump.option int)
                 a.Cache.evicted_dirty b.Cache.hit
@@ -519,19 +519,18 @@ let prop_cache_fast_matches_reference =
           probes
         &&
         (if line_addr mod 17 = 13 then begin
-           (* mid-stream invalidation must also clear the MRU memo *)
-           Cache.invalidate_all fast;
-           Cache.invalidate_all refc
+           (* mid-stream invalidation, then reuse of the freed ways *)
+           Cache.invalidate_all c;
+           Lru_model.invalidate_all m
          end;
          true)
       in
       List.for_all step trace
-      && Cache.stats_hits fast = Cache.stats_hits refc
-      && Cache.stats_misses fast = Cache.stats_misses refc
-      && Cache.dirty_lines fast = Cache.dirty_lines refc
+      && Cache.stats_hits c = m.hits
+      && Cache.stats_misses c = m.misses
+      && Cache.dirty_lines c = Lru_model.dirty_lines m
       && List.for_all
-           (fun line_addr ->
-             Cache.probe fast ~line_addr = Cache.probe refc ~line_addr)
+           (fun line_addr -> Cache.probe c ~line_addr = Lru_model.probe m ~line_addr)
            (List.init 61 Fun.id))
 
 (* The same comparison over wide, set-concentrated streams, made access
@@ -539,8 +538,8 @@ let prop_cache_fast_matches_reference =
    aliases), strides of [n_sets] (many lines in one set), NBody's four
    buffers 8 KiB apart, lines that share one predictor entry, and
    [invalidate_all] mid-stream followed by reuse of the freed ways. The
-   fast side takes each access either as [try_hit] then [access] (the
-   L1 path) or as [access] alone (the L2/LLC path). *)
+   cache takes each access either as [try_hit] then [access] (the L1
+   path) or as [access] alone (the L2/LLC path). *)
 
 type cache_op = Access of int * bool * bool (* line, write, try_hit first *) | Invalidate
 
@@ -569,39 +568,39 @@ let wide_cache_arb =
      oneofl [ 1; 2; 4; 8; 16 ] >>= fun assoc ->
      map (fun ops -> (n_sets, assoc, ops)) (ops n_sets))
 
-let prop_cache_wide_fast_matches_reference =
+let prop_cache_wide_matches_model =
   QCheck.Test.make ~count:200
-    ~name:"cache fast layout = reference on wide, set-concentrated streams (access by access)"
+    ~name:"cache = LRU model on wide, set-concentrated streams (access by access)"
     wide_cache_arb
     (fun (n_sets, assoc, ops) ->
       let cfg : Machine.cache_cfg =
         { size_bytes = n_sets * assoc * 64; assoc; line_bytes = 64; latency = 1 }
       in
-      let fast = Cache.create ~fast_path:true cfg in
-      let refc = Cache.create ~fast_path:false cfg in
+      let c = Cache.create cfg in
+      let m = Lru_model.create ~n_sets ~assoc in
       let same_state line_addr =
-        Cache.stats_hits fast = Cache.stats_hits refc
-        && Cache.stats_misses fast = Cache.stats_misses refc
-        && Cache.dirty_lines fast = Cache.dirty_lines refc
+        Cache.stats_hits c = m.hits
+        && Cache.stats_misses c = m.misses
+        && Cache.dirty_lines c = Lru_model.dirty_lines m
         && List.for_all
-             (fun line_addr -> Cache.probe fast ~line_addr = Cache.probe refc ~line_addr)
+             (fun line_addr -> Cache.probe c ~line_addr = Lru_model.probe m ~line_addr)
              [ line_addr; line_addr + n_sets; line_addr + 512 ]
       in
       List.for_all
         (function
           | Invalidate ->
-              Cache.invalidate_all fast;
-              Cache.invalidate_all refc;
+              Cache.invalidate_all c;
+              Lru_model.invalidate_all m;
               same_state 0
           | Access (line_addr, write, predicted) ->
               let a : Cache.outcome =
-                if predicted && Cache.try_hit fast ~line_addr ~write then
+                if predicted && Cache.try_hit c ~line_addr ~write then
                   { hit = true; evicted_dirty = None }
-                else Cache.access fast ~line_addr ~write
+                else Cache.access c ~line_addr ~write
               in
-              let b = Cache.access refc ~line_addr ~write in
+              let b = Lru_model.access m ~line_addr ~write in
               if a <> b then
-                QCheck.Test.fail_reportf "line %d write %b try_hit %b: fast %b/%a, ref %b/%a"
+                QCheck.Test.fail_reportf "line %d write %b try_hit %b: cache %b/%a, model %b/%a"
                   line_addr write predicted a.hit
                   Fmt.(Dump.option int)
                   a.evicted_dirty b.hit
@@ -613,13 +612,13 @@ let prop_cache_wide_fast_matches_reference =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Prefetch: fast vs reference stream tables on walkers that step by
+(* Prefetch against the stream-table model on walkers that step by
    their own stride (zero and negative included) or by a delta at the
    window's edge (+-8, +-9), more walkers than the 32-entry table holds
    (so the victim path runs on a full table), clustered bases (so
    windows overlap and table order decides the match) and wide ones (so
    the occupancy filter's buckets alias), with [reset] mid-stream. After
-   every step the fast table's filter and LRU list must be consistent. *)
+   every step the table's filter and LRU list must be consistent. *)
 
 type pf_op = Step of int * int option (* walker, delta (None: its stride) *) | Reset
 
@@ -651,36 +650,36 @@ let prefetch_arb =
        (list_repeat walkers (pair base stride))
        (list_size (1 -- 600) op))
 
-let prop_prefetch_fast_matches_reference =
+let prop_prefetch_matches_model =
   QCheck.Test.make ~count:300
-    ~name:"prefetch fast layout = reference (coverage per access, filter, LRU list)"
+    ~name:"prefetch = stream model (coverage per access, filter, LRU list)"
     prefetch_arb
     (fun (streams, walkers, ops) ->
-      let fast = Prefetch.create ~fast_path:true ~streams () in
-      let refp = Prefetch.create ~fast_path:false ~streams () in
+      let p = Prefetch.create ~streams () in
+      let m = Prefetch_model.create ~streams in
       let pos = Array.of_list (List.map fst walkers) in
       let strides = Array.of_list (List.map snd walkers) in
       List.for_all
         (function
           | Reset ->
-              Prefetch.reset fast;
-              Prefetch.reset refp;
-              Prefetch.consistent fast
+              Prefetch.reset p;
+              Prefetch_model.reset m;
+              Prefetch.consistent p
           | Step (w, d) ->
               pos.(w) <- pos.(w) + Option.value d ~default:strides.(w);
               let line_addr = pos.(w) in
-              let a = Prefetch.observe fast ~line_addr in
-              let b = Prefetch.observe refp ~line_addr in
+              let a = Prefetch.observe p ~line_addr in
+              let b = Prefetch_model.observe m ~line_addr in
               if a <> b then
-                QCheck.Test.fail_reportf "walker %d line %d: fast %b, ref %b" w line_addr a b
-              else if not (Prefetch.consistent fast) then
+                QCheck.Test.fail_reportf "walker %d line %d: prefetch %b, model %b" w line_addr a b
+              else if not (Prefetch.consistent p) then
                 QCheck.Test.fail_reportf "walker %d line %d: filter or LRU list inconsistent" w
                   line_addr
               else true)
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Hierarchy: fast vs reference caches under a multi-level machine with
+(* Hierarchy against the hierarchy model under a multi-level machine with
    tiny caches (so capacity evictions, writebacks and LLC sharing all
    happen), ending with a write-back drain. *)
 
@@ -709,25 +708,18 @@ let hierarchy_stream_arb =
               (oneofl [ 1; 4; 16; 64; 128 ])
               bool bool)))
 
-let hierarchy_matches_reference ~name arb =
+let hierarchy_matches_model ~name arb =
   QCheck.Test.make ~count:200 ~name arb
     (fun trace ->
-      let fast = Hierarchy.create ~fast_path:true tiny_machine in
-      let refh = Hierarchy.create ~fast_path:false tiny_machine in
-      let same_counters () =
-        Hierarchy.dram_read_bytes fast = Hierarchy.dram_read_bytes refh
-        && Hierarchy.dram_write_bytes fast = Hierarchy.dram_write_bytes refh
-        && List.for_all
-             (fun l -> Hierarchy.accesses fast l = Hierarchy.accesses refh l)
-             [ Hierarchy.L1; Hierarchy.L2; Hierarchy.LLC; Hierarchy.Dram ]
-      in
+      let h = Hierarchy.create tiny_machine in
+      let m = Hierarchy_model.create tiny_machine in
       List.for_all
         (fun (core, addr, bytes, write, nt) ->
-          let a = Hierarchy.access fast ~core ~addr ~bytes ~write ~nt in
-          let b = Hierarchy.access refh ~core ~addr ~bytes ~write ~nt in
+          let a = Hierarchy.access h ~core ~addr ~bytes ~write ~nt in
+          let b = Hierarchy_model.access m ~core ~addr ~bytes ~write ~nt in
           if a <> b then
             QCheck.Test.fail_reportf
-              "core %d addr %d bytes %d write %b nt %b: fast %s/%b, ref %s/%b" core
+              "core %d addr %d bytes %d write %b nt %b: hierarchy %s/%b, model %s/%b" core
               addr bytes write nt
               (Hierarchy.level_name a.Hierarchy.level)
               a.Hierarchy.covered
@@ -735,20 +727,20 @@ let hierarchy_matches_reference ~name arb =
               b.Hierarchy.covered
           else true)
         trace
-      && same_counters ()
+      && Hierarchy_model.agrees m h
       &&
-      (Hierarchy.drain_writebacks fast;
-       Hierarchy.drain_writebacks refh;
-       same_counters ())
+      (Hierarchy.drain_writebacks h;
+       Hierarchy_model.drain_writebacks m;
+       Hierarchy_model.agrees m h)
       &&
-      (Hierarchy.reset fast;
-       Hierarchy.reset refh;
-       Hierarchy.dram_read_bytes fast = 0
-       && Hierarchy.dram_write_bytes fast = 0
-       && same_counters ()))
+      (Hierarchy.reset h;
+       Hierarchy_model.reset m;
+       Hierarchy.dram_read_bytes h = 0
+       && Hierarchy.dram_write_bytes h = 0
+       && Hierarchy_model.agrees m h))
 
-let prop_hierarchy_fast_matches_reference =
-  hierarchy_matches_reference ~name:"hierarchy fast path = reference (levels, traffic, drains)"
+let prop_hierarchy_matches_model =
+  hierarchy_matches_model ~name:"hierarchy = hierarchy model (levels, traffic, drains)"
     hierarchy_stream_arb
 
 (* Wide streams for the hierarchy and the port: 40 walkers (more than a
@@ -787,9 +779,9 @@ let wide_access_gen =
     (list_repeat walkers (pair base stride))
     (list_size (1 -- 400) step)
 
-let prop_hierarchy_wide_matches_reference =
-  hierarchy_matches_reference
-    ~name:"hierarchy fast path = reference on wide streams (levels, traffic, drains)"
+let prop_hierarchy_wide_matches_model =
+  hierarchy_matches_model
+    ~name:"hierarchy = hierarchy model on wide streams (levels, traffic, drains)"
     (QCheck.make
        ~print:(fun tr ->
          Fmt.str "%a"
@@ -802,8 +794,8 @@ let prop_hierarchy_wide_matches_reference =
 
 (* ------------------------------------------------------------------ *)
 (* The timing model's access port (the L1 hit probe, then the full path
-   on a miss) against [Hierarchy.access] on reference caches, with the
-   stall formula spelled out here: same stalls, per-level counts, DRAM
+   on a miss) against the hierarchy model, with the stall formula
+   spelled out here: same stalls, per-level counts, DRAM
    traffic and drained write-backs, for multi-line, write, non-temporal
    and two-core accesses, chained or not, prefetch on and off. *)
 
@@ -825,51 +817,47 @@ let port_stream_arb =
                  (triple (int_bound 1) (int_bound 8192) (oneofl [ 4; 4; 16; 64; 128 ]))
                  (triple bool bool (map (fun k -> k = 0) (int_bound 5)))))))
 
-let port_matches_hierarchy ~name arb =
+let port_matches_model ~name arb =
   QCheck.Test.make ~count:200 ~name arb
     (fun (prefetch, trace) ->
       let m = Machine.with_prefetch tiny_machine prefetch in
-      let fast = Hierarchy.create ~fast_path:true m in
-      let refh = Hierarchy.create ~fast_path:false m in
-      let fast_stalls = Array.make m.cores 0. and ref_stalls = Array.make m.cores 0. in
-      let port = Ninja_arch.Timing.stall_port m fast fast_stalls in
+      let h = Hierarchy.create m in
+      let model = Hierarchy_model.create m in
+      let stalls = Array.make m.cores 0. and model_stalls = Array.make m.cores 0. in
+      let port = Ninja_arch.Timing.stall_port m h stalls in
       let latency : Hierarchy.level -> float = function
         | L1 -> 0.
         | L2 -> float_of_int m.l2.latency
         | LLC -> float_of_int m.llc.latency
         | Dram -> float_of_int m.dram_latency
       in
-      List.iter
+      List.for_all
         (fun (core, addr, bytes, write, chain, nt) ->
           port ~thread:core ~addr ~bytes ~write ~chain ~nt;
-          let r = Hierarchy.access refh ~core ~addr ~bytes ~write ~nt in
+          let r = Hierarchy_model.access model ~core ~addr ~bytes ~write ~nt in
           if not r.covered then
-            ref_stalls.(core) <-
-              ref_stalls.(core)
+            model_stalls.(core) <-
+              model_stalls.(core)
               +. (if chain then latency r.level
-                  else latency r.level /. float_of_int m.mlp))
-        trace;
-      let same () =
-        compare fast_stalls ref_stalls = 0
-        && Hierarchy.dram_read_bytes fast = Hierarchy.dram_read_bytes refh
-        && Hierarchy.dram_write_bytes fast = Hierarchy.dram_write_bytes refh
-        && List.for_all
-             (fun l -> Hierarchy.accesses fast l = Hierarchy.accesses refh l)
-             [ Hierarchy.L1; Hierarchy.L2; Hierarchy.LLC; Hierarchy.Dram ]
-      in
-      same ()
+                  else latency r.level /. float_of_int m.mlp);
+          if compare stalls model_stalls <> 0 || not (Hierarchy_model.agrees model h) then
+            QCheck.Test.fail_reportf
+              "core %d addr %d bytes %d write %b chain %b nt %b: stalls, levels or traffic differ"
+              core addr bytes write chain nt
+          else true)
+        trace
       &&
-      (Hierarchy.drain_writebacks fast;
-       Hierarchy.drain_writebacks refh;
-       same ()))
+      (Hierarchy.drain_writebacks h;
+       Hierarchy_model.drain_writebacks model;
+       Hierarchy_model.agrees model h))
 
-let prop_port_matches_hierarchy =
-  port_matches_hierarchy ~name:"timing port = Hierarchy.access (stalls, levels, traffic, drains)"
+let prop_port_matches_model =
+  port_matches_model ~name:"timing port = hierarchy model (stalls, levels, traffic, drains)"
     port_stream_arb
 
-let prop_port_wide_matches_hierarchy =
-  port_matches_hierarchy
-    ~name:"timing port = Hierarchy.access on wide streams (stalls, levels, traffic, drains)"
+let prop_port_wide_matches_model =
+  port_matches_model
+    ~name:"timing port = hierarchy model on wide streams (stalls, levels, traffic, drains)"
     (QCheck.make ?print:port_stream_arb.print
        QCheck.Gen.(pair bool wide_access_gen))
 
@@ -880,10 +868,10 @@ let suite =
       Alcotest.test_case "trap: integer division by zero" `Quick test_trap_div_by_zero;
       Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
       Alcotest.test_case "trap: non-positive loop step" `Quick test_trap_nonpositive_step;
-      QCheck_alcotest.to_alcotest prop_cache_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_cache_wide_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_prefetch_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_hierarchy_fast_matches_reference;
-      QCheck_alcotest.to_alcotest prop_hierarchy_wide_matches_reference;
-      QCheck_alcotest.to_alcotest prop_port_matches_hierarchy;
-      QCheck_alcotest.to_alcotest prop_port_wide_matches_hierarchy ] )
+      QCheck_alcotest.to_alcotest prop_cache_matches_model;
+      QCheck_alcotest.to_alcotest prop_cache_wide_matches_model;
+      QCheck_alcotest.to_alcotest prop_prefetch_matches_model;
+      QCheck_alcotest.to_alcotest prop_hierarchy_matches_model;
+      QCheck_alcotest.to_alcotest prop_hierarchy_wide_matches_model;
+      QCheck_alcotest.to_alcotest prop_port_matches_model;
+      QCheck_alcotest.to_alcotest prop_port_wide_matches_model ] )
