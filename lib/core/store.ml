@@ -137,18 +137,20 @@ let machine_fingerprint (m : Machine.t) =
     m.dram_latency m.dram_bw_gbs m.barrier_cycles m.spawn_cycles costs
     (Machine.gather_cost m)
 
-let key ?(backend = "") t ~machine ~step_name prog =
+let key_of_fingerprint ?(backend = "") t ~machine ~step_name prog_fp =
   (* [backend] is the {!Ninja_vm.Interp.strategy_tag} of the execution
      backend ("" = backend-agnostic), pass list included. The
      fingerprint hashes the *unoptimized* decode, so without it an entry
      simulated through a buggy pass — or a buggy compiled executor —
      could satisfy a later tree-walker lookup (and vice versa); mixing
      the tag in keeps the key spaces disjoint. *)
-  let prog_fp = Decode.fingerprint (Decode.decode prog) in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           [ t.salt; machine_fingerprint machine; step_name; prog_fp; backend ]))
+
+let key ?backend t ~machine ~step_name prog =
+  key_of_fingerprint ?backend t ~machine ~step_name (Decode.fingerprint (Decode.decode prog))
 
 (* ------------------------------------------------------------------ *)
 (* Report (de)serialization                                            *)

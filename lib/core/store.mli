@@ -74,6 +74,14 @@ val key :
     unoptimized decode, the tag is what keeps tree-walker entries and
     entries compiled under different pass lists from aliasing. *)
 
+val key_of_fingerprint :
+  ?backend:string ->
+  t -> machine:Ninja_arch.Machine.t -> step_name:string -> string -> string
+(** [key_of_fingerprint t ~machine ~step_name fp] is {!key} for a program
+    whose {!Ninja_vm.Decode.fingerprint} of the unoptimized decode is
+    [fp] — for callers that already hold it, so the program is not
+    decoded twice. *)
+
 val load :
   t -> key:string -> machine:Ninja_arch.Machine.t ->
   Ninja_arch.Timing.report option

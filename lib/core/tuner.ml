@@ -131,7 +131,7 @@ let specs ~steps (bench : Driver.benchmark) =
 (* Static admission: transform, compile, verify                         *)
 
 type built = {
-  bt_prog : Isa.program;
+  bt_fp : string;  (* the unoptimized decode's fingerprint: dedupe and store key *)
   bt_step : Driver.step;
   bt_kernel : Ast.kernel;
   bt_vec_report : (string * Codegen.vec_outcome) list;
@@ -172,7 +172,8 @@ let build ~machine i sp =
           | [] ->
               ( cand Legal,
                 Some
-                  { bt_prog = prog; bt_step = step; bt_kernel = k;
+                  { bt_fp = Decode.fingerprint (Decode.decode prog);
+                    bt_step = step; bt_kernel = k;
                     bt_vec_report = res.Codegen.vec_report } )
           | issue :: _ as issues ->
               let detail =
@@ -190,11 +191,10 @@ let dedupe pairs =
       match b with
       | None -> (c, None)
       | Some bt -> (
-          let fp = Decode.fingerprint (Decode.decode bt.bt_prog) in
-          match Hashtbl.find_opt seen fp with
+          match Hashtbl.find_opt seen bt.bt_fp with
           | Some j -> ({ c with c_status = Duplicate j }, None)
           | None ->
-              Hashtbl.add seen fp c.c_index;
+              Hashtbl.add seen bt.bt_fp c.c_index;
               (c, Some bt)))
     pairs
 
@@ -213,22 +213,23 @@ let candidate_steps ~machine ~steps bench =
 (* ------------------------------------------------------------------ *)
 (* Evaluation by simulated time                                         *)
 
-let store_key st ~machine ~step_name prog =
+(* [fp] is the program's decode fingerprint (see [built]). *)
+let store_key st ~machine ~step_name fp =
   let backend = Ninja_vm.Interp.strategy_tag (Ninja_vm.Interp.default_strategy ()) in
-  Store.key ~backend st ~machine ~step_name prog
+  Store.key_of_fingerprint ~backend st ~machine ~step_name fp
 
 (* [sims] counts evaluations that actually ran (store misses) — the
    basis of [t_simulated]; atomic because candidates evaluate on the
    pool. Returns the report and, with a store, its key. [cost_class]
    (default [step_name]) is the costs.json class the simulation's wall
    time is filed under; it is not part of the key. *)
-let simulate ~sims ?store ~machine ~step_name ?(cost_class = step_name) step prog =
+let simulate ~sims ?store ~machine ~step_name ?(cost_class = step_name) step fp =
   match store with
   | None ->
       Atomic.incr sims;
       (Driver.run_step ~machine step, None)
   | Some st ->
-      let key = store_key st ~machine ~step_name prog in
+      let key = store_key st ~machine ~step_name fp in
       let r =
         match Store.load st ~key ~machine with
         | Some r -> r
@@ -267,7 +268,7 @@ let outcome_of_json ~machine ~cap j =
 (* Simulate [step] under [cap]; with a store, the outcome goes through
    the [bound_kind] entry (the wall time still lands in costs.json's
    ["tuned candidate"] class). [key] is the candidate's ["tuned"] key. *)
-let simulate_bounded ~sims ?store ~machine ~cap step prog =
+let simulate_bounded ~sims ?store ~machine ~cap step fp =
   let run () =
     Atomic.incr sims;
     match Driver.run_step ~max_cycles:cap ~machine step with
@@ -277,7 +278,7 @@ let simulate_bounded ~sims ?store ~machine ~cap step prog =
   match store with
   | None -> (run (), None)
   | Some st ->
-      let key = store_key st ~machine ~step_name:"tuned" prog in
+      let key = store_key st ~machine ~step_name:"tuned" fp in
       let timed () =
         let t0 = Unix.gettimeofday () in
         let o = run () in
@@ -376,7 +377,7 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
       (fun bt ->
         let r, key =
           simulate ~sims ?store ~machine ~step_name:"tuned"
-            ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
+            ~cost_class:"tuned candidate" bt.bt_step bt.bt_fp
         in
         (Full r, key))
       threaded
@@ -396,7 +397,7 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
      more cycles than the cap — slower than every stage-1 candidate. *)
   let stage2 =
     evaluate
-      (fun bt -> simulate_bounded ~sims ?store ~machine ~cap bt.bt_step bt.bt_prog)
+      (fun bt -> simulate_bounded ~sims ?store ~machine ~cap bt.bt_step bt.bt_fp)
       others
   in
   let evaluated =
@@ -440,7 +441,7 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
     | Above _ ->
         let r, key =
           simulate ~sims ?store ~machine ~step_name:"tuned"
-            ~cost_class:"tuned candidate" bt.bt_step bt.bt_prog
+            ~cost_class:"tuned candidate" bt.bt_step bt.bt_fp
         in
         (c, bt, r, key)
   in
@@ -487,7 +488,7 @@ let tune ?(domains = 1) ?store ?run_rung ~machine ~scale ~steps
           | Some step ->
               fst
                 (simulate ~sims ?store ~machine ~step_name:name step
-                   (step.Driver.make ~machine)))
+                   (Decode.fingerprint (Decode.decode (step.Driver.make ~machine)))))
   in
   let naive = run_rung "naive serial" in
   let ninja = run_rung "ninja" in

@@ -37,7 +37,9 @@ let number_to_string x =
   if Float.is_nan x || Float.abs x = Float.infinity then
     invalid_arg "Json: non-finite number"
   else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
+    (* exact in an int; the same digits as [Printf.sprintf "%.0f"],
+       including its "-0" *)
+    if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
   else
     (* shortest decimal that round-trips *)
     let s = Printf.sprintf "%.12g" x in

@@ -23,6 +23,15 @@ val to_string : ?indent:bool -> t -> string
     decimal that round-trips.
     @raise Invalid_argument on NaN or infinite numbers. *)
 
+val number_to_string : float -> string
+(** How {!to_string} prints a number. An integral [x] with
+    [|x| < 1e15] prints with [string_of_int], byte-identical to
+    [Printf.sprintf "%.0f" x] (negative zero included, as ["-0"]) but
+    without going through the format interpreter — reports are mostly
+    integer counts. Any other finite [x] prints as the shortest of
+    [%.12g] and [%.17g] that round-trips.
+    @raise Invalid_argument on NaN or infinite numbers. *)
+
 val parse : string -> t
 (** Parse a complete JSON document (trailing garbage is an error).
     @raise Parse_error on malformed input. *)

@@ -175,11 +175,38 @@ let merge_into dst a b =
 
 type mode = Mpar | Mseq
 
+(* Where an issue was found; formatted, behind its phase context, only
+   when the issue is reported. *)
+type loc =
+  | Whole of string  (* the whole program: "structure", "buffers" *)
+  | Instr of Isa.instr
+  | For_header of Isa.si_reg * Isa.si_reg * Isa.si_reg  (* idx, lo, hi *)
+  | While_header of Isa.si_reg
+  | If_header of Isa.si_reg
+
+let pp_loc buffers ctx ppf = function
+  | Whole what -> Fmt.string ppf what
+  | Instr i -> Fmt.pf ppf "%s: %a" ctx (Isa.pp_instr buffers) i
+  | For_header (idx, lo, hi) ->
+      Fmt.pf ppf "%s: for %a = %a to %a" ctx Isa.pp_si idx Isa.pp_si lo Isa.pp_si hi
+  | While_header cond -> Fmt.pf ppf "%s: while %a" ctx Isa.pp_si cond
+  | If_header cond -> Fmt.pf ppf "%s: if %a" ctx Isa.pp_si cond
+
 let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
     issue list =
+  (* Issues are kept with their location unformatted: [where] strings are
+     built only for recorded issues, once, at the end. The phase context
+     is taken when the issue is recorded, i.e. while its statement is
+     visited. *)
+  let phase_ctx = ref "" in
   let issues = ref [] in
   let add ~where fmt =
-    Fmt.kstr (fun what -> issues := { where; what } :: !issues) fmt
+    Fmt.kstr (fun what -> issues := (!phase_ctx, where, what) :: !issues) fmt
+  in
+  let finish () =
+    List.rev_map
+      (fun (ctx, loc, what) -> { where = Fmt.str "%a" (pp_loc p.buffers ctx) loc; what })
+      !issues
   in
   (* Structural checks first; a malformed program (register indices out of
      range) cannot be interpreted abstractly, so bail out after reporting. *)
@@ -187,17 +214,17 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
     match Isa.validate p with
     | () -> true
     | exception Isa.Invalid_program msg ->
-        add ~where:"structure" "%s" msg;
+        add ~where:(Whole "structure") "%s" msg;
         false
   in
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun (b : Isa.buffer_decl) ->
       if Hashtbl.mem seen b.buf_name then
-        add ~where:"buffers" "duplicate buffer name %s" b.buf_name;
+        add ~where:(Whole "buffers") "duplicate buffer name %s" b.buf_name;
       Hashtbl.replace seen b.buf_name ())
     p.buffers;
-  if not structurally_ok then List.rev !issues
+  if not structurally_ok then finish ()
   else begin
     let len_of =
       Array.map
@@ -205,7 +232,6 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
         p.buffers
     in
     let buf_name (Isa.Buf b) = p.buffers.(b).buf_name in
-    let phase_ctx = ref "" in
     let st = make_st p.regs in
     (* Thread id / thread count / vector width are set by the interpreter
        at every phase entry, on every participating thread. *)
@@ -288,9 +314,7 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
                   (buf_name b))
     in
     let exec_instr ~mode (i : Isa.instr) =
-      let where =
-        Fmt.str "%s: %a" !phase_ctx (Isa.pp_instr p.buffers) i
-      in
+      let where = Instr i in
       (* 1. def-before-use on sources, with codegen-idiom leniency *)
       let reads, writes = operands i in
       let lenient =
@@ -391,10 +415,7 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
       match s with
       | I i -> exec_instr ~mode i
       | For { idx; lo; hi; step; body } ->
-          let where =
-            Fmt.str "%s: for %a = %a to %a" !phase_ctx Isa.pp_si idx
-              Isa.pp_si lo Isa.pp_si hi
-          in
+          let where = For_header (idx, lo, hi) in
           List.iter (rd ~mode ~where) [ Osi lo; Osi hi; Osi step ];
           let lo_itv = itv_si lo and hi_itv = itv_si hi in
           widen_block body;
@@ -411,14 +432,14 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
              zero-trip case would be all noise. *)
           exec_block ~mode body
       | While { cond_block; cond; body } ->
-          let where = Fmt.str "%s: while %a" !phase_ctx Isa.pp_si cond in
+          let where = While_header cond in
           widen_block cond_block;
           widen_block body;
           exec_block ~mode cond_block;
           rd ~mode ~where (Osi cond);
           exec_block ~mode body
       | If { cond; then_; else_ } ->
-          let where = Fmt.str "%s: if %a" !phase_ctx Isa.pp_si cond in
+          let where = If_header cond in
           rd ~mode ~where (Osi cond);
           let saved = copy_st st in
           exec_block ~mode then_;
@@ -444,7 +465,7 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
             phase_ctx := Fmt.str "phase %d (sequential)" n;
             exec_block ~mode:Mseq b)
       p.phases;
-    List.rev !issues
+    finish ()
   end
 
 (* ------------------------------------------------------------------ *)

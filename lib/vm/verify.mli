@@ -54,7 +54,9 @@ val verify :
     program order (deterministic). [lengths] gives element counts per
     buffer name; buffers without an entry are skipped by the bounds
     check. Defaults: [width = 4], [n_threads = 4], [lengths = []].
-    Never raises. *)
+    Never raises. A location is formatted only for an issue actually
+    reported, with the phase context of the statement where it was
+    found, so a clean program costs no strings. *)
 
 val check_flat : Decode.t -> issue list
 (** Structural linter for decoded (and in particular {!Optimize}d) op

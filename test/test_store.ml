@@ -351,6 +351,16 @@ let test_machine_param_changes_key () =
       Alcotest.(check bool) "bandwidth param changes key" true (k1 <> k2);
       Alcotest.(check bool) "step name changes key" true (k1 <> k3))
 
+let test_key_of_fingerprint () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_ ~dir () in
+      let machine = Machine.westmere in
+      let prog = prog_of ~machine (Registry.find "BlackScholes") "ninja" in
+      let fp = Ninja_vm.Decode.fingerprint (Ninja_vm.Decode.decode prog) in
+      Alcotest.(check string) "same key as from the program"
+        (Store.key ~backend:"compiled" st ~machine ~step_name:"ninja" prog)
+        (Store.key_of_fingerprint ~backend:"compiled" st ~machine ~step_name:"ninja" fp))
+
 let test_step_costs_flush () =
   with_temp_dir (fun dir ->
       let st = Store.open_ ~dir () in
@@ -542,6 +552,7 @@ let suite =
       Alcotest.test_case "salt bump invalidates" `Quick test_salt_invalidates;
       Alcotest.test_case "backend tag changes key" `Quick test_backend_tag_changes_key;
       Alcotest.test_case "machine/step change key" `Quick test_machine_param_changes_key;
+      Alcotest.test_case "key from a held fingerprint" `Quick test_key_of_fingerprint;
       Alcotest.test_case "step costs flush" `Quick test_step_costs_flush;
       Alcotest.test_case "cold then warm prefill" `Quick test_cold_then_warm_prefill;
       Alcotest.test_case "store differential -j1/-j4" `Quick test_store_differential_j1_j4;

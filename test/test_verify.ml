@@ -43,6 +43,12 @@ let expect_issue ~what_contains issues =
        (fun (i : Verify.issue) -> Astring_contains.contains i.what what_contains)
        issues)
 
+(* The full text of every issue, location included, in order. *)
+let exact name expected issues =
+  Alcotest.(check (list (pair string string)))
+    name expected
+    (List.map (fun (i : Verify.issue) -> (i.where, i.what)) issues)
+
 let test_oob_store_detected () =
   let p =
     prog
@@ -51,7 +57,9 @@ let test_oob_store_detected () =
             I (Fconst (Sf 0, 1.0));
             I (Storef { buf = Buf 0; idx = Si 3; src = Sf 0 }) ] ]
   in
-  expect_issue ~what_contains:"out of bounds"
+  exact "exact index"
+    [ ( "phase 0 (sequential): storef @a[i3], f0",
+        "access to a is out of bounds: touches element 10 of 4" ) ]
     (Verify.verify ~lengths:[ ("a", 4) ] p)
 
 let test_oob_vector_store_detected_unmasked_only () =
@@ -74,7 +82,13 @@ let test_oob_vector_store_detected_unmasked_only () =
 
 let test_undefined_read_detected () =
   let p = prog [ Isa.Seq [ I (Fbin (Fadd, Sf 1, Sf 0, Sf 0)) ] ] in
-  expect_issue ~what_contains:"undefined register f0" (Verify.verify p)
+  exact "undefined read, reported once"
+    [ ("phase 0 (sequential): fadd f1, f0, f0", "read of undefined register f0") ]
+    (Verify.verify p)
+
+let seq_define_par_read =
+  "register i3 was last written in a sequential phase and holds its value \
+   on thread 0 only; route it through a buffer"
 
 let test_seq_register_read_from_par_detected () =
   let p =
@@ -82,7 +96,9 @@ let test_seq_register_read_from_par_detected () =
       [ Isa.Seq [ I (Iconst (Si 3, 5)) ];
         Isa.Par [ I (Imov (Si 4, Si 3)) ] ]
   in
-  expect_issue ~what_contains:"thread 0 only" (Verify.verify p)
+  exact "Seq-defined register read in a Par phase"
+    [ ("phase 1 (parallel): imov i4, i3", seq_define_par_read) ]
+    (Verify.verify p)
 
 let test_par_register_persists () =
   (* defined in a Par phase -> valid on every thread in later phases *)
@@ -95,19 +111,22 @@ let test_par_register_persists () =
 
 let test_reserved_register_write_detected () =
   let p = prog [ Isa.Par [ I (Iconst (Si 0, 7)) ] ] in
-  expect_issue ~what_contains:"reserved register i0" (Verify.verify p)
+  exact "reserved register write"
+    [ ("phase 0 (parallel): iconst i0, 7", "write to reserved register i0") ]
+    (Verify.verify p)
 
 let test_structural_failure_reported () =
   (* register out of range: Isa.validate's exception becomes an issue *)
   let p = prog [ Isa.Seq [ I (Iconst (Si 99, 0)) ] ] in
-  expect_issue ~what_contains:"out of range" (Verify.verify p)
+  exact "structure" [ ("structure", "si reg 99 out of range") ] (Verify.verify p)
 
 let test_duplicate_buffer_detected () =
   let buffers =
     [| { Isa.buf_name = "a"; elt = Isa.F32 };
        { Isa.buf_name = "a"; elt = Isa.I32 } |]
   in
-  expect_issue ~what_contains:"duplicate buffer"
+  exact "duplicate buffer"
+    [ ("buffers", "duplicate buffer name a") ]
     (Verify.verify (prog ~buffers []))
 
 let test_blend_into_fresh_register_allowed () =
@@ -124,14 +143,14 @@ let test_blend_into_fresh_register_allowed () =
   Alcotest.(check (list issue_list)) "clean" [] (Verify.verify p)
 
 let test_loop_index_interval_bounds_access () =
-  (* a[i] for i in [lo, 8) against an 8-element buffer is provably fine;
-     shift the whole range past the end and the interval analysis proves
-     every iteration out of bounds *)
-  let mk lo_val =
+  (* a[i] for i in [lo, hi) is provably fine when the range lies inside
+     the buffer; shift the whole range past either end and the interval
+     analysis proves every iteration out of bounds *)
+  let mk lo hi =
     prog
       [ Isa.Seq
-          [ I (Iconst (Si 3, 16));
-            I (Iconst (Si 5, lo_val));
+          [ I (Iconst (Si 3, hi));
+            I (Iconst (Si 5, lo));
             I (Iconst (Si 6, 1));
             I (Fconst (Sf 0, 0.0));
             For
@@ -140,9 +159,44 @@ let test_loop_index_interval_bounds_access () =
           ] ]
   in
   Alcotest.(check (list issue_list)) "in-bounds loop is clean" []
-    (Verify.verify ~lengths:[ ("a", 16) ] (mk 0));
-  expect_issue ~what_contains:"out of bounds"
-    (Verify.verify ~lengths:[ ("a", 8) ] (mk 8))
+    (Verify.verify ~lengths:[ ("a", 16) ] (mk 0 16));
+  exact "always past the end"
+    [ ( "phase 0 (sequential): storef @a[i4], f0",
+        "access to a is always out of bounds: index is at least 8 but the \
+         buffer has 8 elements" ) ]
+    (Verify.verify ~lengths:[ ("a", 8) ] (mk 8 16));
+  exact "always negative"
+    [ ( "phase 0 (sequential): storef @a[i4], f0",
+        "access to a is always out of bounds: index is negative" ) ]
+    (Verify.verify ~lengths:[ ("a", 8) ] (mk (-8) (-4)))
+
+let test_issue_at_loop_and_branch_headers () =
+  exact "for header"
+    [ ("phase 0 (sequential): for i4 = i5 to i3", "read of undefined register i5") ]
+    (Verify.verify
+       (prog
+          [ Isa.Seq
+              [ I (Iconst (Si 3, 4));
+                I (Iconst (Si 6, 1));
+                For { idx = Si 4; lo = Si 5; hi = Si 3; step = Si 6; body = [] } ] ]));
+  exact "while header"
+    [ ("phase 0 (parallel): while i5", "read of undefined register i5") ]
+    (Verify.verify (prog [ Isa.Par [ While { cond_block = []; cond = Si 5; body = [] } ] ]));
+  exact "if header"
+    [ ("phase 0 (sequential): if i5", "read of undefined register i5") ]
+    (Verify.verify (prog [ Isa.Seq [ If { cond = Si 5; then_ = []; else_ = [] } ] ]))
+
+(* Each issue carries the context of the phase it was found in, not the
+   one the walk ended in. *)
+let test_issue_phase_context () =
+  exact "two phases"
+    [ ("phase 0 (sequential): fadd f1, f0, f0", "read of undefined register f0");
+      ("phase 1 (parallel): imov i4, i3", seq_define_par_read);
+      ("phase 1 (parallel): iconst i1, 2", "write to reserved register i1") ]
+    (Verify.verify
+       (prog
+          [ Isa.Seq [ I (Iconst (Si 3, 5)); I (Fbin (Fadd, Sf 1, Sf 0, Sf 0)) ];
+            Isa.Par [ I (Imov (Si 4, Si 3)); I (Iconst (Si 1, 2)) ] ]))
 
 let suite =
   ( "verify",
@@ -165,4 +219,7 @@ let suite =
       Alcotest.test_case "blend into fresh register allowed" `Quick
         test_blend_into_fresh_register_allowed;
       Alcotest.test_case "loop index interval bounds accesses" `Quick
-        test_loop_index_interval_bounds_access ] )
+        test_loop_index_interval_bounds_access;
+      Alcotest.test_case "issues at loop and branch headers" `Quick
+        test_issue_at_loop_and_branch_headers;
+      Alcotest.test_case "issue phase context" `Quick test_issue_phase_context ] )
