@@ -14,20 +14,7 @@ let machine_arg =
   let doc = "Machine preset (westmere, mic, kentsfield, nehalem, future1..3)." in
   Arg.(value & opt string "westmere" & info [ "m"; "machine" ] ~doc)
 
-(* ---- execution backend and pass selection ---- *)
-
-(* The backend and its pass pipeline change no reported number (the
-   simulated machine is oblivious to both), so the flags only pick which
-   host executor runs and how its op arrays are rewritten first. *)
-
-let passes_arg =
-  let doc =
-    "Comma-separated optimizer pass list the compiled backend runs, in the \
-     given order (fold, moves, imm, dce, peephole; $(b,all) — the default \
-     — and $(b,none) are accepted). Reported numbers are identical for \
-     every list; only the simulator's own speed changes."
-  in
-  Arg.(value & opt (some string) None & info [ "passes" ] ~doc ~docv:"LIST")
+(* ---- execution backend ---- *)
 
 (* Flag errors are hard failures with a stable, greppable shape
    (`ninja_cli: error <code>: ...`), pinned byte-for-byte by the
@@ -39,6 +26,8 @@ let flag_error code fmt =
       exit 1)
     fmt
 
+(* The backend changes no reported number (the simulated machine is
+   oblivious to it), so the flag only picks which host executor runs. *)
 let backend_arg =
   let doc =
     "Host execution backend for simulations: $(b,tree) (reference walker) \
@@ -48,23 +37,12 @@ let backend_arg =
   in
   Arg.(value & opt (some string) None & info [ "backend" ] ~doc ~docv:"NAME")
 
-(* --backend names the executor; --passes picks the pass list the
-   compiled backend runs. *)
-let strategy_of_flags ?backend ?passes () =
-  let config =
-    match passes with
-    | None -> Ninja_vm.Optimize.default
-    | Some spec -> (
-        match Ninja_vm.Optimize.parse_passes spec with
-        | Ok c -> c
-        | Error msg -> flag_error "bad_pass_list" "--passes: %s" msg)
-  in
+let strategy_of_flags ?backend () =
   match backend with
-  | None -> Ninja_vm.Interp.Compiled config
+  | None -> Ninja_vm.Interp.Compiled Ninja_vm.Optimize.default
   | Some name -> (
       match Ninja_vm.Interp.strategy_of_name name with
-      | Some (Ninja_vm.Interp.Compiled _) -> Ninja_vm.Interp.Compiled config
-      | Some Ninja_vm.Interp.Tree -> Ninja_vm.Interp.Tree
+      | Some s -> s
       | None ->
           flag_error "bad_backend"
             "--backend: unknown backend %S (try: tree, compiled)" name)
@@ -199,11 +177,11 @@ let ladder_cmd =
     let doc = "Print each variant's per-pass optimizer rewrite report." in
     Arg.(value & flag & info [ "opt-report" ] ~doc)
   in
-  let run machine bench scale validate backend passes opt_report =
+  let run machine bench scale validate backend opt_report =
     let machine = machine_of_name machine in
     let b = Ninja_kernels.Registry.find bench in
     let scale = Option.value scale ~default:b.default_scale in
-    let strategy = strategy_of_flags ?backend ?passes () in
+    let strategy = strategy_of_flags ?backend () in
     Ninja_vm.Interp.set_default_strategy strategy;
     Fmt.pr "%s at scale %d on %a@.@." b.b_name scale Ninja_arch.Machine.pp machine;
     let steps = b.steps ~scale in
@@ -237,7 +215,7 @@ let ladder_cmd =
     (Cmd.info "ladder" ~doc:"Run one benchmark's naive-to-ninja performance ladder")
     Term.(
       const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg
-      $ backend_arg $ passes_arg $ opt_report_arg)
+      $ backend_arg $ opt_report_arg)
 
 (* ---- list ---- *)
 

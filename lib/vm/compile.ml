@@ -128,8 +128,7 @@ let instr_barrier (ins : Isa.instr) =
   | _ -> false
 
 (* Placeholder threading. [Optimize] leaves forward [Djmp]s behind where
-   it vacated slots: the second op of a fused mul+add pair, coalesced
-   phantom runs, neutralized unreachable ops. A [Djmp] carries no
+   it vacated the second op of a fused mul+add pair. A [Djmp] carries no
    bookkeeping, so removing one cannot be observed, but as a control op
    it would end a basic block and keep a loop body out of
    [compile_fused_loop]. This pass, run before leaders are computed:
@@ -149,7 +148,7 @@ let thread (code : Decode.dop array) : Decode.dop array =
   let targets_of (op : Decode.dop) =
     match op with
     | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
-    | Dif { else_ = k; _ } | Djmp k | Dgoto k -> [ k ]
+    | Dif { else_ = k; _ } | Djmp k -> [ k ]
     | _ -> []
   in
   let map_targets f (op : Decode.dop) : Decode.dop =
@@ -159,7 +158,6 @@ let thread (code : Decode.dop array) : Decode.dop array =
     | Dforback r -> Dforback { r with body = f r.body }
     | Dif r -> Dif { r with else_ = f r.else_ }
     | Djmp k -> Djmp (f k)
-    | Dgoto k -> Dgoto (f k)
     | op -> op
   in
   let rec pass code =
@@ -1089,99 +1087,92 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             end
           done
   in
-  (* (class, row index, count) bookkeeping triples, optional action and
+  (* (class, row index, count) bookkeeping triple, action and
      segment-barrier flag of one straight-line op. Denter/Dexit are
      handled by the block builders (they cost nothing and only matter
      when traced). *)
   let sop_of (op : Decode.dop) =
     match op with
     | Decode.Dinstr { i; cls; cls_idx } ->
-        ([ (cls, cls_idx, 1) ], Some (action_of_instr i), instr_barrier i)
+        ((cls, cls_idx, 1), action_of_instr i, instr_barrier i)
     | Decode.Daddi { d; a; imm } ->
-        ( [ (Isa.Salu, salu_idx, 1) ],
-          Some (fun t -> t.si.(d) <- t.si.(a) + imm),
+        ( (Isa.Salu, salu_idx, 1),
+          (fun t -> t.si.(d) <- t.si.(a) + imm),
           false )
     | Decode.Dmuli { d; a; imm } ->
-        ( [ (Isa.Salu, salu_idx, 1) ],
-          Some (fun t -> t.si.(d) <- t.si.(a) * imm),
+        ( (Isa.Salu, salu_idx, 1),
+          (fun t -> t.si.(d) <- t.si.(a) * imm),
           false )
     | Decode.Dloadf_at { dst; buf; imm; chain } ->
         let a, base = view_f buf in
         let addr = base + (imm * 4) in
-        ( [ (Isa.Sload, sload_idx, 1) ],
-          Some
-            (if imm >= 0 && imm < Array.length a then fun t ->
-               t.sf.(dst) <- Array.unsafe_get a imm;
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-                 ~nt:false
-             else fun t ->
-               t.sf.(dst) <- Memory.get_f mem buf imm;
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-                 ~nt:false),
+        ( (Isa.Sload, sload_idx, 1),
+          (if imm >= 0 && imm < Array.length a then fun t ->
+             t.sf.(dst) <- Array.unsafe_get a imm;
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+               ~nt:false
+           else fun t ->
+             t.sf.(dst) <- Memory.get_f mem buf imm;
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+               ~nt:false),
           true )
     | Decode.Dloadi_at { dst; buf; imm; chain } ->
         let a, base = view_i buf in
         let addr = base + (imm * 4) in
-        ( [ (Isa.Sload, sload_idx, 1) ],
-          Some
-            (if imm >= 0 && imm < Array.length a then fun t ->
-               t.si.(dst) <- Array.unsafe_get a imm;
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-                 ~nt:false
-             else fun t ->
-               t.si.(dst) <- Memory.get_i mem buf imm;
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-                 ~nt:false),
+        ( (Isa.Sload, sload_idx, 1),
+          (if imm >= 0 && imm < Array.length a then fun t ->
+             t.si.(dst) <- Array.unsafe_get a imm;
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+               ~nt:false
+           else fun t ->
+             t.si.(dst) <- Memory.get_i mem buf imm;
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
+               ~nt:false),
           true )
     | Decode.Dstoref_at { buf; imm; src } ->
         let a, base = view_f buf in
         let addr = base + (imm * 4) in
-        ( [ (Isa.Sstore, sstore_idx, 1) ],
-          Some
-            (if imm >= 0 && imm < Array.length a then fun t ->
-               Array.unsafe_set a imm t.sf.(src);
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-                 ~nt:false
-             else fun t ->
-               Memory.set_f mem buf imm t.sf.(src);
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-                 ~nt:false),
+        ( (Isa.Sstore, sstore_idx, 1),
+          (if imm >= 0 && imm < Array.length a then fun t ->
+             Array.unsafe_set a imm t.sf.(src);
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+               ~nt:false
+           else fun t ->
+             Memory.set_f mem buf imm t.sf.(src);
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+               ~nt:false),
           true )
     | Decode.Dstorei_at { buf; imm; src } ->
         let a, base = view_i buf in
         let addr = base + (imm * 4) in
-        ( [ (Isa.Sstore, sstore_idx, 1) ],
-          Some
-            (if imm >= 0 && imm < Array.length a then fun t ->
-               Array.unsafe_set a imm t.si.(src);
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-                 ~nt:false
-             else fun t ->
-               Memory.set_i mem buf imm t.si.(src);
-               t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-                 ~nt:false),
+        ( (Isa.Sstore, sstore_idx, 1),
+          (if imm >= 0 && imm < Array.length a then fun t ->
+             Array.unsafe_set a imm t.si.(src);
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+               ~nt:false
+           else fun t ->
+             Memory.set_i mem buf imm t.si.(src);
+             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
+               ~nt:false),
           true )
-    | Decode.Dphantom { cls; cls_idx; n } -> ([ (cls, cls_idx, n) ], None, false)
     | Decode.Dsmuladd { t = tr; a; b; d; x; y } ->
-        ( [ (Isa.Sfp, sfp_idx, 2) ],
-          Some
-            (fun t ->
-              let sf = t.sf in
-              sf.(tr) <- sf.(a) *. sf.(b);
-              sf.(d) <- sf.(x) +. sf.(y)),
+        ( (Isa.Sfp, sfp_idx, 2),
+          (fun t ->
+            let sf = t.sf in
+            sf.(tr) <- sf.(a) *. sf.(b);
+            sf.(d) <- sf.(x) +. sf.(y)),
           false )
     | Decode.Dvmuladd { t = tr; a; b; d; x; y } ->
-        ( [ (Isa.Vfp, vfp_idx, 2) ],
-          Some
-            (fun t ->
-              let vf = t.vf in
-              let dt = vf.(tr) and la = vf.(a) and lb = vf.(b) in
-              for l = 0 to width - 1 do Array.unsafe_set dt l ((Array.unsafe_get la l) *. (Array.unsafe_get lb l)) done;
-              let dd = vf.(d) and lx = vf.(x) and ly = vf.(y) in
-              for l = 0 to width - 1 do Array.unsafe_set dd l ((Array.unsafe_get lx l) +. (Array.unsafe_get ly l)) done),
+        ( (Isa.Vfp, vfp_idx, 2),
+          (fun t ->
+            let vf = t.vf in
+            let dt = vf.(tr) and la = vf.(a) and lb = vf.(b) in
+            for l = 0 to width - 1 do Array.unsafe_set dt l ((Array.unsafe_get la l) *. (Array.unsafe_get lb l)) done;
+            let dd = vf.(d) and lx = vf.(x) and ly = vf.(y) in
+            for l = 0 to width - 1 do Array.unsafe_set dd l ((Array.unsafe_get lx l) +. (Array.unsafe_get ly l)) done),
           false )
     | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-    | Decode.Djmp _ | Decode.Dgoto _ | Decode.Denter _ | Decode.Dexit _ ->
+    | Decode.Djmp _ | Decode.Denter _ | Decode.Dexit _ ->
         assert false
   in
   let charge n =
@@ -1214,7 +1205,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       | Dif { else_; _ } ->
           leader.(else_) <- true;
           leader.(i + 1) <- true
-      | Djmp t | Dgoto t ->
+      | Djmp t ->
           leader.(t) <- true;
           if i + 1 <= len then leader.(i + 1) <- true
       | _ -> ())
@@ -1222,7 +1213,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let is_straight i =
     match code.(i) with
     | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-    | Decode.Djmp _ | Decode.Dgoto _ -> false
+    | Decode.Djmp _ -> false
     | _ -> true
   in
   (* Split a straight-line range into bookkeeping segments: (costs keyed
@@ -1237,7 +1228,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     let total = ref 0 in
     let acts = ref [] in
     let close () =
-      if !total > 0 || !acts <> [] then begin
+      if !acts <> [] then begin
         let cost_arr =
           Hashtbl.fold (fun c n l -> (c, n) :: l) costs []
           |> List.sort compare |> Array.of_list
@@ -1249,14 +1240,11 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       end
     in
     List.iter
-      (fun (cs, action, barrier) ->
-        List.iter
-          (fun (_, ci, n) ->
-            Hashtbl.replace costs ci
-              (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
-            total := !total + n)
-          cs;
-        (match action with Some a -> acts := a :: !acts | None -> ());
+      (fun ((_, ci, n), action, barrier) ->
+        Hashtbl.replace costs ci
+          (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
+        total := !total + n;
+        acts := action :: !acts;
         if split && barrier then close ())
       ops;
     close ();
@@ -1277,12 +1265,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   let chain_seg (cost_arr, tot, actions) (next : tctx -> unit) : tctx -> unit
       =
     match (cost_arr, actions) with
-    | [| (c, n) |], [||] ->
-        fun t ->
-          let row = t.row in
-          row.(c) <- row.(c) + n;
-          charge tot;
-          next t
     | [| (c, n) |], [| a |] ->
         fun t ->
           let row = t.row in
@@ -1340,11 +1322,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
   (* A segment with no continuation (a loop body's last segment). *)
   let last_seg (cost_arr, tot, actions) : tctx -> unit =
     match (cost_arr, actions) with
-    | [| (c, n) |], [||] ->
-        fun t ->
-          let row = t.row in
-          row.(c) <- row.(c) + n;
-          charge tot
     | [| (c, n) |], [| a |] ->
         fun t ->
           let row = t.row in
@@ -1509,30 +1486,23 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             fun t ->
               f (Trace.Exit { thread = t.thread; scope });
               next t
-        | op -> (
-            let cs, action, _ = sop_of op in
-            let act = Option.value action ~default:(fun (_ : tctx) -> ()) in
-            match cs with
-            | [ (cls, ci, 1) ] ->
-                fun t ->
-                  let row = t.row in
-                  row.(ci) <- row.(ci) + 1;
-                  charge 1;
-                  f (Trace.Op { thread = t.thread; cls });
-                  act t;
-                  next t
-            | _ ->
-                fun t ->
-                  List.iter
-                    (fun (cls, ci, n) ->
-                      for _ = 1 to n do
-                        t.row.(ci) <- t.row.(ci) + 1;
-                        charge 1;
-                        f (Trace.Op { thread = t.thread; cls })
-                      done)
-                    cs;
-                  act t;
-                  next t))
+        | op ->
+            let (cls, ci, n), act, _ = sop_of op in
+            if n = 1 then fun t ->
+              let row = t.row in
+              row.(ci) <- row.(ci) + 1;
+              charge 1;
+              f (Trace.Op { thread = t.thread; cls });
+              act t;
+              next t
+            else fun t ->
+              for _ = 1 to n do
+                t.row.(ci) <- t.row.(ci) + 1;
+                charge 1;
+                f (Trace.Op { thread = t.thread; cls })
+              done;
+              act t;
+              next t)
     done;
     !node
   in
@@ -1616,11 +1586,6 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
           book_branch t;
           if t.si.(cond) <> 0 then then_k t else else_k t
     | Djmp target -> goto target
-    | Dgoto target ->
-        let target_k = goto target in
-        fun (t : tctx) ->
-          book_branch t;
-          target_k t
     | _ -> assert false
   in
   (* Fill the node table: fused block closures at straight-line leaders,

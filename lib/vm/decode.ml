@@ -44,8 +44,6 @@ type dop =
   | Dloadi_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
   | Dstoref_at of { buf : Isa.buf; imm : int; src : int }
   | Dstorei_at of { buf : Isa.buf; imm : int; src : int }
-  | Dgoto of int
-  | Dphantom of { cls : Isa.op_class; cls_idx : int; n : int }
   | Dsmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
   | Dvmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
 

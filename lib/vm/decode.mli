@@ -54,15 +54,6 @@ type dop =
   | Dstorei_at of { buf : Isa.buf; imm : int; src : int }
       (** optimizer-specialized scalar int store at a known element
           index; one [Sstore] op *)
-  | Dgoto of int
-      (** unconditional jump that still counts one [Branch] op: replaces
-          a constant-condition [Dif]/[Dwhile], preserving the branch's
-          instruction count (unlike [Djmp], which counts nothing) *)
-  | Dphantom of { cls : Isa.op_class; cls_idx : int; n : int }
-      (** bookkeeping-only stand-in for [n >= 1] dead-code-eliminated ops
-          of class [cls]: bumps counts, total instructions and fuel as if
-          the removed ops had executed (and emits their [Trace.Op] events
-          when traced) but performs no register work *)
   | Dsmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
       (** fused scalar multiply-add pair
           ([sf.(t) <- sf.(a) *. sf.(b); sf.(d) <- sf.(x) +. sf.(y)] with

@@ -44,8 +44,8 @@ val default_strategy : unit -> strategy
 (** The strategy runs use when none is requested explicitly: {!run},
     {!session} and {!Timing.simulate} (and through it experiments, the
     ladder, the benchmarks and the serve layer) resolve an absent
-    [?strategy] to this. Initially [Compiled Optimize.default]; the CLI
-    [--backend] and [--passes] flags override it process-wide via
+    [?[?strategy] to this. Initially [Compiled Optimize.default]; the CLI
+    [--backend] flag overrides it process-wide via
     {!set_default_strategy}. *)
 
 val set_default_strategy : strategy -> unit

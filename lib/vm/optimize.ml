@@ -7,63 +7,33 @@
    memory contents and the final register files bit-identical to the
    unoptimized decoded program. Timing reports therefore round-trip
    unchanged by construction — the ops/s gain is wall-clock reduction at a
-   fixed simulated instruction mix. Concretely:
-
-   - a rewrite may replace an op only with one of the same op class
-     ([Ibin] folds to [Iconst]: both Salu; [Fdiv]/[Fsqrt]/[Fexp]/[Flog]
-     are never folded — their classes differ from [Fconst]'s Sfp);
-   - dead ops become {!Decode.Dphantom} stand-ins that keep the
-     bookkeeping (counts, fuel, traced ops) without the register work;
-   - constant-condition branches become {!Decode.Dgoto}, which still
-     counts one Branch op;
-   - ops that can trap ([Idiv]/[Imod] with an unproven divisor, lane
-     accesses, every memory op) are never removed.
+   fixed simulated instruction mix. Concretely, a rewrite replaces an op
+   only with a form of the same op class and the same effect: a read
+   renamed to an equal register, an [Ibin] or scalar access with a known
+   constant operand turned into its immediate form, a mul+add pair fused
+   into one op that counts two. No pass removes an op's effect, so every
+   trap and memory event stays where it was.
 
    Each pass is independently correct on *any* valid decoded array, so
    passes compose in every order and the pipeline is idempotent —
-   property-tested per pass, pairwise-shuffled and for the full pipeline
-   as [Compiled config] against the Tree walker in test/test_optimize.ml. *)
+   property-tested per pass, pairwise-shuffled, in every full order and
+   for the full pipeline as [Compiled config] against the Tree walker in
+   test/test_optimize.ml. *)
 
-type pass = Fold | Moves | Imm | Dce | Peephole
+type pass = Moves | Imm | Peephole
 
 type config = { passes : pass list }
 
-let all_passes = [ Fold; Moves; Imm; Dce; Peephole ]
+let all_passes = [ Moves; Imm; Peephole ]
 let default = { passes = all_passes }
 let none = { passes = [] }
 
 let pass_name = function
-  | Fold -> "fold"
   | Moves -> "moves"
   | Imm -> "imm"
-  | Dce -> "dce"
   | Peephole -> "peephole"
 
-let pass_of_name = function
-  | "fold" -> Some Fold
-  | "moves" -> Some Moves
-  | "imm" -> Some Imm
-  | "dce" -> Some Dce
-  | "peephole" -> Some Peephole
-  | _ -> None
-
 let tag c = String.concat "," (List.map pass_name c.passes)
-
-let parse_passes s =
-  if s = "" || s = "none" then Ok none
-  else if s = "all" then Ok default
-  else
-    let names = String.split_on_char ',' s |> List.map String.trim in
-    let rec go acc = function
-      | [] -> Ok { passes = List.rev acc }
-      | n :: rest -> (
-          match pass_of_name n with
-          | Some p -> go (p :: acc) rest
-          | None ->
-              Error
-                (Fmt.str "unknown pass %S (expected fold, moves, imm, dce, peephole)" n))
-    in
-    go [] names
 
 type pass_stats = { ps_pass : pass; ps_stats : (string * int) list }
 
@@ -72,16 +42,11 @@ type report = { r_prog : string; r_ops : int; r_passes : pass_stats list }
 (* ------------------------------------------------------------------ *)
 (* Shared machinery                                                    *)
 
-let dinstr i =
-  let cls = Isa.classify i in
-  Decode.Dinstr { i; cls; cls_idx = Isa.op_class_index cls }
-
 (* Ops with several successors or a non-fallthrough successor: block
-   boundaries for the forward const/copy walks and reset points for the
-   backward liveness walk. *)
+   boundaries for the forward const/copy walks. *)
 let is_control = function
   | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-  | Decode.Djmp _ | Decode.Dgoto _ -> true
+  | Decode.Djmp _ -> true
   | _ -> false
 
 (* [t.(i)] holds when some op jumps to [i]; index [len] (halt) included. *)
@@ -93,7 +58,7 @@ let jump_targets code =
       | Decode.Dfor { exit; _ } | Decode.Dwhile { exit; _ } -> t.(exit) <- true
       | Decode.Dforback { body; _ } -> t.(body) <- true
       | Decode.Dif { else_; _ } -> t.(else_) <- true
-      | Decode.Djmp k | Decode.Dgoto k -> t.(k) <- true
+      | Decode.Djmp k -> t.(k) <- true
       | _ -> ())
     code;
   t
@@ -110,237 +75,28 @@ let dop_writes (op : Decode.dop) : Verify.operand list =
       [ Verify.Osf (Isa.Sf t); Verify.Osf (Isa.Sf d) ]
   | Decode.Dvmuladd { t; d; _ } ->
       [ Verify.Ovf (Isa.Vf t); Verify.Ovf (Isa.Vf d) ]
-  | Decode.Dwhile _ | Decode.Dif _ | Decode.Djmp _ | Decode.Dgoto _
-  | Decode.Denter _ | Decode.Dexit _ | Decode.Dphantom _
-  | Decode.Dstoref_at _ | Decode.Dstorei_at _ -> []
+  | Decode.Dwhile _ | Decode.Dif _ | Decode.Djmp _ | Decode.Denter _
+  | Decode.Dexit _ | Decode.Dstoref_at _ | Decode.Dstorei_at _ -> []
 
-let dop_reads (op : Decode.dop) : Verify.operand list =
-  match op with
-  | Decode.Dinstr { i; _ } -> fst (Verify.operands i)
-  | Decode.Dfor { lo; hi; step; _ } ->
-      [ Verify.Osi (Isa.Si lo); Verify.Osi (Isa.Si hi); Verify.Osi (Isa.Si step) ]
-  | Decode.Dwhile { cond; _ } | Decode.Dif { cond; _ } ->
-      [ Verify.Osi (Isa.Si cond) ]
-  | Decode.Daddi { a; _ } | Decode.Dmuli { a; _ } -> [ Verify.Osi (Isa.Si a) ]
-  | Decode.Dstoref_at { src; _ } -> [ Verify.Osf (Isa.Sf src) ]
-  | Decode.Dstorei_at { src; _ } -> [ Verify.Osi (Isa.Si src) ]
-  | Decode.Dsmuladd { a; b; x; y; _ } ->
-      [ Verify.Osf (Isa.Sf a); Verify.Osf (Isa.Sf b); Verify.Osf (Isa.Sf x);
-        Verify.Osf (Isa.Sf y) ]
-  | Decode.Dvmuladd { a; b; x; y; _ } ->
-      [ Verify.Ovf (Isa.Vf a); Verify.Ovf (Isa.Vf b); Verify.Ovf (Isa.Vf x);
-        Verify.Ovf (Isa.Vf y) ]
-  | Decode.Dforback _ | Decode.Djmp _ | Decode.Dgoto _ | Decode.Denter _
-  | Decode.Dexit _ | Decode.Dphantom _ | Decode.Dloadf_at _
-  | Decode.Dloadi_at _ -> []
-
-(* Evaluation helpers for the folder. These must mirror Interp's runtime
-   evaluation *exactly* (Float.min, Float.equal, truncating int_of_float,
-   1. /. Float.sqrt for rsqrt) — a folded constant is the value the
-   interpreter would have computed. *)
-let eval_ibin op a b =
-  match (op : Isa.ibin) with
-  | Iadd -> a + b
-  | Isub -> a - b
-  | Imul -> a * b
-  | Idiv -> a / b (* caller guarantees b <> 0 *)
-  | Imod -> a mod b
-  | Iand -> a land b
-  | Ior -> a lor b
-  | Ixor -> a lxor b
-  | Ishl -> a lsl b
-  | Ishr -> a asr b
-  | Imin -> if a <= b then a else b
-  | Imax -> if a >= b then a else b
-
-let eval_fbin op a b =
-  match (op : Isa.fbin) with
-  | Fadd -> a +. b
-  | Fsub -> a -. b
-  | Fmul -> a *. b
-  | Fdiv -> a /. b
-  | Fmin -> Float.min a b
-  | Fmax -> Float.max a b
-
-let eval_icmp op a b =
-  match (op : Isa.cmp) with
-  | Ceq -> a = b
-  | Cne -> a <> b
-  | Clt -> a < b
-  | Cle -> a <= b
-  | Cgt -> a > b
-  | Cge -> a >= b
-
-let eval_fcmp op a b =
-  match (op : Isa.cmp) with
-  | Ceq -> Float.equal a b
-  | Cne -> not (Float.equal a b)
-  | Clt -> a < b
-  | Cle -> a <= b
-  | Cgt -> a > b
-  | Cge -> a >= b
-
-(* Per-block known-constant state shared by fold and imm: scalar int and
-   scalar float registers only (vector constants are not tracked). Reset
-   at every jump target and after every control op. *)
-type consts = { ki : (int, int) Hashtbl.t; kf : (int, float) Hashtbl.t }
-
-let consts_create () = { ki = Hashtbl.create 16; kf = Hashtbl.create 16 }
-
-let consts_reset c =
-  Hashtbl.reset c.ki;
-  Hashtbl.reset c.kf
-
-let consts_kill c op =
-  List.iter
-    (function
-      | Verify.Osi (Isa.Si r) -> Hashtbl.remove c.ki r
-      | Verify.Osf (Isa.Sf r) -> Hashtbl.remove c.kf r
-      | _ -> ())
-    (dop_writes op)
-
-(* Transfer the (already rewritten) op through the const state: record the
-   constants it produces, kill everything else it writes. *)
+(* imm's per-block known scalar int constants [c] (float and vector
+   constants are not tracked), reset at every jump target and after every
+   control op. Transfer the (already rewritten) op through them: record
+   the constants it produces, kill everything else it writes. *)
 let consts_track c (op : Decode.dop) =
   match op with
-  | Decode.Dinstr { i = Isa.Iconst (Si d, n); _ } -> Hashtbl.replace c.ki d n
-  | Decode.Dinstr { i = Isa.Fconst (Sf d, x); _ } -> Hashtbl.replace c.kf d x
+  | Decode.Dinstr { i = Isa.Iconst (Si d, n); _ } -> Hashtbl.replace c d n
   | Decode.Daddi { d; a; imm } -> (
-      match Hashtbl.find_opt c.ki a with
-      | Some va -> Hashtbl.replace c.ki d (va + imm)
-      | None -> Hashtbl.remove c.ki d)
+      match Hashtbl.find_opt c a with
+      | Some va -> Hashtbl.replace c d (va + imm)
+      | None -> Hashtbl.remove c d)
   | Decode.Dmuli { d; a; imm } -> (
-      match Hashtbl.find_opt c.ki a with
-      | Some va -> Hashtbl.replace c.ki d (va * imm)
-      | None -> Hashtbl.remove c.ki d)
-  | _ -> consts_kill c op
-
-(* ------------------------------------------------------------------ *)
-(* fold: constant folding and constant-condition branches              *)
-
-let fold_pass _regs code =
-  let folded = ref 0 and branches = ref 0 in
-  let tgt = jump_targets code in
-  let c = consts_create () in
-  let gi (Isa.Si r) = Hashtbl.find_opt c.ki r in
-  let gf (Isa.Sf r) = Hashtbl.find_opt c.kf r in
-  let len = Array.length code in
-  for i = 0 to len - 1 do
-    if tgt.(i) then consts_reset c;
-    let op = code.(i) in
-    let fold_i d n =
-      incr folded;
-      Some (dinstr (Isa.Iconst (d, n)))
-    in
-    let fold_f d x =
-      incr folded;
-      Some (dinstr (Isa.Fconst (d, x)))
-    in
-    let op' =
-      match op with
-      | Decode.Dinstr { i = instr; _ } -> (
-          match instr with
-          | Isa.Imov (d, a) -> (
-              match gi a with Some v -> fold_i d v | None -> None)
-          | Isa.Ibin (bop, d, a, b) -> (
-              match (gi a, gi b) with
-              | Some va, Some vb -> (
-                  match bop with
-                  | (Idiv | Imod) when vb = 0 -> None (* keep the trap *)
-                  | _ -> fold_i d (eval_ibin bop va vb))
-              | _ -> None)
-          | Isa.Icmp (cop, d, a, b) -> (
-              match (gi a, gi b) with
-              | Some va, Some vb ->
-                  fold_i d (if eval_icmp cop va vb then 1 else 0)
-              | _ -> None)
-          | Isa.Fcmp (cop, d, a, b) -> (
-              match (gf a, gf b) with
-              | Some va, Some vb ->
-                  fold_i d (if eval_fcmp cop va vb then 1 else 0)
-              | _ -> None)
-          | Isa.Iselect (d, cond, a, b) -> (
-              match gi cond with
-              | Some v -> (
-                  let src = if v <> 0 then a else b in
-                  match gi src with
-                  | Some vs -> fold_i d vs
-                  | None ->
-                      incr folded;
-                      Some (dinstr (Isa.Imov (d, src))))
-              | None -> None)
-          | Isa.Ioff (d, a) -> (
-              match gf a with
-              | Some v -> fold_i d (int_of_float v)
-              | None -> None)
-          | Isa.Fmov (d, a) -> (
-              match gf a with Some v -> fold_f d v | None -> None)
-          | Isa.Fbin (bop, d, a, b) when bop <> Isa.Fdiv -> (
-              (* Fdiv is Sdivsqrt, not Sfp: folding it to Fconst would
-                 change the instruction mix *)
-              match (gf a, gf b) with
-              | Some va, Some vb -> fold_f d (eval_fbin bop va vb)
-              | _ -> None)
-          | Isa.Fma (d, a, b, e) -> (
-              match (gf a, gf b, gf e) with
-              | Some va, Some vb, Some ve -> fold_f d ((va *. vb) +. ve)
-              | _ -> None)
-          | Isa.Funop (uop, d, a) -> (
-              match uop with
-              | Fneg | Fabs | Ffloor | Frsqrt -> (
-                  match gf a with
-                  | Some v ->
-                      fold_f d
-                        (match uop with
-                        | Fneg -> -.v
-                        | Fabs -> Float.abs v
-                        | Ffloor -> Float.floor v
-                        | _ -> 1. /. Float.sqrt v)
-                  | None -> None)
-              | Fsqrt | Fexp | Flog -> None (* Sdivsqrt/Smath class *))
-          | Isa.Fselect (d, cond, a, b) -> (
-              match gi cond with
-              | Some v -> (
-                  let src = if v <> 0 then a else b in
-                  match gf src with
-                  | Some vs -> fold_f d vs
-                  | None ->
-                      incr folded;
-                      Some (dinstr (Isa.Fmov (d, src))))
-              | None -> None)
-          | Isa.Fofi (d, a) -> (
-              match gi a with
-              | Some v -> fold_f d (float_of_int v)
-              | None -> None)
-          | _ -> None)
-      | Decode.Daddi { d; a; imm } -> (
-          match Hashtbl.find_opt c.ki a with
-          | Some va -> fold_i (Isa.Si d) (va + imm)
-          | None -> None)
-      | Decode.Dmuli { d; a; imm } -> (
-          match Hashtbl.find_opt c.ki a with
-          | Some va -> fold_i (Isa.Si d) (va * imm)
-          | None -> None)
-      | Decode.Dif { cond; else_ } -> (
-          match Hashtbl.find_opt c.ki cond with
-          | Some v ->
-              incr branches;
-              Some (Decode.Dgoto (if v <> 0 then i + 1 else else_))
-          | None -> None)
-      | Decode.Dwhile { cond; exit } -> (
-          match Hashtbl.find_opt c.ki cond with
-          | Some v ->
-              incr branches;
-              Some (Decode.Dgoto (if v <> 0 then i + 1 else exit))
-          | None -> None)
-      | _ -> None
-    in
-    (match op' with Some o -> code.(i) <- o | None -> ());
-    let cur = code.(i) in
-    consts_track c cur;
-    if is_control cur then consts_reset c
-  done;
-  [ ("folded", !folded); ("branches", !branches) ]
+      match Hashtbl.find_opt c a with
+      | Some va -> Hashtbl.replace c d (va * imm)
+      | None -> Hashtbl.remove c d)
+  | _ ->
+      List.iter
+        (function Verify.Osi (Isa.Si r) -> Hashtbl.remove c r | _ -> ())
+        (dop_writes op)
 
 (* ------------------------------------------------------------------ *)
 (* moves: copy propagation (operand renaming only)                     *)
@@ -351,7 +107,7 @@ let fold_pass _regs code =
    register the same op writes: per-lane vector execution and the
    post-write event emission of gathers make fresh intra-op aliasing
    observable, so we simply never introduce any. *)
-let moves_pass _regs code =
+let moves_pass code =
   let rewritten = ref 0 in
   let tgt = jump_targets code in
   let mi = Hashtbl.create 8 and mf = Hashtbl.create 8 in
@@ -512,14 +268,14 @@ let moves_pass _regs code =
 (* ------------------------------------------------------------------ *)
 (* imm: immediate-operand specialization (ropAddI-style op forms)      *)
 
-let imm_pass _regs code =
+let imm_pass code =
   let specialized = ref 0 in
   let tgt = jump_targets code in
-  let c = consts_create () in
-  let ki r = Hashtbl.find_opt c.ki r in
+  let c = Hashtbl.create 16 in
+  let ki r = Hashtbl.find_opt c r in
   let len = Array.length code in
   for i = 0 to len - 1 do
-    if tgt.(i) then consts_reset c;
+    if tgt.(i) then Hashtbl.reset c;
     let op = code.(i) in
     let spec o =
       incr specialized;
@@ -529,7 +285,7 @@ let imm_pass _regs code =
       match op with
       | Decode.Dinstr { i = Isa.Ibin (bop, Si d, Si a, Si b); _ } -> (
           match (bop, ki a, ki b) with
-          | _, Some _, Some _ -> None (* fully constant: fold's job *)
+          | _, Some _, Some _ -> None (* both known: only a mixed pair specializes *)
           | Isa.Iadd, None, Some vb -> spec (Decode.Daddi { d; a; imm = vb })
           | Isa.Iadd, Some va, None -> spec (Decode.Daddi { d; a = b; imm = va })
           | Isa.Isub, None, Some vb -> spec (Decode.Daddi { d; a; imm = -vb })
@@ -559,180 +315,14 @@ let imm_pass _regs code =
     (match op' with Some o -> code.(i) <- o | None -> ());
     let cur = code.(i) in
     consts_track c cur;
-    if is_control cur then consts_reset c
+    if is_control cur then Hashtbl.reset c
   done;
   [ ("specialized", !specialized) ]
 
 (* ------------------------------------------------------------------ *)
-(* dce: dead defs -> phantoms, unreachable ops, phantom coalescing     *)
-
-(* Pure single-write register ops that can never trap and touch no
-   memory: the only ops a dead def may remove. [Idiv]/[Imod] (divisor),
-   lane ops and every memory access stay. *)
-let dce_candidate (i : Isa.instr) =
-  match i with
-  | Iconst _ | Fconst _ | Imov _ | Fmov _ | Fbin _ | Fma _ | Funop _
-  | Icmp _ | Fcmp _ | Iselect _ | Fselect _ | Fofi _ | Ioff _
-  | Vmovf _ | Vmovi _ | Vbroadcastf _ | Vbroadcasti _ | Viota _ | Vfbin _
-  | Vfma _ | Vfunop _ | Vfcmp _ | Vicmp _ | Vselectf _ | Vselecti _
-  | Vfofi _ | Vioff _ | Vreducef _ | Vreducei _
-  | Mconst _ | Mpattern _ | Mfirst _ | Mnot _ | Mand _ | Mor _ | Many _
-  | Mall _ | Mcount _ -> true
-  | Ibin (op, _, _, _) | Vibin (op, _, _, _) -> (
-      match op with Idiv | Imod -> false | _ -> true)
-  | Vpermutef _ | Vextractf _ | Vinsertf _ (* lane traps / partial write *)
-  | Loadf _ | Loadi _ | Storef _ | Storei _ | Vloadf _ | Vloadi _
-  | Vloadf_strided _ | Vgatherf _ | Vgatheri _ | Vstoref _ | Vstoref_nt _
-  | Vstorei _ | Vstoref_strided _ | Vscatterf _ | Vscatteri _ -> false
-
-(* Writes that preserve part of the destination's prior contents (masked
-   lanes, untouched lanes of a single-lane insert): the old value flows
-   through the op, so backward liveness must treat the write as a read
-   and never as a kill. *)
-let dop_partial_write (op : Decode.dop) =
-  match op with
-  | Decode.Dinstr { i; _ } -> (
-      match i with
-      | Isa.Vinsertf _ -> true
-      | Isa.Vloadf { mask = Some _; _ } | Isa.Vloadi { mask = Some _; _ } -> true
-      | Isa.Vgatherf { mask = Some _; _ } | Isa.Vgatheri { mask = Some _; _ } ->
-          true
-      | _ -> false)
-  | _ -> false
-
-let dce_pass (regs : Isa.reg_counts) code =
-  let dead = ref 0 and unreachable = ref 0 and coalesced = ref 0 in
-  let len = Array.length code in
-  (* 1. ops unreachable from pc 0 (constant-folded branches leave some):
-     neutralize to Djmp so later passes and the flat checker see a plain
-     op. Already-Djmp slots are left alone (keeps the pass idempotent). *)
-  let reach = Array.make (len + 1) false in
-  let stack = ref [ 0 ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | i :: rest ->
-        stack := rest;
-        if i <= len && not reach.(i) then begin
-          reach.(i) <- true;
-          if i < len then
-            let succs =
-              match code.(i) with
-              | Decode.Dfor { exit; _ } | Decode.Dwhile { exit; _ } ->
-                  [ i + 1; exit ]
-              | Decode.Dforback { body; _ } -> [ i + 1; body ]
-              | Decode.Dif { else_; _ } -> [ i + 1; else_ ]
-              | Decode.Djmp t | Decode.Dgoto t -> [ t ]
-              | _ -> [ i + 1 ]
-            in
-            stack := succs @ !stack
-        end
-  done;
-  for i = 0 to len - 1 do
-    if not reach.(i) then
-      match code.(i) with
-      | Decode.Djmp _ -> ()
-      | _ ->
-          code.(i) <- Decode.Djmp (i + 1);
-          incr unreachable
-  done;
-  (* 2. backward in-block liveness. Every register is live at each control
-     op and at the phase end (register files persist across phases and are
-     observable via on_states), so a def is dead only when a later op in
-     the same straight-line run overwrites it with no intervening read. *)
-  let live_si = Array.make (max regs.si 1) true in
-  let live_sf = Array.make (max regs.sf 1) true in
-  let live_vf = Array.make (max regs.vf 1) true in
-  let live_vi = Array.make (max regs.vi 1) true in
-  let live_vm = Array.make (max regs.vm 1) true in
-  let all_live () =
-    Array.fill live_si 0 (Array.length live_si) true;
-    Array.fill live_sf 0 (Array.length live_sf) true;
-    Array.fill live_vf 0 (Array.length live_vf) true;
-    Array.fill live_vi 0 (Array.length live_vi) true;
-    Array.fill live_vm 0 (Array.length live_vm) true
-  in
-  let set v = function
-    | Verify.Osi (Isa.Si r) -> live_si.(r) <- v
-    | Verify.Osf (Isa.Sf r) -> live_sf.(r) <- v
-    | Verify.Ovf (Isa.Vf r) -> live_vf.(r) <- v
-    | Verify.Ovi (Isa.Vi r) -> live_vi.(r) <- v
-    | Verify.Ovm (Isa.Vm r) -> live_vm.(r) <- v
-  in
-  let is_live = function
-    | Verify.Osi (Isa.Si r) -> live_si.(r)
-    | Verify.Osf (Isa.Sf r) -> live_sf.(r)
-    | Verify.Ovf (Isa.Vf r) -> live_vf.(r)
-    | Verify.Ovi (Isa.Vi r) -> live_vi.(r)
-    | Verify.Ovm (Isa.Vm r) -> live_vm.(r)
-  in
-  all_live ();
-  for i = len - 1 downto 0 do
-    let op = code.(i) in
-    if is_control op then all_live ()
-    else begin
-      let candidate =
-        match op with
-        | Decode.Dinstr { i = instr; _ } -> dce_candidate instr
-        | Decode.Daddi _ | Decode.Dmuli _ -> true
-        | _ -> false
-      in
-      let writes = dop_writes op in
-      match (candidate, writes) with
-      | true, [ w ] when not (is_live w) ->
-          let cls =
-            match op with
-            | Decode.Dinstr { cls; _ } -> cls
-            | _ -> Isa.Salu (* Daddi/Dmuli *)
-          in
-          code.(i) <-
-            Decode.Dphantom { cls; cls_idx = Isa.op_class_index cls; n = 1 };
-          incr dead
-      | _ ->
-          if dop_partial_write op then List.iter (set true) writes
-          else List.iter (set false) writes;
-          List.iter (set true) (dop_reads op)
-    end
-  done;
-  (* 3. coalesce adjacent same-class phantoms not entered from elsewhere:
-     one phantom carries the whole count, the vacated slots become jumps
-     past the run (only the first is ever executed). *)
-  let tgt = jump_targets code in
-  let i = ref 0 in
-  while !i < len do
-    (match code.(!i) with
-    | Decode.Dphantom { cls; cls_idx; n } ->
-        let j = ref (!i + 1) and total = ref n in
-        let continue_run () =
-          !j < len
-          && (not tgt.(!j))
-          &&
-          match code.(!j) with
-          | Decode.Dphantom { cls = cls'; _ } -> cls' = cls
-          | _ -> false
-        in
-        while continue_run () do
-          (match code.(!j) with
-          | Decode.Dphantom { n = n'; _ } -> total := !total + n'
-          | _ -> ());
-          incr j
-        done;
-        if !j > !i + 1 then begin
-          code.(!i) <- Decode.Dphantom { cls; cls_idx; n = !total };
-          for k = !i + 1 to !j - 1 do
-            code.(k) <- Decode.Djmp !j
-          done;
-          coalesced := !coalesced + (!j - !i - 1)
-        end;
-        i := !j
-    | _ -> incr i)
-  done;
-  [ ("dead", !dead); ("unreachable", !unreachable); ("coalesced", !coalesced) ]
-
-(* ------------------------------------------------------------------ *)
 (* peephole: fuse adjacent mul+add pairs                               *)
 
-let peephole_pass _regs code =
+let peephole_pass code =
   let fused = ref 0 in
   let tgt = jump_targets code in
   let len = Array.length code in
@@ -760,10 +350,8 @@ let peephole_pass _regs code =
 
 let apply p =
   match p with
-  | Fold -> fold_pass
   | Moves -> moves_pass
   | Imm -> imm_pass
-  | Dce -> dce_pass
   | Peephole -> peephole_pass
 
 let run_report ?(config = default) (d : Decode.t) : Decode.t * report =
@@ -772,14 +360,13 @@ let run_report ?(config = default) (d : Decode.t) : Decode.t * report =
       (fun (ph : Decode.phase) -> { ph with Decode.code = Array.copy ph.Decode.code })
       d.Decode.phases
   in
-  let regs = d.Decode.prog.Isa.regs in
   let per_pass =
     List.map
       (fun p ->
         let stats =
           Array.fold_left
             (fun acc (ph : Decode.phase) ->
-              let s = apply p regs ph.Decode.code in
+              let s = apply p ph.Decode.code in
               match acc with
               | None -> Some s
               | Some prev ->

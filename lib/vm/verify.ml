@@ -527,7 +527,7 @@ let check_flat (d : Decode.t) : issue list =
               chk_target i body
           | Decode.Dwhile { cond; exit } -> chk_si i cond; chk_target i exit
           | Decode.Dif { cond; else_ } -> chk_si i cond; chk_target i else_
-          | Decode.Djmp t | Decode.Dgoto t -> chk_target i t
+          | Decode.Djmp t -> chk_target i t
           | Decode.Denter _ | Decode.Dexit _ -> ()
           | Decode.Daddi { d; a; _ } | Decode.Dmuli { d; a; _ } ->
               chk_si i d; chk_si i a
@@ -543,9 +543,6 @@ let check_flat (d : Decode.t) : issue list =
           | Decode.Dstorei_at { buf; imm; src } ->
               chk_si i src; chk_buf i buf Isa.I32;
               if imm < 0 then add i "negative store index %d" imm
-          | Decode.Dphantom { cls; cls_idx; n } ->
-              if n < 1 then add i "phantom with count %d" n;
-              if Isa.op_class_index cls <> cls_idx then add i "stale class index"
           | Decode.Dsmuladd { t; a; b; d; x; y } ->
               List.iter (chk_sf i) [ t; a; b; d; x; y ];
               if x <> t && y <> t then add i "muladd does not read its product"

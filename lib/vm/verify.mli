@@ -63,8 +63,8 @@ val check_flat : Decode.t -> issue list
     arrays: register indices within the program's declared counts, jump
     targets within [[0, len]] (len = one past the end, a legal halt),
     [Dfor]/[Dforback] ids below [n_fors], buffer indices and element
-    types on the immediate load/store forms, phantom counts at least 1,
-    pre-classified op classes consistent with {!Isa.classify}, and fused
-    multiply-adds that actually read their product. Deterministic order;
-    never raises. An unoptimized {!Decode.decode} result always checks
-    clean for a {!Isa.validate}-clean program. *)
+    types on the immediate load/store forms, pre-classified op classes
+    consistent with {!Isa.classify}, and fused multiply-adds that
+    actually read their product. Deterministic order; never raises. An
+    unoptimized {!Decode.decode} result always checks clean for a
+    {!Isa.validate}-clean program. *)

@@ -10,12 +10,13 @@
    (no passes) and test_optimize.ml (every pass list); this suite runs it
    through the supplied-array entry point ([Interp.run ~decoded]) the
    mutations use, adds trap differentials over optimized arrays, and a
-   dozen hand-seeded mutations of compiled-input op arrays — each simulating a distinct compiler-bug
-   class (wrong immediate, dropped def, inflated or misattributed
-   bookkeeping, swapped operands, wrong operator, flipped dependence
-   chain, dropped store, wrong loop bound, perturbed constant, dropped
-   trace scope) — that the observation differential must refute when
-   executed through the compiled executor. *)
+   dozen hand-seeded mutations of compiled-input op arrays — each
+   simulating a distinct compiler-bug class (wrong immediate, dropped
+   def, misattributed bookkeeping, swapped operands, wrong operator,
+   flipped dependence chain, dropped store, wrong loop bound, perturbed
+   constant, dropped trace scope, retargeted branch, wrong store index) —
+   that the observation differential must refute when executed through
+   the compiled executor. *)
 
 open Ninja_vm
 module F = Test_fastpath
@@ -154,7 +155,7 @@ let test_trap_nonpositive_step () =
 let mutate = F.mutate
 
 (* One program with a site for every mutation class: a Daddi (runtime x +
-   const), a runtime Isub and Iadd, a dead def the DCE phantomizes, a
+   const), a runtime Isub and Iadd, a def overwritten before it is read, a
    chained Loadf, scalar stores to both buffers, a counted For loop, a
    runtime If, and a profiled region. *)
 let mutation_program () =
@@ -171,7 +172,7 @@ let mutation_program () =
       let zero = Builder.iconst b 0 in
       let one = Builder.iconst b 1 in
       Builder.emit b (Storei { buf = idxs; idx = zero; src = w });
-      (* dead def: overwritten before its only store — DCE phantomizes *)
+      (* dead def: overwritten before its only store *)
       let r = Builder.si b in
       Builder.emit b (Iconst (r, 5));
       Builder.emit b (Iconst (r, 6));
@@ -253,30 +254,12 @@ let mutations =
     mutation_case ~what:"a dropped live def" (fun ~prog ~opt ->
         let broken =
           mutate opt (function
-            | Decode.Dinstr { i = Isa.Iconst (_, 6); cls; cls_idx } ->
-                Some (Decode.Dphantom { cls; cls_idx; n = 1 })
+            | Decode.Dinstr { i = Isa.Iconst (d, 6); cls; cls_idx } ->
+                (* same-class self-move: only the value is lost *)
+                Some (Decode.Dinstr { i = Isa.Imov (d, d); cls; cls_idx })
             | _ -> None)
         in
         assert_refuted ~what:"a dropped live def" prog broken);
-    mutation_case ~what:"inflated batched bookkeeping" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dphantom p -> Some (Decode.Dphantom { p with n = p.n + 1 })
-            | _ -> None)
-        in
-        assert_refuted ~what:"inflated batched bookkeeping" prog broken);
-    mutation_case ~what:"a misattributed phantom class" (fun ~prog ~opt ->
-        let broken =
-          mutate opt (function
-            | Decode.Dphantom p when p.cls <> Isa.Branch ->
-                Some
-                  (Decode.Dphantom
-                     { p with
-                       cls = Isa.Branch;
-                       cls_idx = Isa.op_class_index Isa.Branch })
-            | _ -> None)
-        in
-        assert_refuted ~what:"a misattributed phantom class" prog broken);
     mutation_case ~what:"swapped subtraction operands" (fun ~prog ~opt ->
         let broken =
           mutate opt (function
@@ -310,14 +293,16 @@ let mutations =
     mutation_case ~what:"a dropped store" (fun ~prog ~opt ->
         let broken =
           mutate opt (function
-            | Decode.Dinstr { i = Isa.Storef _; cls; cls_idx } ->
-                Some (Decode.Dphantom { cls; cls_idx; n = 1 })
-            | Decode.Dstoref_at _ ->
+            (* the store's count kept on a self-move of its source: only
+               memory and the event stream lose the store *)
+            | Decode.Dinstr { i = Isa.Storef { src; _ }; cls; cls_idx } ->
+                Some (Decode.Dinstr { i = Isa.Fmov (src, src); cls; cls_idx })
+            | Decode.Dstoref_at { src; _ } ->
                 Some
-                  (Decode.Dphantom
-                     { cls = Isa.Sstore;
-                       cls_idx = Isa.op_class_index Isa.Sstore;
-                       n = 1 })
+                  (Decode.Dinstr
+                     { i = Isa.Fmov (Isa.Sf src, Isa.Sf src);
+                       cls = Isa.Sstore;
+                       cls_idx = Isa.op_class_index Isa.Sstore })
             | _ -> None)
         in
         assert_refuted ~what:"a dropped store" prog broken);
@@ -338,19 +323,49 @@ let mutations =
         in
         assert_refuted ~what:"a perturbed float constant" prog broken);
     mutation_case ~what:"a dropped profiling scope" (fun ~prog ~opt ->
+        (* a jump to the next op costs and runs nothing *)
         let broken =
-          mutate opt (function
-            | Decode.Denter _ ->
-                Some
-                  (Decode.Dphantom
-                     { cls = Isa.Salu;
-                       cls_idx = Isa.op_class_index Isa.Salu;
-                       n = 0 })
-            | _ -> None)
+          { opt with
+            Decode.phases =
+              Array.map
+                (fun (ph : Decode.phase) ->
+                  { ph with
+                    Decode.code =
+                      Array.mapi
+                        (fun k (op : Decode.dop) ->
+                          match op with Denter _ -> Decode.Djmp (k + 1) | op -> op)
+                        ph.code })
+                opt.phases }
         in
         (* scopes are trace-only observables *)
         assert_refuted ~tracing_modes:[ true ] ~what:"a dropped profiling scope"
           prog broken);
+    mutation_case ~what:"a retargeted branch" (fun ~prog ~opt ->
+        (* the else target moved onto the then-block: both arms of the
+           runtime If now run the then-block *)
+        let broken =
+          { opt with
+            Decode.phases =
+              Array.map
+                (fun (ph : Decode.phase) ->
+                  { ph with
+                    Decode.code =
+                      Array.mapi
+                        (fun k (op : Decode.dop) ->
+                          match op with
+                          | Dif b -> Decode.Dif { b with else_ = k + 1 }
+                          | op -> op)
+                        ph.code })
+                opt.phases }
+        in
+        assert_refuted ~what:"a retargeted branch" prog broken);
+    mutation_case ~what:"an off-by-one store index" (fun ~prog ~opt ->
+        let broken =
+          mutate opt (function
+            | Decode.Dstorei_at s -> Some (Decode.Dstorei_at { s with imm = s.imm + 1 })
+            | _ -> None)
+        in
+        assert_refuted ~what:"an off-by-one store index" prog broken);
     mutation_case ~what:"a misattributed count class" (fun ~prog ~opt ->
         let broken =
           mutate opt (function
@@ -623,7 +638,7 @@ let control_targets (code : Decode.dop array) =
     (fun (op : Decode.dop) ->
       match op with
       | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
-      | Dif { else_ = k; _ } | Djmp k | Dgoto k -> t.(k) <- true
+      | Dif { else_ = k; _ } | Djmp k -> t.(k) <- true
       | _ -> ())
     code;
   t
@@ -681,7 +696,9 @@ let test_thread_ladder () =
 
 let test_thread_shapes () =
   let nop =
-    Decode.Dphantom { cls = Isa.Salu; cls_idx = Isa.op_class_index Isa.Salu; n = 1 }
+    Decode.Dinstr
+      { i = Isa.Iconst (Isa.Si 0, 0); cls = Isa.Salu;
+        cls_idx = Isa.op_class_index Isa.Salu }
   in
   let threads what (code : Decode.dop array) (want : Decode.dop array) =
     Alcotest.(check bool) what true (compare (Compile.thread code) want = 0);
@@ -697,8 +714,8 @@ let test_thread_shapes () =
        nop; nop |]
     [| Dif { cond = 0; else_ = 3 }; Djmp 5; Djmp 5; nop; nop; nop |];
   threads "retargeting frees a region"
-    [| Dgoto 2; Djmp 4; Djmp 4; nop; nop |]
-    [| Dgoto 1; nop |];
+    [| Dif { cond = 0; else_ = 2 }; Djmp 4; Djmp 4; nop; nop |]
+    [| Dif { cond = 0; else_ = 1 }; nop |];
   threads "a jump cycle stays a cycle" [| Djmp 1; Djmp 0 |] [| Djmp 0 |];
   threads "out-of-range targets are left alone" [| Djmp 5; nop |] [| Djmp 5; nop |]
 

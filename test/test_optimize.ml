@@ -6,11 +6,12 @@
    count rows, total instructions, the memory-access event stream, the
    profiling trace, and trap messages — whatever pass list [config]
    names. This suite pins that contract per pass, for the full pipeline,
-   and for pairwise-shuffled pass orders, through the backend
-   differential of test_fastpath.ml; plus hand-written fixtures per pass,
-   a pipeline-idempotence property, and mutation tests that execute
-   deliberately broken optimized arrays and assert the differential
-   harness catches them (so a wrong pass could not slip through). *)
+   for pairwise-shuffled pass orders and for every order of all three
+   passes, through the backend differential of test_fastpath.ml; plus
+   hand-written fixtures per pass, pipeline and per-pass idempotence
+   properties, mutation tests that execute deliberately broken optimized
+   arrays and assert the differential harness catches them (so a wrong
+   pass could not slip through), and [Verify.check_flat] lint checks. *)
 
 open Ninja_vm
 module F = Test_fastpath
@@ -48,6 +49,21 @@ let props_pairwise =
         Optimize.all_passes)
     Optimize.all_passes
 
+(* Every ordering of the whole pipeline: no pass relies on running after
+   another. *)
+let props_orders =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun p -> List.map (List.cons p) (perms (List.filter (( <> ) p) l))) l
+  in
+  List.map
+    (fun passes ->
+      F.tree_vs_compiled ~count:10
+        ~name:(Fmt.str "random programs: pass order %s preserves all observables"
+                 (Optimize.tag { Optimize.passes }))
+        { Optimize.passes })
+    (perms Optimize.all_passes)
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline idempotence: a second run rewrites nothing.                *)
 
@@ -57,9 +73,35 @@ let prop_idempotent =
       let prog, _, _ = F.build_program seed in
       let once = Optimize.run (Decode.decode prog) in
       let twice = Optimize.run once in
-      (* [compare], not [=]: folded Frsqrt of a negative constant is NaN *)
+      (* [compare], not [=]: a float constant may be NaN *)
       if compare once.Decode.phases twice.Decode.phases = 0 then true
       else QCheck.Test.fail_reportf "second pipeline run changed the op arrays")
+
+(* Each pass alone is idempotent too: its second run finds nothing left
+   to rewrite, so the pipeline's idempotence is not an accident of
+   pass order. *)
+let props_each_pass_idempotent =
+  List.map
+    (fun p ->
+      let config = { Optimize.passes = [ p ] } in
+      QCheck.Test.make ~count:50
+        ~name:(Fmt.str "pass %s alone is idempotent" (Optimize.pass_name p))
+        F.seed_arb (fun seed ->
+          let prog, _, _ = F.build_program seed in
+          let once = Optimize.run ~config (Decode.decode prog) in
+          let twice, r = Optimize.run_report ~config once in
+          let rewrites =
+            List.fold_left
+              (fun acc (ps : Optimize.pass_stats) ->
+                List.fold_left (fun a (_, n) -> a + n) acc ps.ps_stats)
+              0 r.Optimize.r_passes
+          in
+          if rewrites = 0 && compare once.Decode.phases twice.Decode.phases = 0
+          then true
+          else
+            QCheck.Test.fail_reportf "second %s run rewrote %d ops"
+              (Optimize.pass_name p) rewrites))
+    Optimize.all_passes
 
 (* ------------------------------------------------------------------ *)
 (* Hand-written fixtures: each pass does its one job on a tiny program. *)
@@ -79,32 +121,6 @@ let stat report pass key =
       if ps.ps_pass = pass then acc + (List.assoc key ps.ps_stats) else acc)
     0 report.Optimize.r_passes
 
-let test_fold_known_constants () =
-  let d, r =
-    fixture { Optimize.passes = [ Optimize.Fold ] } (fun b ->
-        Builder.seq_phase b (fun () ->
-            let x = Builder.iconst b 2 in
-            let y = Builder.iconst b 3 in
-            ignore (Builder.ibin b Iadd x y : Isa.si_reg)))
-  in
-  Alcotest.(check bool) "2 + 3 folded to Iconst 5" true
-    (has_op d (function
-      | Decode.Dinstr { i = Isa.Iconst (_, 5); _ } -> true
-      | _ -> false));
-  Alcotest.(check bool) "fold stat counted" true (stat r Optimize.Fold "folded" >= 1)
-
-let test_fold_constant_branch () =
-  let d, r =
-    fixture { Optimize.passes = [ Optimize.Fold ] } (fun b ->
-        Builder.seq_phase b (fun () ->
-            let c = Builder.iconst b 1 in
-            Builder.if_ b ~cond:c (fun () ->
-                ignore (Builder.iconst b 9 : Isa.si_reg))))
-  in
-  Alcotest.(check bool) "constant If became Dgoto" true
-    (has_op d (function Decode.Dgoto _ -> true | _ -> false));
-  Alcotest.(check bool) "branch stat counted" true (stat r Optimize.Fold "branches" >= 1)
-
 let test_imm_specializes_add () =
   let d, r =
     fixture { Optimize.passes = [ Optimize.Imm ] } (fun b ->
@@ -120,20 +136,63 @@ let test_imm_specializes_add () =
     (has_op d (function Decode.Daddi { imm = 3; _ } -> true | _ -> false));
   Alcotest.(check bool) "imm stat counted" true (stat r Optimize.Imm "specialized" >= 1)
 
-let test_dce_dead_store () =
+let test_imm_leaves_constant_pairs () =
+  (* both operands known: the guard leaves the pair an [Ibin] (no pass
+     evaluates it), so imm rewrites nothing *)
   let d, r =
-    fixture { Optimize.passes = [ Optimize.Dce ] } (fun b ->
+    fixture { Optimize.passes = [ Optimize.Imm ] } (fun b ->
+        Builder.seq_phase b (fun () ->
+            let x = Builder.iconst b 2 in
+            let y = Builder.iconst b 3 in
+            ignore (Builder.ibin b Iadd x y : Isa.si_reg)))
+  in
+  Alcotest.(check bool) "2 + 3 stayed an Ibin" true
+    (has_op d (function
+      | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, _, _, _); _ } -> true
+      | _ -> false));
+  Alcotest.(check int) "nothing specialized" 0 (stat r Optimize.Imm "specialized")
+
+let test_imm_specializes_mul_and_access () =
+  let d, r =
+    fixture { Optimize.passes = [ Optimize.Imm ] } (fun b ->
+        let data = Builder.buffer_f b "data" in
         let idxs = Builder.buffer_i b "idxs" in
         Builder.seq_phase b (fun () ->
-            let r = Builder.si b in
-            Builder.emit b (Iconst (r, 1)); (* dead: overwritten below *)
-            Builder.emit b (Iconst (r, 2));
-            let zero = Builder.iconst b 0 in
-            Builder.emit b (Storei { buf = idxs; idx = zero; src = r })))
+            let x = Builder.si b in
+            Builder.emit b (Imov (x, Isa.thread_id_reg));
+            let four = Builder.iconst b 4 in
+            let y = Builder.ibin b Imul four x in
+            let two = Builder.iconst b 2 in
+            let f = Builder.sf b in
+            Builder.emit b (Loadf { dst = f; buf = data; idx = two; chain = false });
+            Builder.emit b (Storei { buf = idxs; idx = two; src = y })))
   in
-  Alcotest.(check bool) "dead def became Dphantom" true
-    (has_op d (function Decode.Dphantom _ -> true | _ -> false));
-  Alcotest.(check int) "exactly one dead def" 1 (stat r Optimize.Dce "dead")
+  Alcotest.(check bool) "4 * x became Dmuli imm=4" true
+    (has_op d (function Decode.Dmuli { imm = 4; _ } -> true | _ -> false));
+  Alcotest.(check bool) "load at 2 became Dloadf_at" true
+    (has_op d (function Decode.Dloadf_at { imm = 2; _ } -> true | _ -> false));
+  Alcotest.(check bool) "store at 2 became Dstorei_at" true
+    (has_op d (function Decode.Dstorei_at { imm = 2; _ } -> true | _ -> false));
+  Alcotest.(check int) "three specializations" 3 (stat r Optimize.Imm "specialized")
+
+let test_moves_stops_at_redefinition () =
+  (* c copies a, then a is redefined: c's read must not become a *)
+  let copy = ref (Isa.Si (-1)) in
+  let d, r =
+    fixture { Optimize.passes = [ Optimize.Moves ] } (fun b ->
+        Builder.seq_phase b (fun () ->
+            let a = Builder.iconst b 7 in
+            let c = Builder.si b in
+            copy := c;
+            Builder.emit b (Imov (c, a));
+            Builder.emit b (Iconst (a, 8));
+            ignore (Builder.ibin b Iadd c c : Isa.si_reg)))
+  in
+  Alcotest.(check int) "no read rewritten" 0 (stat r Optimize.Moves "rewritten");
+  Alcotest.(check bool) "the add still reads the copy" true
+    (has_op d (function
+      | Decode.Dinstr { i = Isa.Ibin (Isa.Iadd, _, a, b); _ } -> a = !copy && b = !copy
+      | _ -> false))
 
 let test_moves_rewrites_copies () =
   let _, r =
@@ -173,6 +232,79 @@ let test_peephole_fuses_muladd () =
     (has_op d (function Decode.Dvmuladd _ -> true | _ -> false));
   Alcotest.(check int) "two fusions" 2 (stat r Optimize.Peephole "fused")
 
+let test_peephole_needs_the_product () =
+  (* the add reads neither the product nor sits next to the mul *)
+  let _, r =
+    fixture { Optimize.passes = [ Optimize.Peephole ] } (fun b ->
+        Builder.seq_phase b (fun () ->
+            let x = Builder.fconst b 2. in
+            let y = Builder.fconst b 3. in
+            let t = Builder.sf b in
+            let acc = Builder.sf b in
+            Builder.emit b (Fbin (Fmul, t, x, y));
+            Builder.emit b (Fbin (Fadd, acc, x, y));
+            Builder.emit b (Fbin (Fmul, t, x, y));
+            Builder.emit b (Fconst (acc, 1.));
+            Builder.emit b (Fbin (Fadd, acc, t, y))))
+  in
+  Alcotest.(check int) "nothing fused" 0 (stat r Optimize.Peephole "fused")
+
+(* Programs the removed fold and dce passes used to rewrite — a branch on
+   a known condition, a def overwritten before it is read — must still
+   run identically through the full pipeline. *)
+let agrees_with_tree build =
+  let b = Builder.create ~name:"opt-agree" in
+  let data = Builder.buffer_f b "data" in
+  let idxs = Builder.buffer_i b "idxs" in
+  build b ~data ~idxs;
+  let prog = Builder.finish b in
+  List.iter
+    (fun tracing ->
+      let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads:2 ~width:4 prog in
+      let c =
+        F.observe ~strategy:(Interp.Compiled Optimize.default) ~tracing ~n_threads:2
+          ~width:4 prog
+      in
+      match F.diff_observations t c with
+      | None -> ()
+      | Some what -> Alcotest.failf "Tree vs Compiled diverge (tracing=%b) on %s" tracing what)
+    [ false; true ];
+  prog
+
+let test_constant_branches_agree () =
+  ignore
+    (agrees_with_tree (fun b ~data:_ ~idxs ->
+         Builder.seq_phase b (fun () ->
+             List.iter
+               (fun k ->
+                 let c = Builder.iconst b k in
+                 let slot = Builder.iconst b (k + 1) in
+                 let v = Builder.si b in
+                 Builder.if_ b ~cond:c
+                   ~else_:(fun () -> Builder.emit b (Iconst (v, 20 + k)))
+                   (fun () -> Builder.emit b (Iconst (v, 10 + k)));
+                 Builder.emit b (Storei { buf = idxs; idx = slot; src = v }))
+               [ 0; 1 ]))
+     : Isa.program)
+
+let test_overwritten_def_agrees () =
+  let prog =
+    agrees_with_tree (fun b ~data:_ ~idxs ->
+        Builder.seq_phase b (fun () ->
+            let r = Builder.si b in
+            Builder.emit b (Iconst (r, 1));
+            Builder.emit b (Iconst (r, 2));
+            let zero = Builder.iconst b 0 in
+            Builder.emit b (Storei { buf = idxs; idx = zero; src = r })))
+  in
+  let d = Decode.decode prog in
+  let opt = Optimize.run d in
+  Alcotest.(check int) "no op removed" (Decode.size d) (Decode.size opt);
+  Alcotest.(check bool) "the overwritten def is still executed" true
+    (has_op opt (function
+      | Decode.Dinstr { i = Isa.Iconst (_, 1); _ } -> true
+      | _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* Mutation tests: execute deliberately broken optimized arrays via
    [Interp.run ~decoded] (through the compiled backend) and assert the
@@ -188,7 +320,7 @@ let mutation_program () =
   let idxs = Builder.buffer_i b "idxs" in
   Builder.seq_phase b (fun () ->
       (* x + 3 with unknown x specializes to Daddi; the Iconst 5 feeding a
-         store is a live def a broken DCE might drop *)
+         store is a live def a broken pass might drop *)
       let x = Builder.si b in
       Builder.emit b (Imov (x, Isa.thread_id_reg));
       let three = Builder.iconst b 3 in
@@ -225,13 +357,74 @@ let test_mutation_dropped_def () =
   let opt = Optimize.run (Decode.decode prog) in
   let broken =
     mutate opt (function
-      | Decode.Dinstr { i = Isa.Iconst (_, 5); cls; cls_idx } ->
-          (* a buggy DCE phantomizing a live def: counts stay identical,
-             so only the value differential can catch it *)
-          Some (Decode.Dphantom { cls; cls_idx; n = 1 })
+      | Decode.Dinstr { i = Isa.Iconst (d, 5); cls; cls_idx } ->
+          (* a live def dropped for a same-class self-move: counts stay
+             identical, so only the value differential can catch it *)
+          Some (Decode.Dinstr { i = Isa.Imov (d, d); cls; cls_idx })
       | _ -> None)
   in
   assert_caught ~what:"a dropped live def" prog broken
+
+(* A site for each specialized form imm and peephole produce: Dmuli,
+   Dloadi_at, Dstorei_at and a scalar Dsmuladd whose sum is stored. *)
+let specialized_program () =
+  let b = Builder.create ~name:"mutation-specialized" in
+  let data = Builder.buffer_f b "data" in
+  let idxs = Builder.buffer_i b "idxs" in
+  Builder.seq_phase b (fun () ->
+      let x = Builder.si b in
+      Builder.emit b (Imov (x, Isa.thread_id_reg));
+      (* x + 1 is non-zero on thread 0, so a wrong multiplier shows *)
+      let one = Builder.iconst b 1 in
+      let x1 = Builder.ibin b Iadd x one in
+      let five = Builder.iconst b 5 in
+      let y = Builder.ibin b Imul x1 five in
+      let two = Builder.iconst b 2 in
+      let z = Builder.si b in
+      Builder.emit b (Loadi { dst = z; buf = idxs; idx = two; chain = false });
+      let s = Builder.ibin b Iadd y z in
+      let three = Builder.iconst b 3 in
+      Builder.emit b (Storei { buf = idxs; idx = three; src = s });
+      let f = Builder.sf b in
+      Builder.emit b (Loadf { dst = f; buf = data; idx = x; chain = false });
+      let g = Builder.fconst b 1.5 in
+      let t = Builder.sf b in
+      let acc = Builder.sf b in
+      Builder.emit b (Fbin (Fmul, t, f, g));
+      Builder.emit b (Fbin (Fadd, acc, t, g));
+      Builder.emit b (Storef { buf = data; idx = x; src = acc }));
+  Builder.finish b
+
+let specialized_mutation ~what f () =
+  let prog = specialized_program () in
+  let opt = Optimize.run (Decode.decode prog) in
+  let broken = mutate opt f in
+  Alcotest.(check bool) "the mutation found its site" true
+    (compare broken.Decode.phases opt.Decode.phases <> 0);
+  assert_caught ~what prog broken
+
+let test_mutation_off_by_one_mul =
+  specialized_mutation ~what:"an off-by-one multiply immediate" (function
+    | Decode.Dmuli d -> Some (Decode.Dmuli { d with imm = d.imm + 1 })
+    | _ -> None)
+
+let test_mutation_load_index =
+  specialized_mutation ~what:"a specialized load at the wrong index" (function
+    | Decode.Dloadi_at l -> Some (Decode.Dloadi_at { l with imm = l.imm + 1 })
+    | _ -> None)
+
+let test_mutation_store_index =
+  specialized_mutation ~what:"a specialized store at the wrong index" (function
+    | Decode.Dstorei_at s -> Some (Decode.Dstorei_at { s with imm = s.imm + 1 })
+    | _ -> None)
+
+let test_mutation_fused_addend =
+  (* still reads its product, so check_flat passes: only the value
+     differential sees the wrong addend *)
+  specialized_mutation ~what:"a fused add with the wrong addend" (function
+    | Decode.Dsmuladd m when m.x = m.t -> Some (Decode.Dsmuladd { m with y = m.a })
+    | Decode.Dsmuladd m -> Some (Decode.Dsmuladd { m with x = m.a })
+    | _ -> None)
 
 let test_check_flat_catches_bad_reg () =
   let prog = mutation_program () in
@@ -244,6 +437,33 @@ let test_check_flat_catches_bad_reg () =
   in
   Alcotest.(check bool) "check_flat flags out-of-range register" true
     (Verify.check_flat broken <> [])
+
+let check_flat_flags ~what f () =
+  let opt = Optimize.run (Decode.decode (specialized_program ())) in
+  let broken = mutate opt f in
+  Alcotest.(check bool) "the clean array lints clean" true (Verify.check_flat opt = []);
+  Alcotest.(check bool) ("check_flat flags " ^ what) true (Verify.check_flat broken <> [])
+
+let test_check_flat_catches_bad_target =
+  check_flat_flags ~what:"a jump past the end" (function
+    | Decode.Djmp k -> Some (Decode.Djmp (k + 100))
+    | _ -> None)
+
+let test_check_flat_catches_stale_class =
+  check_flat_flags ~what:"a stale op class" (function
+    | Decode.Dinstr ({ cls = Isa.Salu; _ } as d) ->
+        Some (Decode.Dinstr { d with cls = Isa.Sfp })
+    | _ -> None)
+
+let test_check_flat_catches_unread_product =
+  check_flat_flags ~what:"a muladd that ignores its product" (function
+    | Decode.Dsmuladd m -> Some (Decode.Dsmuladd { m with x = m.a; y = m.b })
+    | _ -> None)
+
+let test_check_flat_catches_negative_index =
+  check_flat_flags ~what:"a negative specialized index" (function
+    | Decode.Dstorei_at s -> Some (Decode.Dstorei_at { s with imm = -1 })
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Golden opt-report: the per-pass rewrite statistics over the whole
@@ -325,20 +545,47 @@ let suite =
         [ QCheck_alcotest.to_alcotest prop_full_pipeline ];
         List.map QCheck_alcotest.to_alcotest props_each_pass_alone;
         List.map QCheck_alcotest.to_alcotest props_pairwise;
+        List.map QCheck_alcotest.to_alcotest props_orders;
+        [ QCheck_alcotest.to_alcotest prop_idempotent ];
+        List.map QCheck_alcotest.to_alcotest props_each_pass_idempotent;
         [
-          QCheck_alcotest.to_alcotest prop_idempotent;
-          Alcotest.test_case "fold: known constants" `Quick test_fold_known_constants;
-          Alcotest.test_case "fold: constant branch" `Quick test_fold_constant_branch;
           Alcotest.test_case "imm: x + 3 specializes" `Quick test_imm_specializes_add;
-          Alcotest.test_case "dce: dead store" `Quick test_dce_dead_store;
+          Alcotest.test_case "imm: a fully constant pair is left alone" `Quick
+            test_imm_leaves_constant_pairs;
+          Alcotest.test_case "imm: multiply, load and store specialize" `Quick
+            test_imm_specializes_mul_and_access;
           Alcotest.test_case "moves: copy reads rewritten" `Quick test_moves_rewrites_copies;
+          Alcotest.test_case "moves: a redefined source stops the rewrite" `Quick
+            test_moves_stops_at_redefinition;
           Alcotest.test_case "peephole: muladd fusion" `Quick test_peephole_fuses_muladd;
+          Alcotest.test_case "peephole: an add without the product is not fused" `Quick
+            test_peephole_needs_the_product;
+          Alcotest.test_case "pipeline: constant branches agree with the tree walker" `Quick
+            test_constant_branches_agree;
+          Alcotest.test_case "pipeline: an overwritten def agrees with the tree walker"
+            `Quick test_overwritten_def_agrees;
           Alcotest.test_case "mutation: off-by-one immediate is caught" `Quick
             test_mutation_off_by_one_imm;
           Alcotest.test_case "mutation: dropped def is caught" `Quick
             test_mutation_dropped_def;
+          Alcotest.test_case "mutation: off-by-one multiply immediate is caught" `Quick
+            test_mutation_off_by_one_mul;
+          Alcotest.test_case "mutation: specialized load index is caught" `Quick
+            test_mutation_load_index;
+          Alcotest.test_case "mutation: specialized store index is caught" `Quick
+            test_mutation_store_index;
+          Alcotest.test_case "mutation: wrong fused addend is caught" `Quick
+            test_mutation_fused_addend;
           Alcotest.test_case "mutation: check_flat flags bad register" `Quick
             test_check_flat_catches_bad_reg;
+          Alcotest.test_case "mutation: check_flat flags bad jump target" `Quick
+            test_check_flat_catches_bad_target;
+          Alcotest.test_case "mutation: check_flat flags stale op class" `Quick
+            test_check_flat_catches_stale_class;
+          Alcotest.test_case "mutation: check_flat flags unread product" `Quick
+            test_check_flat_catches_unread_product;
+          Alcotest.test_case "mutation: check_flat flags negative index" `Quick
+            test_check_flat_catches_negative_index;
           Alcotest.test_case "golden opt-report" `Slow test_golden_opt_report;
         ];
       ] )

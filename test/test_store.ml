@@ -318,15 +318,15 @@ let test_backend_tag_changes_key () =
       in
       let k_tree = key I.Tree in
       let k_compiled = key (I.Compiled O.default) in
-      let k_fold = key (I.Compiled { O.passes = [ O.Fold ] }) in
+      let k_imm = key (I.Compiled { O.passes = [ O.Imm ] }) in
       Alcotest.(check bool) "compiled key differs from tree" true
         (k_tree <> k_compiled);
       Alcotest.(check bool) "pass list is part of the key" true
-        (k_compiled <> k_fold);
+        (k_compiled <> k_imm);
       Alcotest.(check bool) "tagged keys differ from the untagged key" true
         (List.for_all
            (( <> ) (Store.key st ~machine ~step_name:"ninja" prog))
-           [ k_tree; k_compiled; k_fold ]);
+           [ k_tree; k_compiled; k_imm ]);
       (* an entry written under the compiled key is invisible to the tree
          lookup, and vice versa *)
       Store.save st ~key:k_compiled ~machine ~step_name:"ninja" ~cost_s:0.1

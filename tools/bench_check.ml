@@ -18,13 +18,14 @@
      coalescing.
 
    With `--fresh FILE` (a just-measured selfbench report, normally the
-   @bench-smoke run's bench-smoke.json), the compiled-configuration
-   throughput of every job present in both reports is compared
-   like-for-like via the "job_times" arrays: a fresh geomean more than
-   30% below the committed one fails the run. This is the regression
-   gate that keeps the committed BENCH_simulator.json honest — editing
-   the simulator into a slower shape without regenerating the report
-   fails `dune runtest` here. The threshold is deliberately loose:
+   @bench-smoke run's bench-smoke.json), the two reports must name the
+   same configurations (backend tags, pass list included), and the
+   compiled-configuration throughput of every job present in both is
+   compared like-for-like via the "job_times" arrays: a fresh geomean
+   more than 30% below the committed one fails the run. This is the
+   regression gate that keeps the committed BENCH_simulator.json
+   honest — editing the simulator into a slower shape without
+   regenerating the report fails `dune runtest` here. The threshold is deliberately loose:
    the committed numbers are minima over several interleaved timing
    rounds on a quiet host, while the fresh smoke is a near-one-shot
    measurement that routinely lands 15-25% low under scheduling noise,
@@ -168,6 +169,13 @@ let jobs_of ~path j =
              compiled_s = positive ~path "compiled_s" jt } ))
 
 let check_regression ~fresh_path ~committed_path fresh committed =
+  (* job times measured under different pipelines are not comparable *)
+  let configurations path j = Json.to_string ~indent:false (get ~path "configurations" j) in
+  let fc = configurations fresh_path fresh
+  and cc = configurations committed_path committed in
+  if fc <> cc then
+    fail "%s measured configurations %s, but %s has %s: regenerate %s"
+      fresh_path fc committed_path cc committed_path;
   let committed_jobs = jobs_of ~path:committed_path committed in
   let shared =
     jobs_of ~path:fresh_path fresh
