@@ -19,11 +19,7 @@
    compiled geomean must not fall below the baseline's. `--smoke` shrinks
    the throughput grid to four jobs and the store grid to experiment F1 —
    the @bench-smoke CI gate, which tolerates a 10% inversion of the
-   backend order; `--no-cache` skips the store grid.
-
-   `--backend tree|compiled` selects the process-wide execution backend
-   for the experiment tables and the Bechamel loops (the self-benchmark
-   always times both configurations explicitly). *)
+   backend order; `--no-cache` skips the store grid. *)
 
 module E = Ninja_core.Experiments
 module Jobs = Ninja_core.Jobs
@@ -54,22 +50,6 @@ let flag_value name =
     | [] -> None
   in
   go (Array.to_list Sys.argv)
-
-(* --backend NAME: the process-wide execution backend (the simulated
-   numbers are identical for every choice; only harness wall-clock
-   moves). *)
-let install_backend () =
-  match flag_value "--backend" with
-  | None -> ()
-  | Some name -> (
-      match Ninja_vm.Interp.strategy_of_name name with
-      | Some s -> Ninja_vm.Interp.set_default_strategy s
-      | None ->
-          Fmt.epr
-            "main.exe: error bad_backend: --backend: unknown backend %S (try: \
-             tree, compiled)@."
-            name;
-          exit 1)
 
 (* --cache-dir DIR / --no-cache: the persistent result store. On by
    default (at Store.default_dir) so a second harness run reloads every
@@ -275,7 +255,6 @@ let run_simulate () =
     out (List.length r.jobs) r.compiled_geomean_ops_per_s r.compiled_speedup
 
 let () =
-  install_backend ();
   if Array.exists (( = ) "simulate") Sys.argv then run_simulate ()
   else begin
     print_experiments ();

@@ -3,19 +3,6 @@
 
 open Cmdliner
 
-(* One preset table for the CLI and the service: lib/serve/validate.ml
-   owns it, so `--machine` and the wire protocol can never drift. *)
-let machine_of_name name =
-  match Ninja_serve.Validate.machine_of_name name with
-  | Ok m -> m
-  | Error (_, msg) -> failwith msg
-
-let machine_arg =
-  let doc = "Machine preset (westmere, mic, kentsfield, nehalem, future1..3)." in
-  Arg.(value & opt string "westmere" & info [ "m"; "machine" ] ~doc)
-
-(* ---- execution backend ---- *)
-
 (* Flag errors are hard failures with a stable, greppable shape
    (`ninja_cli: error <code>: ...`), pinned byte-for-byte by the
    cram-style test in bin/dune. *)
@@ -26,32 +13,19 @@ let flag_error code fmt =
       exit 1)
     fmt
 
-(* The backend changes no reported number (the simulated machine is
-   oblivious to it), so the flag only picks which host executor runs. *)
-let backend_arg =
-  let doc =
-    "Host execution backend for simulations: $(b,tree) (reference walker) \
-     or $(b,compiled) (closure-threaded code over the optimized op \
-     arrays; the default). Reported numbers are identical for both; only \
-     the simulator's own speed changes."
-  in
-  Arg.(value & opt (some string) None & info [ "backend" ] ~doc ~docv:"NAME")
+(* One name table for the CLI and the service: lib/serve/validate.ml
+   owns it, so `--machine` and a benchmark name fail with the code the
+   wire protocol uses (unknown_machine, unknown_benchmark). *)
+let validated = function
+  | Ok x -> x
+  | Error (code, msg) -> flag_error (Ninja_serve.Protocol.error_code_name code) "%s" msg
 
-let strategy_of_flags ?backend () =
-  match backend with
-  | None -> Ninja_vm.Interp.Compiled Ninja_vm.Optimize.default
-  | Some name -> (
-      match Ninja_vm.Interp.strategy_of_name name with
-      | Some s -> s
-      | None ->
-          flag_error "bad_backend"
-            "--backend: unknown backend %S (try: tree, compiled)" name)
+let machine_of_name name = validated (Ninja_serve.Validate.machine_of_name name)
+let bench_of_name name = validated (Ninja_serve.Validate.bench_of_name name)
 
-(* Commands whose simulations flow through Timing.simulate's default
-   strategy (experiments, serve) install the chosen backend process-wide
-   instead of threading it through every call. *)
-let install_backend ?backend () =
-  Ninja_vm.Interp.set_default_strategy (strategy_of_flags ?backend ())
+let machine_arg =
+  let doc = "Machine preset (westmere, mic, kentsfield, nehalem, future1..3)." in
+  Arg.(value & opt string "westmere" & info [ "m"; "machine" ] ~doc)
 
 (* ---- experiments ---- *)
 
@@ -125,8 +99,7 @@ let experiments_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sched-trace" ] ~doc ~docv:"FILE")
   in
-  let run csv jobs cache_dir no_cache sched_trace backend ids =
-    install_backend ?backend ();
+  let run csv jobs cache_dir no_cache sched_trace ids =
     let experiments =
       if ids = [] then Ninja_core.Experiments.all
       else
@@ -156,7 +129,7 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       const run $ csv $ jobs_arg $ cache_dir_arg $ no_cache_arg $ sched_trace
-      $ backend_arg $ ids)
+      $ ids)
 
 (* ---- ladder ---- *)
 
@@ -173,16 +146,10 @@ let ladder_cmd =
     let doc = "Also run each variant functionally and check its output." in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
-  let opt_report_arg =
-    let doc = "Print each variant's per-pass optimizer rewrite report." in
-    Arg.(value & flag & info [ "opt-report" ] ~doc)
-  in
-  let run machine bench scale validate backend opt_report =
+  let run machine bench scale validate =
     let machine = machine_of_name machine in
-    let b = Ninja_kernels.Registry.find bench in
+    let b = bench_of_name bench in
     let scale = Option.value scale ~default:b.default_scale in
-    let strategy = strategy_of_flags ?backend () in
-    Ninja_vm.Interp.set_default_strategy strategy;
     Fmt.pr "%s at scale %d on %a@.@." b.b_name scale Ninja_arch.Machine.pp machine;
     let steps = b.steps ~scale in
     let baseline = ref None in
@@ -193,29 +160,17 @@ let ladder_cmd =
           | Ok () -> Fmt.pr "[check ok] "
           | Error e -> Fmt.pr "[CHECK FAILED: %s] " e
         end;
-        let r = Ninja_kernels.Driver.run_step ~strategy ~machine step in
+        let r = Ninja_kernels.Driver.run_step ~machine step in
         (match !baseline with None -> baseline := Some r | Some _ -> ());
         Fmt.pr "%-14s %10.3f Mcycles  %7.2fx  (%s-bound)@." step.step_name
           (r.cycles /. 1e6)
           (Ninja_arch.Timing.speedup ~baseline:(Option.get !baseline) r)
-          (Ninja_arch.Timing.bound_name r.bound);
-        if opt_report then begin
-          let config =
-            match strategy with
-            | Ninja_vm.Interp.Compiled c -> c
-            | Tree -> Ninja_vm.Optimize.default
-          in
-          let d = Ninja_vm.Decode.decode (step.make ~machine) in
-          let _, rep = Ninja_vm.Optimize.run_report ~config d in
-          Fmt.pr "%a@." Ninja_vm.Optimize.pp_report rep
-        end)
+          (Ninja_arch.Timing.bound_name r.bound))
       steps
   in
   Cmd.v
     (Cmd.info "ladder" ~doc:"Run one benchmark's naive-to-ninja performance ladder")
-    Term.(
-      const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg
-      $ backend_arg $ opt_report_arg)
+    Term.(const run $ machine_arg $ bench_arg $ scale_arg $ validate_arg)
 
 (* ---- list ---- *)
 
@@ -241,7 +196,7 @@ let compile_cmd =
   in
   let run machine bench step_name =
     let machine = machine_of_name machine in
-    let b = Ninja_kernels.Registry.find bench in
+    let b = bench_of_name bench in
     let steps = b.steps ~scale:1 in
     match
       List.find_opt (fun (s : Ninja_kernels.Driver.step) -> s.step_name = step_name) steps
@@ -285,7 +240,7 @@ let profile_cmd =
   in
   let run machine bench step_name trace csv =
     let machine = machine_of_name machine in
-    let b = Ninja_kernels.Registry.find bench in
+    let b = bench_of_name bench in
     let steps = b.steps ~scale:b.default_scale in
     match
       List.find_opt (fun (s : Ninja_kernels.Driver.step) -> s.step_name = step_name) steps
@@ -387,7 +342,7 @@ let vec_report_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"BENCHMARK")
   in
   let run bench variant =
-    let b = Ninja_kernels.Registry.find bench in
+    let b = bench_of_name bench in
     let report src =
       let k = Ninja_kernels.Common.parse_kernel src in
       let r = Ninja_lang.Codegen.compile ~flags:Ninja_lang.Codegen.o2_vec_par k in
@@ -435,7 +390,7 @@ let analyze_cmd =
     end;
     let benches =
       match bench with
-      | Some name -> [ Ninja_kernels.Registry.find name ]
+      | Some name -> [ bench_of_name name ]
       | None -> Ninja_kernels.Registry.all
     in
     List.iter
@@ -476,7 +431,7 @@ let verify_cmd =
   let run bench =
     let benches =
       match bench with
-      | Some name -> [ Ninja_kernels.Registry.find name ]
+      | Some name -> [ bench_of_name name ]
       | None -> Ninja_kernels.Registry.all
     in
     let machines = [ Ninja_arch.Machine.westmere; Ninja_arch.Machine.knights_ferry ] in
@@ -525,7 +480,7 @@ let tune_cmd =
   in
   let run machine bench json jobs cache_dir no_cache =
     let machine = machine_of_name machine in
-    let b = Ninja_kernels.Registry.find bench in
+    let b = bench_of_name bench in
     let store = install_store ~cache_dir ~no_cache in
     let domains =
       match jobs with
@@ -579,12 +534,11 @@ let serve_cmd =
       & opt int Ninja_serve.Service.default_max_inflight
       & info [ "max-inflight" ] ~doc ~docv:"K")
   in
-  let run port stdio max_inflight jobs cache_dir no_cache backend =
+  let run port stdio max_inflight jobs cache_dir no_cache =
     if stdio && port <> None then begin
       Fmt.epr "--port and --stdio are mutually exclusive@.";
       exit 1
     end;
-    install_backend ?backend ();
     ignore (install_store ~cache_dir ~no_cache);
     let domains =
       match jobs with
@@ -609,7 +563,7 @@ let serve_cmd =
           backpressure, and a graceful drain on shutdown")
     Term.(
       const run $ port_arg $ stdio_arg $ max_inflight_arg $ jobs_arg
-      $ cache_dir_arg $ no_cache_arg $ backend_arg)
+      $ cache_dir_arg $ no_cache_arg)
 
 let main_cmd =
   let info =

@@ -152,10 +152,9 @@ let simulate ~machine ?(n_threads = 1) ?(runs = 1) ?prepare ?trace ?strategy ?ma
   in
   let counts = Counts.create n_threads in
   let instructions = ref 0 in
-  (* one session for all launches: decode/optimize/compile run once,
-     each loop iteration is a bare launch; an absent strategy means
-     whatever backend the process selected (Interp.default_strategy,
-     steered by the CLI --backend flag) *)
+  (* one session for all launches: decode/compile run once, each loop
+     iteration is a bare launch; an absent strategy means
+     Interp.default_strategy, the compiled backend *)
   let launch =
     Interp.session ~n_threads ~width:m.simd_width ?sink ?port ?trace ?fuel:budget
       ?strategy prog mem

@@ -41,9 +41,9 @@ val simulate :
     not exceed the machine's cores) and report modeled time. The memory is
     mutated exactly as by {!Ninja_vm.Interp.run}.
 
-    [strategy] selects the execution backend (default: the
-    process-wide {!Ninja_vm.Interp.default_strategy}, normally the
-    compiled backend): a pure performance knob with bit-identical
+    [strategy] selects the execution backend (default:
+    {!Ninja_vm.Interp.default_strategy}, the compiled backend): a pure
+    performance knob with bit-identical
     reports, exposed so the self-benchmark and differential tests can
     run the tree-walking baseline.
 

@@ -118,7 +118,7 @@ let tuned = "tuned"
 let ninja = "ninja"
 
 (* The store key of a ladder step's report. The simulation runs through
-   the process-default backend (Driver.run_step's resolved strategy), so
+   the default backend (Driver.run_step's resolved strategy), so
    its tag is part of the key — a buggy backend can only poison its own
    key space. *)
 let report_key st ~machine ~step_name prog =

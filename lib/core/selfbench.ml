@@ -6,9 +6,9 @@
    (benchmark, machine, ladder step) jobs, running each job in two
    configurations:
 
-   - the *compiled* configuration — [Interp.Compiled Optimize.default],
-     the simulation default: the decoded and optimized op arrays
-     threaded into chained closures by {!Ninja_vm.Compile}; and
+   - the *compiled* configuration — [Interp.Compiled], the simulation
+     default: the decoded op arrays threaded into chained closures by
+     {!Ninja_vm.Compile}; and
    - the *baseline* configuration — [Interp.Tree], the tree-walking
      interpreter, which builds an event record for every memory access.
 
@@ -29,11 +29,6 @@ module Pool = Ninja_util.Pool
 module Json = Ninja_report.Json
 
 let schema_version = "ninja-selfbench/v5"
-
-(* both configurations name their strategy explicitly: the bare default
-   is the process-wide backend, which is exactly what this benchmark must
-   not depend on *)
-let compiled_strategy = Ninja_vm.Interp.Compiled Ninja_vm.Optimize.default
 
 type job = { bench : Driver.benchmark; machine : Machine.t; step : Driver.step }
 
@@ -128,7 +123,7 @@ let run_job ~repeats { bench; machine; step } =
   let reports, best =
     time_round_robin ~repeats
       [|
-        (fun () -> Driver.run_step ~strategy:compiled_strategy ~machine step);
+        (fun () -> Driver.run_step ~strategy:Ninja_vm.Interp.Compiled ~machine step);
         (fun () ->
           Driver.run_step ~strategy:Ninja_vm.Interp.Tree ~machine step);
       |]
@@ -204,7 +199,7 @@ let run ?domains ?(repeats = 2) ?(benchmarks = Registry.all)
   in
   let configurations =
     [
-      ("compiled", Ninja_vm.Interp.strategy_tag compiled_strategy);
+      ("compiled", Ninja_vm.Interp.strategy_tag Ninja_vm.Interp.Compiled);
       ("baseline", Ninja_vm.Interp.strategy_tag Ninja_vm.Interp.Tree);
     ]
   in

@@ -3,7 +3,7 @@
     Measures the simulator's own wall-clock throughput — simulated
     instructions per second — over a grid of (benchmark, machine, ladder
     step) jobs, in two configurations: the compiled backend
-    ([Compiled Optimize.default] — the simulation default) and the
+    ([Compiled] — the simulation default) and the
     tree-walking baseline ([Tree]), both on the one cache hierarchy.
     Both produce bit-identical simulation reports — the whole compiled
     report is compared structurally against the baseline's on every

@@ -47,7 +47,8 @@ module Json = Ninja_report.Json
    ({!Ninja_vm.Interp.strategy_tag}), so entries produced by the
    closure-compiled executor can never alias interpreted ones.
    v5: the optimizer-pass-list component went away with the optimized
-   executor — the backend tag ("compiled:<passes>") carries the pass list. *)
+   executor — the backend tag carried the pass list until the optimizer
+   itself went away; it is now "tree" or "compiled". *)
 let version_salt = "ninja-store/v5"
 
 let default_dir = "_ninja_cache"
@@ -139,11 +140,10 @@ let machine_fingerprint (m : Machine.t) =
 
 let key_of_fingerprint ?(backend = "") t ~machine ~step_name prog_fp =
   (* [backend] is the {!Ninja_vm.Interp.strategy_tag} of the execution
-     backend ("" = backend-agnostic), pass list included. The
-     fingerprint hashes the *unoptimized* decode, so without it an entry
-     simulated through a buggy pass — or a buggy compiled executor —
-     could satisfy a later tree-walker lookup (and vice versa); mixing
-     the tag in keeps the key spaces disjoint. *)
+     backend ("" = backend-agnostic). The fingerprint hashes the decode
+     both backends run, so without it an entry simulated through a buggy
+     compiled executor could satisfy a later tree-walker lookup (and vice
+     versa); mixing the tag in keeps the key spaces disjoint. *)
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"

@@ -69,18 +69,16 @@ val key :
 (** The content address of one simulation: a hex digest over the store's
     salt, the machine fingerprint, [step_name], the decoded program's
     fingerprint, and [backend] — the {!Ninja_vm.Interp.strategy_tag} of
-    the execution backend that produced the report, pass list included
-    (default [""]). Because the program fingerprint always hashes the
-    unoptimized decode, the tag is what keeps tree-walker entries and
-    entries compiled under different pass lists from aliasing. *)
+    the execution backend that produced the report (default [""]).
+    Because the program fingerprint is the same for both backends, the
+    tag is what keeps tree-walker and compiled entries from aliasing. *)
 
 val key_of_fingerprint :
   ?backend:string ->
   t -> machine:Ninja_arch.Machine.t -> step_name:string -> string -> string
 (** [key_of_fingerprint t ~machine ~step_name fp] is {!key} for a program
-    whose {!Ninja_vm.Decode.fingerprint} of the unoptimized decode is
-    [fp] — for callers that already hold it, so the program is not
-    decoded twice. *)
+    whose {!Ninja_vm.Decode.fingerprint} is [fp] — for callers that
+    already hold it, so the program is not decoded twice. *)
 
 val load :
   t -> key:string -> machine:Ninja_arch.Machine.t ->

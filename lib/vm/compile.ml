@@ -8,16 +8,18 @@
    phase's op array once per run into chained OCaml closures (classic
    threaded code):
 
-   - placeholder jumps are threaded away first ({!thread}): the forward
-     [Djmp]s the optimizer leaves in vacated slots are dropped with the
-     slots they skip, and jumps landing on a [Djmp] chain go straight to
-     its end, so they no longer split basic blocks or keep an innermost
-     loop from fusing;
+   - jump chains are threaded first ({!thread}): a control op that lands
+     on a [Djmp] chain goes straight to its end;
    - every straight-line op becomes a pre-resolved action closure: operand
      indices, the operator, the mask slot and the memory operand (the
      bound array, its length and its modeled base address) are resolved
      at compile time, so executing the op is one indirect call into
      specialized code, and an in-range access is one compare and a load;
+   - a scalar int constant known inside a basic block is baked into the
+     closures that read it (regvm's [ropAddI]/[ropGetIndexI]): an [Ibin]
+     add, sub or mul with exactly one known operand, and a scalar load or
+     store at a known non-negative index, whose bounds check and address
+     are then resolved at compile time too (see [imm_action]);
    - basic blocks (maximal straight-line runs between branch targets)
      become superinstruction closures: the block's actions run back to
      back with no dispatch in between, and its count/instruction/fuel
@@ -62,9 +64,9 @@
    so the [Trace.Op] stream keeps its exact per-op order (same rule as the
    tree walker's per-op counting); execution is still threaded.
 
-   Equivalence with the tree walker is property-tested under every pass
-   list (test/test_fastpath.ml, test/test_optimize.ml), and
-   test/test_compile.ml adds fuel-trap differentials, a fuel sweep over
+   Equivalence with the tree walker is property-tested in
+   test/test_fastpath.ml, and test/test_compile.ml adds the
+   immediate-operand cases, fuel-trap differentials, a fuel sweep over
    every budget of blocks and fused loops that load, store and divide,
    the threading checks over every ladder program, and seeded
    miscompilation mutants that the differential must refute. *)
@@ -106,10 +108,6 @@ type ctx = {
 (* Pre-resolved count-row indices (same constants as Interp's). *)
 let salu_idx = Isa.op_class_index Isa.Salu
 let branch_idx = Isa.op_class_index Isa.Branch
-let sfp_idx = Isa.op_class_index Isa.Sfp
-let vfp_idx = Isa.op_class_index Isa.Vfp
-let sload_idx = Isa.op_class_index Isa.Sload
-let sstore_idx = Isa.op_class_index Isa.Sstore
 
 (* Ops whose action can raise a trap (division, lane checks, any memory
    access) or emit observable memory events. They terminate a segment of
@@ -127,30 +125,16 @@ let instr_barrier (ins : Isa.instr) =
   | Vscatterf _ | Vscatteri _ -> true
   | _ -> false
 
-(* Placeholder threading. [Optimize] leaves forward [Djmp]s behind where
-   it vacated the second op of a fused mul+add pair. A [Djmp] carries no
-   bookkeeping, so removing one cannot be observed, but as a control op
-   it would end a basic block and keep a loop body out of
-   [compile_fused_loop]. This pass, run before leaders are computed:
-
-   - retargets every control op that lands on a [Djmp] chain to the
-     chain's end (a chain that loops back on itself is left alone);
-   - drops each forward [Djmp] together with the slots it skips when no
-     control op targets those slots — they are then unreachable, and
-     everything that reached the [Djmp] now falls through to its target;
-   - remaps the surviving targets to the compacted indices.
-
-   Dropping a region can free another region's last target, so the pass
-   repeats until nothing is dropped; the result is a fixpoint, and
-   threading it again changes nothing. An array with a target outside
-   [0, length] (only deliberately broken input) is returned as is. *)
+(* Jump threading, run before leaders are computed: every control op
+   that lands on a [Djmp] chain (an [If] or a [For] closing a [While]
+   body, a nested else-skip) is retargeted to the chain's end, so the
+   transfer is one node-table call instead of one per [Djmp]. A [Djmp]
+   carries no bookkeeping, so this cannot be observed. A chain that loops
+   back on itself is left alone, so threading twice changes nothing. An
+   array with a target outside [0, length] (only deliberately broken
+   input) is returned as is. *)
 let thread (code : Decode.dop array) : Decode.dop array =
-  let targets_of (op : Decode.dop) =
-    match op with
-    | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
-    | Dif { else_ = k; _ } | Djmp k -> [ k ]
-    | _ -> []
-  in
+  let len = Array.length code in
   let map_targets f (op : Decode.dop) : Decode.dop =
     match op with
     | Dfor r -> Dfor { r with exit = f r.exit }
@@ -160,53 +144,18 @@ let thread (code : Decode.dop array) : Decode.dop array =
     | Djmp k -> Djmp (f k)
     | op -> op
   in
-  let rec pass code =
-    let len = Array.length code in
-    (* end of the Djmp chain starting at [k]; [k] itself on a cycle *)
-    let rec chain_end k steps =
-      if steps > len then None
-      else if k < len then
-        match code.(k) with Decode.Djmp k' -> chain_end k' (steps + 1) | _ -> Some k
-      else Some k
-    in
-    let code =
-      Array.map
-        (map_targets (fun k -> Option.value (chain_end k 0) ~default:k))
-        code
-    in
-    let targeted = Array.make (len + 1) false in
-    Array.iter (fun op -> List.iter (fun k -> targeted.(k) <- true) (targets_of op)) code;
-    let keep = Array.make len true in
-    let dropped = ref false in
-    let i = ref 0 in
-    while !i < len do
-      match code.(!i) with
-      | Decode.Djmp t
-        when t > !i
-             && not (Array.exists Fun.id (Array.sub targeted (!i + 1) (t - !i - 1))) ->
-          Array.fill keep !i (t - !i) false;
-          dropped := true;
-          i := t
-      | _ -> incr i
-    done;
-    if not !dropped then code
-    else begin
-      (* new index of old slot k: the kept slots before it *)
-      let remap = Array.make (len + 1) 0 in
-      for k = 0 to len - 1 do
-        remap.(k + 1) <- (remap.(k) + if keep.(k) then 1 else 0)
-      done;
-      let kept = ref [] in
-      for k = len - 1 downto 0 do
-        if keep.(k) then kept := map_targets (fun t -> remap.(t)) code.(k) :: !kept
-      done;
-      pass (Array.of_list !kept)
-    end
+  (* end of the Djmp chain starting at [k]; [k] itself on a cycle *)
+  let rec chain_end k steps =
+    if steps > len then None
+    else if k < len then
+      match code.(k) with Decode.Djmp k' -> chain_end k' (steps + 1) | _ -> Some k
+    else Some k
   in
-  let len = Array.length code in
-  if Array.exists (fun op -> List.exists (fun k -> k < 0 || k > len) (targets_of op)) code
-  then code
-  else pass code
+  let in_range = ref true in
+  let check k = if k < 0 || k > len then in_range := false; k in
+  Array.iter (fun op -> ignore (map_targets check op : Decode.dop)) code;
+  if not !in_range then code
+  else Array.map (map_targets (fun k -> Option.value (chain_end k 0) ~default:k)) code
 
 let compile ctx (code : Decode.dop array) : tctx -> unit =
   let code = thread code in
@@ -1087,93 +1036,79 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             end
           done
   in
-  (* (class, row index, count) bookkeeping triple, action and
-     segment-barrier flag of one straight-line op. Denter/Dexit are
-     handled by the block builders (they cost nothing and only matter
-     when traced). *)
-  let sop_of (op : Decode.dop) =
-    match op with
-    | Decode.Dinstr { i; cls; cls_idx } ->
-        ((cls, cls_idx, 1), action_of_instr i, instr_barrier i)
-    | Decode.Daddi { d; a; imm } ->
-        ( (Isa.Salu, salu_idx, 1),
-          (fun t -> t.si.(d) <- t.si.(a) + imm),
-          false )
-    | Decode.Dmuli { d; a; imm } ->
-        ( (Isa.Salu, salu_idx, 1),
-          (fun t -> t.si.(d) <- t.si.(a) * imm),
-          false )
-    | Decode.Dloadf_at { dst; buf; imm; chain } ->
-        let a, base = view_f buf in
-        let addr = base + (imm * 4) in
-        ( (Isa.Sload, sload_idx, 1),
-          (if imm >= 0 && imm < Array.length a then fun t ->
-             t.sf.(dst) <- Array.unsafe_get a imm;
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-               ~nt:false
-           else fun t ->
-             t.sf.(dst) <- Memory.get_f mem buf imm;
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-               ~nt:false),
-          true )
-    | Decode.Dloadi_at { dst; buf; imm; chain } ->
-        let a, base = view_i buf in
-        let addr = base + (imm * 4) in
-        ( (Isa.Sload, sload_idx, 1),
-          (if imm >= 0 && imm < Array.length a then fun t ->
-             t.si.(dst) <- Array.unsafe_get a imm;
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-               ~nt:false
-           else fun t ->
-             t.si.(dst) <- Memory.get_i mem buf imm;
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain
-               ~nt:false),
-          true )
-    | Decode.Dstoref_at { buf; imm; src } ->
-        let a, base = view_f buf in
-        let addr = base + (imm * 4) in
-        ( (Isa.Sstore, sstore_idx, 1),
-          (if imm >= 0 && imm < Array.length a then fun t ->
-             Array.unsafe_set a imm t.sf.(src);
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-               ~nt:false
-           else fun t ->
-             Memory.set_f mem buf imm t.sf.(src);
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-               ~nt:false),
-          true )
-    | Decode.Dstorei_at { buf; imm; src } ->
-        let a, base = view_i buf in
-        let addr = base + (imm * 4) in
-        ( (Isa.Sstore, sstore_idx, 1),
-          (if imm >= 0 && imm < Array.length a then fun t ->
-             Array.unsafe_set a imm t.si.(src);
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-               ~nt:false
-           else fun t ->
-             Memory.set_i mem buf imm t.si.(src);
-             t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false
-               ~nt:false),
-          true )
-    | Decode.Dsmuladd { t = tr; a; b; d; x; y } ->
-        ( (Isa.Sfp, sfp_idx, 2),
-          (fun t ->
-            let sf = t.sf in
-            sf.(tr) <- sf.(a) *. sf.(b);
-            sf.(d) <- sf.(x) +. sf.(y)),
-          false )
-    | Decode.Dvmuladd { t = tr; a; b; d; x; y } ->
-        ( (Isa.Vfp, vfp_idx, 2),
-          (fun t ->
-            let vf = t.vf in
-            let dt = vf.(tr) and la = vf.(a) and lb = vf.(b) in
-            for l = 0 to width - 1 do Array.unsafe_set dt l ((Array.unsafe_get la l) *. (Array.unsafe_get lb l)) done;
-            let dd = vf.(d) and lx = vf.(x) and ly = vf.(y) in
-            for l = 0 to width - 1 do Array.unsafe_set dd l ((Array.unsafe_get lx l) +. (Array.unsafe_get ly l)) done),
-          false )
-    | Decode.Dfor _ | Decode.Dforback _ | Decode.Dwhile _ | Decode.Dif _
-    | Decode.Djmp _ | Decode.Denter _ | Decode.Dexit _ ->
-        assert false
+  (* Immediate forms of the ops a known scalar int constant feeds
+     ([known r] is [Some k] when register [r] holds [k] on every path
+     into the op, see [sops]): the constant is baked into the closure, so
+     the op reads one register fewer and a scalar access resolves its
+     address and bounds check now. A known index is taken only when
+     non-negative, so the in-range test is one compare; a known index
+     past the end keeps the checked [Memory] fallback, which traps
+     exactly as the tree walker does. [None]: no immediate form. *)
+  let imm_action known (instr : Isa.instr) : (tctx -> unit) option =
+    let known_index (Isa.Si r) =
+      match known r with Some k when k >= 0 -> Some k | _ -> None
+    in
+    match instr with
+    | Ibin (op, Si d, Si a, Si b) -> (
+        let add x k = Some (fun t -> let si = t.si in si.(d) <- si.(x) + k)
+        and mul x k = Some (fun t -> let si = t.si in si.(d) <- si.(x) * k) in
+        match (op, known a, known b) with
+        | _, Some _, Some _ -> None
+        | Iadd, None, Some k -> add a k
+        | Iadd, Some k, None -> add b k
+        | Isub, None, Some k -> Some (fun t -> let si = t.si in si.(d) <- si.(a) - k)
+        | Imul, None, Some k -> mul a k
+        | Imul, Some k, None -> mul b k
+        | _ -> None)
+    | Loadf { dst = Sf dst; buf; idx; chain } ->
+        Option.map
+          (fun k ->
+            let a, base = view_f buf in
+            let addr = base + (k * 4) in
+            if k < Array.length a then fun t ->
+              t.sf.(dst) <- Array.unsafe_get a k;
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain ~nt:false
+            else fun t ->
+              t.sf.(dst) <- Memory.get_f mem buf k;
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain ~nt:false)
+          (known_index idx)
+    | Loadi { dst = Si dst; buf; idx; chain } ->
+        Option.map
+          (fun k ->
+            let a, base = view_i buf in
+            let addr = base + (k * 4) in
+            if k < Array.length a then fun t ->
+              t.si.(dst) <- Array.unsafe_get a k;
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain ~nt:false
+            else fun t ->
+              t.si.(dst) <- Memory.get_i mem buf k;
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:false ~chain ~nt:false)
+          (known_index idx)
+    | Storef { buf; idx; src = Sf src } ->
+        Option.map
+          (fun k ->
+            let a, base = view_f buf in
+            let addr = base + (k * 4) in
+            if k < Array.length a then fun t ->
+              Array.unsafe_set a k t.sf.(src);
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false ~nt:false
+            else fun t ->
+              Memory.set_f mem buf k t.sf.(src);
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false ~nt:false)
+          (known_index idx)
+    | Storei { buf; idx; src = Si src } ->
+        Option.map
+          (fun k ->
+            let a, base = view_i buf in
+            let addr = base + (k * 4) in
+            if k < Array.length a then fun t ->
+              Array.unsafe_set a k t.si.(src);
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false ~nt:false
+            else fun t ->
+              Memory.set_i mem buf k t.si.(src);
+              t.port ~thread:t.thread ~addr ~bytes:4 ~write:true ~chain:false ~nt:false)
+          (known_index idx)
+    | _ -> None
   in
   let charge n =
     instructions := !instructions + n;
@@ -1216,6 +1151,33 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     | Decode.Djmp _ -> false
     | _ -> true
   in
+  (* Each straight-line instruction's bookkeeping pair (class, row index),
+     action and segment-barrier flag, built in one forward scan that
+     tracks the scalar int constants known at each op for [imm_action]:
+     an [Iconst] makes its register known, any other write of a scalar
+     int register forgets it, and a block leader forgets everything
+     (control may arrive there from elsewhere). [Denter]/[Dexit] and
+     control ops get [None]; the block builders handle them. *)
+  let sops = Array.make len None in
+  let consts = Hashtbl.create 16 in
+  for i = 0 to len - 1 do
+    if leader.(i) then Hashtbl.reset consts;
+    match code.(i) with
+    | Decode.Dinstr { i = ins; cls; cls_idx } ->
+        let action =
+          match imm_action (Hashtbl.find_opt consts) ins with
+          | Some a -> a
+          | None -> action_of_instr ins
+        in
+        sops.(i) <- Some ((cls, cls_idx), action, instr_barrier ins);
+        (match ins with
+        | Iconst (Si d, n) -> Hashtbl.replace consts d n
+        | _ ->
+            List.iter
+              (function Verify.Osi (Isa.Si r) -> Hashtbl.remove consts r | _ -> ())
+              (snd (Verify.operands ins)))
+    | _ -> ()
+  done;
   (* Split a straight-line range into bookkeeping segments: (costs keyed
      by row index, total, actions), in reverse program order, ready for
      continuation-folding. With [~split:true] segments break after barrier
@@ -1240,10 +1202,10 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
       end
     in
     List.iter
-      (fun ((_, ci, n), action, barrier) ->
+      (fun ((_, ci), action, barrier) ->
         Hashtbl.replace costs ci
-          (n + Option.value (Hashtbl.find_opt costs ci) ~default:0);
-        total := !total + n;
+          (1 + Option.value (Hashtbl.find_opt costs ci) ~default:0);
+        incr total;
         acts := action :: !acts;
         if split && barrier then close ())
       ops;
@@ -1251,13 +1213,7 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
     !segs
   in
   (* The straight-line ops of [lo, hi), compiled once for both forms. *)
-  let block_ops lo hi =
-    List.filter_map
-      (fun i ->
-        match code.(i) with
-        | Decode.Denter _ | Decode.Dexit _ -> None
-        | op -> Some (sop_of op))
-      (List.init (hi - lo) (fun k -> lo + k))
+  let block_ops lo hi = List.filter_map (Array.get sops) (List.init (hi - lo) (( + ) lo))
   in
   (* One segment fused with its continuation into a single closure: row
      and fuel updates are inlined next to the action calls, so a segment
@@ -1486,21 +1442,13 @@ let compile ctx (code : Decode.dop array) : tctx -> unit =
             fun t ->
               f (Trace.Exit { thread = t.thread; scope });
               next t
-        | op ->
-            let (cls, ci, n), act, _ = sop_of op in
-            if n = 1 then fun t ->
+        | _ ->
+            let (cls, ci), act, _ = Option.get sops.(i) in
+            fun t ->
               let row = t.row in
               row.(ci) <- row.(ci) + 1;
               charge 1;
               f (Trace.Op { thread = t.thread; cls });
-              act t;
-              next t
-            else fun t ->
-              for _ = 1 to n do
-                t.row.(ci) <- t.row.(ci) + 1;
-                charge 1;
-                f (Trace.Op { thread = t.thread; cls })
-              done;
               act t;
               next t)
     done;

@@ -8,11 +8,16 @@
     compiles each flat op array once per run into chained OCaml
     closures:
 
-    - the optimizer's placeholder jumps are threaded away ({!thread}),
-      so they no longer split basic blocks;
+    - jump chains are threaded ({!thread}): a control op landing on a
+      [Djmp] chain goes straight to its end;
     - every straight-line op becomes a pre-resolved action closure
       (operands, operator, mask slot and memory operand — array, length,
       base address — are resolved at compile time);
+    - a scalar int constant known inside a basic block becomes an
+      immediate: an [Ibin] add, sub or mul with one known operand, and a
+      scalar load or store at a known non-negative index, run as
+      closures with the constant (and, for an access, its address and
+      bounds check) baked in;
     - basic blocks become superinstruction closures whose
       count/instruction/fuel bookkeeping is batched: one charge for the
       whole block when the remaining fuel covers it, else per segment,
@@ -32,10 +37,9 @@
 
     Registers, memory, {!Counts} rows, totals, event streams, traces and
     traps are bit-identical to the tree walker by construction;
-    test/test_fastpath.ml and test/test_optimize.ml pin this with a
-    Tree-vs-Compiled qcheck differential under every pass list, and
-    test/test_compile.ml with fuel-trap differentials and seeded
-    miscompilation mutants. When a trace sink is attached,
+    test/test_fastpath.ml pins this with a Tree-vs-Compiled qcheck
+    differential, and test/test_compile.ml with immediate-operand cases,
+    fuel-trap differentials and seeded miscompilation mutants. When a trace sink is attached,
     compilation falls back to per-op bookkeeping closures so the
     [Trace.Op] stream keeps its exact per-op order. *)
 
@@ -79,13 +83,12 @@ type ctx = {
 }
 
 val thread : Decode.dop array -> Decode.dop array
-(** Placeholder threading, the first step of {!compile}: retarget control
-    ops that land on a [Djmp] chain to its end, then drop every forward
-    [Djmp] together with the slots it skips when no control op targets
-    them, remapping the remaining targets; repeated to a fixpoint, so
-    [thread (thread c) = thread c]. [Djmp] carries no bookkeeping, so the
-    result runs with the same observables as [code]. Arrays with a
-    target outside [0, length] are returned unchanged. *)
+(** Jump threading, the first step of {!compile}: retarget every control
+    op that lands on a [Djmp] chain to the chain's end (a chain that
+    loops back on itself is left alone), so [thread (thread c) = thread
+    c]. [Djmp] carries no bookkeeping, so the result runs with the same
+    observables as [code]. Arrays with a target outside [0, length] are
+    returned unchanged. *)
 
 val compile : ctx -> Decode.dop array -> tctx -> unit
 (** [compile ctx code] compiles one phase's op array into its entry

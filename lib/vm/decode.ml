@@ -1,5 +1,5 @@
 (* Pre-decode pass: flatten a structured Isa.program into contiguous arrays
-   of resolved operations, the input of Optimize and Compile.
+   of resolved operations, the input of Compile.
 
    The tree walker re-traverses statement lists, re-reads register wrappers
    and re-classifies every instruction on each dynamic execution. Decoding
@@ -17,18 +17,12 @@
      pre-built {!Trace.scope} value, so the profiling hooks allocate
      nothing per encounter.
 
-   Decoding performs no semantic transformation: [Interp.Compiled
-   Optimize.none] executes a decoded program with bit-identical
+   Decoding performs no semantic transformation: [Interp.Compiled]
+   executes a decoded program with bit-identical
    registers, memory, {!Counts} and event streams to the tree walker
    (property-tested in test/test_fastpath.ml, and pinned suite-wide by
    the experiments golden). *)
 
-(* The constructors below Dexit are never produced by [decode]: they are
-   the specialized forms {!Optimize} rewrites decoded ops into. They are
-   appended after the original constructors on purpose — Marshal assigns
-   variant tags in declaration order, so appending keeps the byte
-   representation (and therefore [fingerprint]) of every unoptimized
-   decoded program unchanged. *)
 type dop =
   | Dinstr of { i : Isa.instr; cls : Isa.op_class; cls_idx : int }
   | Dfor of { idx : int; lo : int; hi : int; step : int; id : int; exit : int }
@@ -38,14 +32,6 @@ type dop =
   | Djmp of int
   | Denter of Trace.scope
   | Dexit of Trace.scope
-  | Daddi of { d : int; a : int; imm : int }
-  | Dmuli of { d : int; a : int; imm : int }
-  | Dloadf_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-  | Dloadi_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-  | Dstoref_at of { buf : Isa.buf; imm : int; src : int }
-  | Dstorei_at of { buf : Isa.buf; imm : int; src : int }
-  | Dsmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
-  | Dvmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
 
 type phase = { parallel : bool; code : dop array }
 

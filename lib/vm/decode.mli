@@ -4,10 +4,9 @@
     per phase: operands resolved to plain register indices, structured
     control flow lowered to conditional jumps with absolute targets,
     instruction classes pre-classified and [Region] profiling scopes
-    pre-built. The decoded form is what {!Optimize} rewrites and
-    {!Compile} threads into closures ({!Interp}'s [Compiled] strategy),
-    with results bit-identical to the tree walker (strategy [Tree]);
-    decoding itself changes no semantics. *)
+    pre-built. The decoded form is what {!Compile} threads into closures
+    ({!Interp}'s [Compiled] strategy), with results bit-identical to the
+    tree walker (strategy [Tree]); decoding itself changes no semantics. *)
 
 (** One decoded operation. Jump targets are absolute indices into the
     enclosing phase's op array; a [pc] past the end halts the phase. *)
@@ -32,36 +31,6 @@ type dop =
   | Djmp of int  (** unconditional jump (loop back edges, else skips) *)
   | Denter of Trace.scope  (** profiling scope opened (pre-built value) *)
   | Dexit of Trace.scope  (** profiling scope closed *)
-  | Daddi of { d : int; a : int; imm : int }
-      (** optimizer-specialized scalar add with an immediate operand
-          ([si.(d) <- si.(a) + imm]); counts as one [Salu] op, exactly
-          like the [Ibin] it replaces. Never produced by {!decode} —
-          {!Optimize} introduces it, and the constructor is appended
-          after the original ones so unoptimized {!fingerprint}s are
-          unchanged (Marshal tags are positional). *)
-  | Dmuli of { d : int; a : int; imm : int }
-      (** optimizer-specialized scalar multiply by an immediate
-          ([si.(d) <- si.(a) * imm]); one [Salu] op *)
-  | Dloadf_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-      (** optimizer-specialized scalar float load at a known element
-          index; one [Sload] op with the identical memory event *)
-  | Dloadi_at of { dst : int; buf : Isa.buf; imm : int; chain : bool }
-      (** optimizer-specialized scalar int load at a known element
-          index; one [Sload] op *)
-  | Dstoref_at of { buf : Isa.buf; imm : int; src : int }
-      (** optimizer-specialized scalar float store at a known element
-          index; one [Sstore] op *)
-  | Dstorei_at of { buf : Isa.buf; imm : int; src : int }
-      (** optimizer-specialized scalar int store at a known element
-          index; one [Sstore] op *)
-  | Dsmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
-      (** fused scalar multiply-add pair
-          ([sf.(t) <- sf.(a) *. sf.(b); sf.(d) <- sf.(x) +. sf.(y)] with
-          [x = t] or [y = t]); counts two [Sfp] ops, exactly like the
-          adjacent [Fbin] pair it replaces *)
-  | Dvmuladd of { t : int; a : int; b : int; d : int; x : int; y : int }
-      (** fused vector multiply-add pair (lane loops of the two [Vfbin]
-          ops it replaces, run back to back); counts two [Vfp] ops *)
 
 (** One decoded phase: the flat op array and whether it runs on every
     thread ([Par]) or on thread 0 only ([Seq]). *)

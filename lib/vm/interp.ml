@@ -18,16 +18,14 @@
      accessor closures — the original, obviously-correct reference,
      deliberately left structurally untouched so it doubles as the
      performance baseline the self-benchmark measures against.
-   - [Compiled config] (the simulation default, see [default_strategy])
-     decodes the program into {!Decode}'s flat op arrays, runs the
-     configured {!Optimize} passes over them, and compiles each phase
+   - [Compiled] (the simulation default, see [default_strategy]) decodes
+     the program into {!Decode}'s flat op arrays and compiles each phase
      through {!Compile} into chained pre-resolved closures — threaded code
-     with basic-block superinstructions. [Compiled Optimize.none] executes
-     the plain decoded arrays.
+     with basic-block superinstructions and immediate operands.
 
    Equivalence is property-tested instruction-by-instruction in
-   test/test_fastpath.ml, test/test_optimize.ml (every pass config) and
-   test/test_compile.ml, and pinned suite-wide by the experiments golden.
+   test/test_fastpath.ml and test/test_compile.ml, and pinned suite-wide
+   by the experiments golden.
    The compiled path's access port is devirtualized: it is selected once
    per session on tracker/port presence, so the no-profiler case pays no
    per-access option matching and the timing model's port is called
@@ -37,26 +35,15 @@ exception Trap = Memory.Trap
 
 type result = { counts : Counts.t; instructions : int }
 
-type strategy = Tree | Compiled of Optimize.config
+type strategy = Tree | Compiled
 
-(* The strategy every run resolves an absent ?strategy to — bare [run]
-   and the simulation surfaces (Timing.simulate, and through it
-   experiments, ladder, bench and serve) alike. A process-wide cell
-   rather than a [run] default so one --backend flag can steer every
-   simulation a command performs. *)
-let default_strategy_ref = ref (Compiled Optimize.default)
-let default_strategy () = !default_strategy_ref
-let set_default_strategy s = default_strategy_ref := s
+(* Every run without an explicit ?strategy — bare [run] and the
+   simulation surfaces (Timing.simulate, and through it experiments,
+   ladder, bench and serve) alike — runs compiled; Tree is reached only
+   by asking for it. *)
+let default_strategy () = Compiled
 
-let strategy_tag = function
-  | Tree -> "tree"
-  | Compiled c -> "compiled:" ^ Optimize.tag c
-
-let strategy_of_name name =
-  match name with
-  | "tree" -> Some Tree
-  | "compiled" -> Some (Compiled Optimize.default)
-  | _ -> None
+let strategy_tag = function Tree -> "tree" | Compiled -> "compiled"
 
 type thread_state = {
   si : int array;
@@ -203,13 +190,13 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
   let tracker = if check_races then Some (race_tracker ()) else None in
   (* The flat form to compile, if any: a pre-supplied one (possibly
      hand-transformed or deliberately broken — the substrate of the
-     optimizer's and compiler's mutation tests) always runs compiled, as
-     is; otherwise [Compiled config] decodes and optimizes [prog]. *)
+     compiler's mutation tests) always runs compiled, as is; otherwise
+     [Compiled] decodes [prog]. *)
   let flat =
     match (decoded, strategy) with
     | Some d, _ -> Some d
     | None, Tree -> None
-    | None, Compiled config -> Some (Optimize.run ~config (Decode.decode prog))
+    | None, Compiled -> Some (Decode.decode prog)
   in
   (* Compile each flat phase once, up front — the closures take the
      per-thread state as an argument ({!Compile.tctx}), so a parallel
@@ -621,7 +608,7 @@ let session ?(n_threads = 1) ?(width = 4) ?sink ?port ?trace ?fuel
     st.si.(n) <- n_threads;
     st.si.(w) <- width
   in
-  (* The launch thunk: everything above (decode, optimize, compile,
+  (* The launch thunk: everything above (decode, compile,
      executor selection) ran once; each call below is one kernel launch
      against the same memory. Per-launch architectural state — counts,
      the register files — is reset so launch N is indistinguishable from

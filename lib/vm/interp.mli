@@ -11,9 +11,8 @@
     Two execution strategies produce bit-identical results: [Tree] walks
     the structured program (the reference and the self-benchmark
     baseline), and [Compiled] — the default, see {!default_strategy} —
-    decodes the program into {!Decode}'s flat op arrays, runs the
-    configured {!Optimize} passes over them and threads the result into
-    chained closures via {!Compile}. *)
+    decodes the program into {!Decode}'s flat op arrays and threads them
+    into chained closures via {!Compile}. *)
 
 exception Trap of string
 (** Runtime fault: out-of-bounds access, division by zero, bad lane index,
@@ -31,35 +30,24 @@ type result = {
 
 type strategy =
   | Tree  (** walk the structured statement tree (reference walker) *)
-  | Compiled of Optimize.config
-      (** decode, run the configured {!Optimize} passes, then compile each
-          phase into chained pre-resolved closures ({!Compile}: threaded
-          code, basic-block superinstructions, batched bookkeeping).
+  | Compiled
+      (** decode, then compile each phase into chained pre-resolved
+          closures ({!Compile}: threaded code, basic-block
+          superinstructions, batched bookkeeping, immediate operands).
           Counts, traces, events, traps, memory and final registers stay
-          bit-identical to [Tree] under every pass list; only host
-          wall-clock changes. [Compiled Optimize.none] runs the plain
-          decoded arrays *)
+          bit-identical to [Tree]; only host wall-clock changes *)
 
 val default_strategy : unit -> strategy
 (** The strategy runs use when none is requested explicitly: {!run},
     {!session} and {!Timing.simulate} (and through it experiments, the
     ladder, the benchmarks and the serve layer) resolve an absent
-    [?[?strategy] to this. Initially [Compiled Optimize.default]; the CLI
-    [--backend] flag overrides it process-wide via
-    {!set_default_strategy}. *)
-
-val set_default_strategy : strategy -> unit
-(** Set {!default_strategy}. Not thread-safe: meant for CLI startup,
-    before any simulation runs. *)
+    [?strategy] to this. Always [Compiled]: [Tree] is reached only
+    through an explicit [?strategy] (the differential tests and the
+    self-benchmark baseline). *)
 
 val strategy_tag : strategy -> string
-(** Stable identity string ("tree", "compiled:<passes>") — disjoint per
-    backend and per optimizer config, embedded into persistent-store
-    keys. *)
-
-val strategy_of_name : string -> strategy option
-(** Parse a [--backend] name ("tree" | "compiled"; the latter with the
-    default pass pipeline). *)
+(** Stable identity string ("tree", "compiled"), disjoint per backend and
+    embedded into persistent-store keys. *)
 
 (** Final architectural state of one thread: scalar int/float files and
     vector float/int/mask files (one array per register, one slot per
@@ -90,8 +78,8 @@ val session :
   unit ->
   result
 (** [session program memory] validates the program and performs all
-    per-program work once — decode, optimizer passes, closure
-    compilation — returning a launch thunk. Each call
+    per-program work once — decode and closure compilation — returning a
+    launch thunk. Each call
     of the thunk is one kernel launch against the same memory, with
     counts and the register files freshly reset: without [fuel], a
     sequence of thunk calls is observably identical to the same sequence
@@ -140,10 +128,9 @@ val run :
     @param strategy execution strategy (default {!default_strategy}).
     @param decoded compile and run this pre-supplied flat form instead of
       decoding [program] ([program] must be the one it was decoded from).
-      [strategy] is then ignored: the arrays run compiled, as supplied,
-      with no optimizer pass. Meant for tests that execute
-      hand-transformed — or deliberately broken — op arrays, e.g. the
-      optimizer's and compiler's mutation differentials.
+      [strategy] is then ignored: the arrays run compiled, as supplied.
+      Meant for tests that execute hand-transformed — or deliberately
+      broken — op arrays, e.g. the compiler's mutation differentials.
     @param on_states called once after the last phase with the final
       per-thread register state (index = thread id); meant for
       differential tests. *)

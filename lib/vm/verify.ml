@@ -469,7 +469,7 @@ let verify ?(width = 4) ?(n_threads = 4) ?(lengths = []) (p : Isa.program) :
   end
 
 (* ------------------------------------------------------------------ *)
-(* Flat-form checker for optimized decoded arrays                      *)
+(* Flat-form checker for decoded arrays                                *)
 
 let check_flat (d : Decode.t) : issue list =
   let issues = ref [] in
@@ -492,21 +492,12 @@ let check_flat (d : Decode.t) : issue list =
         if r < 0 || r >= max bound 1 then add i "%s reg %d out of range" name r
       in
       let chk_si i r = chk_reg i "si" r regs.Isa.si in
-      let chk_sf i r = chk_reg i "sf" r regs.Isa.sf in
-      let chk_vf i r = chk_reg i "vf" r regs.Isa.vf in
       let chk_operand i = function
         | Osi (Isa.Si r) -> chk_si i r
-        | Osf (Isa.Sf r) -> chk_sf i r
-        | Ovf (Isa.Vf r) -> chk_vf i r
+        | Osf (Isa.Sf r) -> chk_reg i "sf" r regs.Isa.sf
+        | Ovf (Isa.Vf r) -> chk_reg i "vf" r regs.Isa.vf
         | Ovi (Isa.Vi r) -> chk_reg i "vi" r regs.Isa.vi
         | Ovm (Isa.Vm r) -> chk_reg i "vm" r regs.Isa.vm
-      in
-      let chk_buf i (Isa.Buf b) want =
-        if b < 0 || b >= Array.length p.Isa.buffers then
-          add i "buffer %d out of range" b
-        else if p.Isa.buffers.(b).Isa.elt <> want then
-          add i "buffer %s accessed with the wrong element type"
-            p.Isa.buffers.(b).Isa.buf_name
       in
       Array.iteri
         (fun i op ->
@@ -528,27 +519,7 @@ let check_flat (d : Decode.t) : issue list =
           | Decode.Dwhile { cond; exit } -> chk_si i cond; chk_target i exit
           | Decode.Dif { cond; else_ } -> chk_si i cond; chk_target i else_
           | Decode.Djmp t -> chk_target i t
-          | Decode.Denter _ | Decode.Dexit _ -> ()
-          | Decode.Daddi { d; a; _ } | Decode.Dmuli { d; a; _ } ->
-              chk_si i d; chk_si i a
-          | Decode.Dloadf_at { dst; buf; imm; _ } ->
-              chk_sf i dst; chk_buf i buf Isa.F32;
-              if imm < 0 then add i "negative load index %d" imm
-          | Decode.Dloadi_at { dst; buf; imm; _ } ->
-              chk_si i dst; chk_buf i buf Isa.I32;
-              if imm < 0 then add i "negative load index %d" imm
-          | Decode.Dstoref_at { buf; imm; src } ->
-              chk_sf i src; chk_buf i buf Isa.F32;
-              if imm < 0 then add i "negative store index %d" imm
-          | Decode.Dstorei_at { buf; imm; src } ->
-              chk_si i src; chk_buf i buf Isa.I32;
-              if imm < 0 then add i "negative store index %d" imm
-          | Decode.Dsmuladd { t; a; b; d; x; y } ->
-              List.iter (chk_sf i) [ t; a; b; d; x; y ];
-              if x <> t && y <> t then add i "muladd does not read its product"
-          | Decode.Dvmuladd { t; a; b; d; x; y } ->
-              List.iter (chk_vf i) [ t; a; b; d; x; y ];
-              if x <> t && y <> t then add i "muladd does not read its product")
+          | Decode.Denter _ | Decode.Dexit _ -> ())
         code)
     d.Decode.phases;
   List.rev !issues

@@ -41,7 +41,7 @@ val operands : Isa.instr -> operand list * operand list
 (** [(reads, writes)] of one instruction, covering every register
     operand. [Vinsertf] lists its destination among the reads as well
     (untouched lanes are preserved), so def/use analyses — the verifier's
-    definedness pass and {!Optimize}'s kill/liveness sets — see the
+    definedness pass and {!Compile}'s known-constant scan — see the
     partial write for what it is. *)
 
 val verify :
@@ -59,12 +59,10 @@ val verify :
     found, so a clean program costs no strings. *)
 
 val check_flat : Decode.t -> issue list
-(** Structural linter for decoded (and in particular {!Optimize}d) op
-    arrays: register indices within the program's declared counts, jump
-    targets within [[0, len]] (len = one past the end, a legal halt),
-    [Dfor]/[Dforback] ids below [n_fors], buffer indices and element
-    types on the immediate load/store forms, pre-classified op classes
-    consistent with {!Isa.classify}, and fused multiply-adds that
-    actually read their product. Deterministic order; never raises. An
-    unoptimized {!Decode.decode} result always checks clean for a
-    {!Isa.validate}-clean program. *)
+(** Structural linter for decoded op arrays (meant for hand-built or
+    deliberately broken ones): register indices within the program's
+    declared counts, jump targets within [[0, len]] (len = one past the
+    end, a legal halt), [Dfor]/[Dforback] ids below [n_fors], and
+    pre-classified op classes consistent with {!Isa.classify}.
+    Deterministic order; never raises. A {!Decode.decode} result always
+    checks clean for a {!Isa.validate}-clean program. *)

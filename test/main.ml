@@ -3,7 +3,6 @@ let () =
     [ Test_util.suite;
       Test_vm.suite;
       Test_fastpath.suite;
-      Test_optimize.suite;
       Test_compile.suite;
       Test_fuzz_cee.suite;
       Test_arch.suite;

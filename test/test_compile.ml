@@ -1,16 +1,16 @@
 (* Differential pinning for the closure-compiling backend (lib/vm/compile.ml).
 
    The compiler's contract is total observational equivalence: for any
-   verifier-clean program, [Compiled config] must agree with [Tree] on
-   every observable — final register files, memory contents, per-thread
-   count rows, total instructions, the memory-access event stream, the
+   verifier-clean program, [Compiled] must agree with [Tree] on every
+   observable — final register files, memory contents, per-thread count
+   rows, total instructions, the memory-access event stream, the
    profiling trace, and trap messages (including the memory state at the
    fault, which pins the batched-bookkeeping fuel semantics). The
-   strategy-level random-program differential lives in test_fastpath.ml
-   (no passes) and test_optimize.ml (every pass list); this suite runs it
-   through the supplied-array entry point ([Interp.run ~decoded]) the
-   mutations use, adds trap differentials over optimized arrays, and a
-   dozen hand-seeded mutations of compiled-input op arrays — each
+   strategy-level random-program differential lives in test_fastpath.ml;
+   this suite runs it through the supplied-array entry point
+   ([Interp.run ~decoded]) the mutations use, pins the immediate operands
+   [Compile] bakes in for known constants, adds trap differentials, and
+   a dozen hand-seeded mutations of compiled-input op arrays — each
    simulating a distinct compiler-bug class (wrong immediate, dropped
    def, misattributed bookkeeping, swapped operands, wrong operator,
    flipped dependence chain, dropped store, wrong loop bound, perturbed
@@ -23,14 +23,14 @@ module F = Test_fastpath
 
 (* ------------------------------------------------------------------ *)
 (* Random programs through the supplied-array entry point: clean arrays,
-   plain or optimized, handed to [Interp.run ~decoded] must agree with
-   the tree walker, so a mutation below is refuted for the mutation and
-   not for the path it is run through. *)
+   as decoded or already threaded, handed to [Interp.run ~decoded] must
+   agree with the tree walker, so a mutation below is refuted for the
+   mutation and not for the path it is run through. *)
 
-let supplied_vs_tree ~name ~count config =
+let supplied_vs_tree ~name ~count prepare =
   QCheck.Test.make ~count ~name F.seed_arb (fun seed ->
       let prog, n_threads, width = F.build_program seed in
-      let decoded = Optimize.run ~config (Decode.decode prog) in
+      let decoded = prepare (Decode.decode prog) in
       List.for_all
         (fun tracing ->
           let t = F.observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
@@ -39,33 +39,33 @@ let supplied_vs_tree ~name ~count config =
           | None -> true
           | Some what ->
               QCheck.Test.fail_reportf
-                "Tree vs supplied Compiled(%s) arrays diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what)
+                "Tree vs supplied Compiled arrays diverge (tracing=%b) on: %s"
+                tracing what)
         [ false; true ])
 
-let prop_supplied_optimized =
+let prop_supplied_threaded =
   supplied_vs_tree ~count:100
-    ~name:"random programs: Tree = Compiled on supplied optimized arrays (all passes)"
-    Optimize.default
+    ~name:"random programs: Tree = Compiled on supplied pre-threaded arrays"
+    (fun d ->
+      { d with
+        Decode.phases =
+          Array.map
+            (fun (ph : Decode.phase) -> { ph with Decode.code = Compile.thread ph.code })
+            d.Decode.phases })
 
 let prop_supplied_plain =
   supplied_vs_tree ~count:60
     ~name:"random programs: compiled plain decoded arrays preserve all observables"
-    Optimize.none
+    Fun.id
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic trap differentials over optimized arrays: Tree and
-   Compiled must fault identically — same message, same memory state at
-   the fault — under the full pipeline and under each pass alone. The
+(* Deterministic trap differentials: Tree and Compiled must fault
+   identically — same message, same memory state at the fault. The
    compiled backend batches instruction/fuel bookkeeping per
    straight-line segment; the fuel cases pin that a batch never moves a
    trap across an observable effect. *)
 
-let trap_configs =
-  Optimize.default
-  :: List.map (fun p -> { Optimize.passes = [ p ] }) Optimize.all_passes
-
-let trap_pair ?fuel build args = F.trap_pair ?fuel ~configs:trap_configs build args
+let trap_pair = F.trap_pair
 
 let test_trap_fuel_exhausted () =
   let msg =
@@ -146,6 +146,125 @@ let test_trap_nonpositive_step () =
     (Astring_contains.contains msg "step")
 
 (* ------------------------------------------------------------------ *)
+(* Immediate operands. [Compile] bakes a scalar int constant known inside
+   a block into the add, sub or mul and the scalar load or store it
+   feeds. Each case runs Tree against Compiled on two threads, with and
+   without tracing. [x] is idxs[thread id] (3 on thread 0, 8 on thread
+   1), a value no compile-time scan can know, so an immediate or an index
+   that is off by one shows in the final registers, the memory or the
+   event stream. Returns the tree walker's observation. *)
+
+let imm_agrees build =
+  let b = Builder.create ~name:"imm" in
+  let data = Builder.buffer_f b "data" in
+  let idxs = Builder.buffer_i b "idxs" in
+  Builder.par_phase b (fun () ->
+      let x = Builder.si b in
+      Builder.emit b (Loadi { dst = x; buf = idxs; idx = Isa.thread_id_reg; chain = false });
+      build b ~data ~idxs x);
+  let prog = Builder.finish b in
+  let obs strategy tracing = F.observe ~strategy ~tracing ~n_threads:2 ~width:4 prog in
+  List.iter
+    (fun tracing ->
+      match F.diff_observations (obs Interp.Tree tracing) (obs Interp.Compiled tracing) with
+      | None -> ()
+      | Some what -> Alcotest.failf "Tree vs Compiled diverge (tracing=%b) on %s" tracing what)
+    [ false; true ];
+  obs Interp.Tree false
+
+let imm_case what build =
+  Alcotest.test_case ("immediates: " ^ what) `Quick (fun () ->
+      match (imm_agrees build).o_outcome with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "unexpected trap: %s" m)
+
+(* [x op k] and [k op x] for one operator, the result stored at a known
+   index so the event stream carries it too *)
+let imm_bin (bop, sym) ~known_left k =
+  imm_case
+    (if known_left then Fmt.str "%d %s x" k sym else Fmt.str "x %s %d" sym k)
+    (fun b ~data:_ ~idxs x ->
+      let c = Builder.iconst b k in
+      let r = if known_left then Builder.ibin b bop c x else Builder.ibin b bop x c in
+      Builder.emit b (Storei { buf = idxs; idx = Builder.iconst b 40; src = r }))
+
+let imm_traps what ~contains build =
+  Alcotest.test_case ("immediates: " ^ what) `Quick (fun () ->
+      match (imm_agrees build).o_outcome with
+      | Error m ->
+          Alcotest.(check bool) ("trap names " ^ contains) true
+            (Astring_contains.contains m contains)
+      | Ok _ -> Alcotest.fail "expected a trap")
+
+let imm_cases =
+  [
+    imm_bin (Isa.Iadd, "+") ~known_left:false 3;
+    imm_bin (Isa.Iadd, "+") ~known_left:true 3;
+    imm_bin (Isa.Isub, "-") ~known_left:false 3;
+    imm_bin (Isa.Isub, "-") ~known_left:true 3;
+    imm_bin (Isa.Imul, "*") ~known_left:true 4;
+    imm_bin (Isa.Imul, "*") ~known_left:false 4;
+    imm_case "both operands known" (fun b ~data:_ ~idxs x ->
+        let two = Builder.iconst b 2 and three = Builder.iconst b 3 in
+        let s = Builder.ibin b Iadd two three in
+        let p = Builder.ibin b Imul two three in
+        let d = Builder.ibin b Isub two three in
+        Builder.emit b (Storei { buf = idxs; idx = s; src = x });
+        Builder.emit b (Storei { buf = idxs; idx = p; src = d }));
+    imm_case "load and store at a known index" (fun b ~data ~idxs x ->
+        let two = Builder.iconst b 2 and five = Builder.iconst b 5 in
+        let f = Builder.sf b and k = Builder.si b in
+        Builder.emit b (Loadf { dst = f; buf = data; idx = two; chain = true });
+        Builder.emit b (Loadi { dst = k; buf = idxs; idx = five; chain = false });
+        Builder.emit b (Storef { buf = data; idx = five; src = f });
+        Builder.emit b (Storei { buf = idxs; idx = two; src = Builder.ibin b Iadd k x }));
+    imm_case "a constant overwritten by a computed value is forgotten" (fun b ~data:_ ~idxs x ->
+        let r = Builder.iconst b 3 in
+        Builder.emit b (Imov (r, x));
+        Builder.emit b (Storei { buf = idxs; idx = r; src = Builder.ibin b Iadd x r }));
+    imm_case "a constant redefined on one path is forgotten at the join"
+      (fun b ~data:_ ~idxs x ->
+        let r = Builder.iconst b 3 in
+        let odd = Builder.ibin b Iand x (Builder.iconst b 1) in
+        Builder.if_ b ~cond:odd (fun () -> Builder.emit b (Iconst (r, 9)));
+        Builder.emit b (Storei { buf = idxs; idx = r; src = Builder.ibin b Imul x r }));
+    imm_traps "a negative known index traps as the tree walker does" ~contains:"out-of-bounds"
+      (fun b ~data ~idxs:_ _ ->
+        let f = Builder.sf b in
+        Builder.emit b (Loadf { dst = f; buf = data; idx = Builder.iconst b (-1); chain = false }));
+    imm_traps "a known index past the end traps as the tree walker does"
+      ~contains:"out-of-bounds" (fun b ~data:_ ~idxs x ->
+        Builder.emit b (Storei { buf = idxs; idx = Builder.iconst b F.data_len; src = x }));
+  ]
+
+(* Branches on constant conditions (each arm a block of its own, so
+   every constant is forgotten at its leader) and a def overwritten
+   before it is read. *)
+let test_constant_branches_agree () =
+  ignore
+    (imm_agrees (fun b ~data:_ ~idxs _ ->
+         List.iter
+           (fun k ->
+             let c = Builder.iconst b k in
+             let slot = Builder.iconst b (k + 1) in
+             let v = Builder.si b in
+             Builder.if_ b ~cond:c
+               ~else_:(fun () -> Builder.emit b (Iconst (v, 20 + k)))
+               (fun () -> Builder.emit b (Iconst (v, 10 + k)));
+             Builder.emit b (Storei { buf = idxs; idx = slot; src = v }))
+           [ 0; 1 ])
+      : F.observation)
+
+let test_overwritten_def_agrees () =
+  ignore
+    (imm_agrees (fun b ~data:_ ~idxs _ ->
+         let r = Builder.si b in
+         Builder.emit b (Iconst (r, 1));
+         Builder.emit b (Iconst (r, 2));
+         Builder.emit b (Storei { buf = idxs; idx = Builder.iconst b 0; src = r }))
+      : F.observation)
+
+(* ------------------------------------------------------------------ *)
 (* Hand-seeded compiler mutations: execute deliberately broken op arrays
    through the compiled executor via [Interp.run ~decoded] and assert the
    observation differential refutes each one against a clean tree-walker
@@ -154,10 +273,11 @@ let test_trap_nonpositive_step () =
 
 let mutate = F.mutate
 
-(* One program with a site for every mutation class: a Daddi (runtime x +
-   const), a runtime Isub and Iadd, a def overwritten before it is read, a
-   chained Loadf, scalar stores to both buffers, a counted For loop, a
-   runtime If, and a profiled region. *)
+(* One program with a site for every mutation class: an add of a known
+   constant to a runtime x (compiled as an immediate), a runtime Isub and
+   Iadd, a def overwritten before it is read, a chained Loadf and scalar
+   stores to both buffers at known indices (compiled with the index baked
+   in), a counted For loop, a runtime If, and a profiled region. *)
 let mutation_program () =
   let b = Builder.create ~name:"compile-mutation" in
   let data = Builder.buffer_f b "data" in
@@ -167,7 +287,7 @@ let mutation_program () =
       Builder.emit b (Imov (x, Isa.thread_id_reg));
       let three = Builder.iconst b 3 in
       let z = Builder.ibin b Iadd x three in
-      (* both operands runtime-unknown, so Isub survives as Dinstr *)
+      (* both operands runtime-unknown: a plain Isub closure *)
       let w = Builder.ibin b Isub z x in
       let zero = Builder.iconst b 0 in
       let one = Builder.iconst b 1 in
@@ -215,13 +335,11 @@ let assert_refuted ?(tracing_modes = [ false; true ]) ~what prog mutated =
                what tracing))
     tracing_modes
 
-let optimized_arrays prog = Optimize.run (Decode.decode prog)
-
 let test_compiled_clean_arrays_agree () =
-  (* sanity for the harness itself: the *unmutated* optimized arrays,
+  (* sanity for the harness itself: the *unmutated* decoded arrays,
      executed through the compiled backend, match the reference *)
   let prog = mutation_program () in
-  let opt = optimized_arrays prog in
+  let opt = Decode.decode prog in
   List.iter
     (fun tracing ->
       let good =
@@ -239,15 +357,17 @@ let test_compiled_clean_arrays_agree () =
 let mutation_case ~what f =
   Alcotest.test_case ("mutation: " ^ what ^ " is refuted") `Quick (fun () ->
       let prog = mutation_program () in
-      let opt = optimized_arrays prog in
+      let opt = Decode.decode prog in
       f ~prog ~opt)
 
 let mutations =
   [
     mutation_case ~what:"an off-by-one immediate" (fun ~prog ~opt ->
+        (* the constant the x + 3 immediate is built from *)
         let broken =
           mutate opt (function
-            | Decode.Daddi d -> Some (Decode.Daddi { d with imm = d.imm + 1 })
+            | Decode.Dinstr { i = Isa.Iconst (d, 3); cls; cls_idx } ->
+                Some (Decode.Dinstr { i = Isa.Iconst (d, 4); cls; cls_idx })
             | _ -> None)
         in
         assert_refuted ~what:"an off-by-one immediate" prog broken);
@@ -285,8 +405,6 @@ let mutations =
                 Some
                   (Decode.Dinstr
                      { i = Isa.Loadf { l with chain = not l.chain }; cls; cls_idx })
-            | Decode.Dloadf_at l ->
-                Some (Decode.Dloadf_at { l with chain = not l.chain })
             | _ -> None)
         in
         assert_refuted ~what:"a flipped dependence-chain flag" prog broken);
@@ -297,12 +415,6 @@ let mutations =
                memory and the event stream lose the store *)
             | Decode.Dinstr { i = Isa.Storef { src; _ }; cls; cls_idx } ->
                 Some (Decode.Dinstr { i = Isa.Fmov (src, src); cls; cls_idx })
-            | Decode.Dstoref_at { src; _ } ->
-                Some
-                  (Decode.Dinstr
-                     { i = Isa.Fmov (Isa.Sf src, Isa.Sf src);
-                       cls = Isa.Sstore;
-                       cls_idx = Isa.op_class_index Isa.Sstore })
             | _ -> None)
         in
         assert_refuted ~what:"a dropped store" prog broken);
@@ -360,9 +472,11 @@ let mutations =
         in
         assert_refuted ~what:"a retargeted branch" prog broken);
     mutation_case ~what:"an off-by-one store index" (fun ~prog ~opt ->
+        (* the known index of the first store, idxs[0] *)
         let broken =
           mutate opt (function
-            | Decode.Dstorei_at s -> Some (Decode.Dstorei_at { s with imm = s.imm + 1 })
+            | Decode.Dinstr { i = Isa.Iconst (d, 0); cls; cls_idx } ->
+                Some (Decode.Dinstr { i = Isa.Iconst (d, 1); cls; cls_idx })
             | _ -> None)
         in
         assert_refuted ~what:"an off-by-one store index" prog broken);
@@ -378,6 +492,76 @@ let mutations =
         assert_refuted ~what:"a misattributed count class" prog broken);
   ]
 
+(* A site for each other immediate form: a multiply by a known
+   constant, a scalar int load and a scalar int store at known indices.
+   Each mutation perturbs the constant the immediate is built from. *)
+let immediates_program () =
+  let b = Builder.create ~name:"mutation-immediates" in
+  let data = Builder.buffer_f b "data" in
+  let idxs = Builder.buffer_i b "idxs" in
+  Builder.seq_phase b (fun () ->
+      let x = Builder.si b in
+      Builder.emit b (Imov (x, Isa.thread_id_reg));
+      (* x + 1 is non-zero on thread 0, so a wrong multiplier shows *)
+      let one = Builder.iconst b 1 in
+      let x1 = Builder.ibin b Iadd x one in
+      let five = Builder.iconst b 5 in
+      let y = Builder.ibin b Imul x1 five in
+      let two = Builder.iconst b 2 in
+      let z = Builder.si b in
+      Builder.emit b (Loadi { dst = z; buf = idxs; idx = two; chain = false });
+      let s = Builder.ibin b Iadd y z in
+      let three = Builder.iconst b 3 in
+      Builder.emit b (Storei { buf = idxs; idx = three; src = s });
+      let f = Builder.sf b in
+      Builder.emit b (Loadf { dst = f; buf = data; idx = x; chain = false });
+      Builder.emit b (Storef { buf = data; idx = x1; src = f }));
+  Builder.finish b
+
+let immediate_mutation ~what ~from ~into =
+  Alcotest.test_case ("mutation: " ^ what ^ " is refuted") `Quick (fun () ->
+      let prog = immediates_program () in
+      let broken =
+        mutate (Decode.decode prog) (function
+          | Decode.Dinstr { i = Isa.Iconst (d, k); cls; cls_idx } when k = from ->
+              Some (Decode.Dinstr { i = Isa.Iconst (d, into); cls; cls_idx })
+          | _ -> None)
+      in
+      assert_refuted ~what prog broken)
+
+let immediate_mutations =
+  [
+    immediate_mutation ~what:"an off-by-one multiply immediate" ~from:5 ~into:6;
+    immediate_mutation ~what:"a load at the wrong known index" ~from:2 ~into:3;
+    immediate_mutation ~what:"a store at the wrong known index" ~from:3 ~into:4;
+  ]
+
+(* [Verify.check_flat] flags structurally broken arrays that the
+   mutations above could otherwise only refute by running them. *)
+let check_flat_flags ~what f () =
+  let d = Decode.decode (immediates_program ()) in
+  let broken = mutate d f in
+  Alcotest.(check bool) "the clean array lints clean" true (Verify.check_flat d = []);
+  Alcotest.(check bool) ("check_flat flags " ^ what) true (Verify.check_flat broken <> [])
+
+let check_flat_cases =
+  [
+    Alcotest.test_case "check_flat flags an out-of-range register" `Quick
+      (check_flat_flags ~what:"an out-of-range register" (function
+        | Decode.Dinstr ({ i = Isa.Ibin (op, _, a, b); _ } as d) ->
+            Some (Decode.Dinstr { d with i = Isa.Ibin (op, Isa.Si 1_000, a, b) })
+        | _ -> None));
+    Alcotest.test_case "check_flat flags a jump past the end" `Quick
+      (check_flat_flags ~what:"a jump past the end" (function
+        | Decode.Dinstr { i = Isa.Imov _; _ } -> Some (Decode.Djmp 1_000)
+        | _ -> None));
+    Alcotest.test_case "check_flat flags a stale op class" `Quick
+      (check_flat_flags ~what:"a stale op class" (function
+        | Decode.Dinstr ({ cls = Isa.Salu; _ } as d) ->
+            Some (Decode.Dinstr { d with cls = Isa.Sfp })
+        | _ -> None));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Fuel sweeps. A block with more than one bookkeeping segment runs a
    merged form (one charge for the whole block) when the fuel covers the
@@ -386,10 +570,8 @@ let mutations =
    boundary, where the fallback must reproduce the tree walker's memory
    and event prefix, and ends with budgets the merged form serves. The
    programs carry loads, stores and an integer division in one block and
-   in a fused innermost loop (the mul+add pair's placeholder jump is
-   threaded away, so the loop body is one block); [idxs] holds a single
-   0, at element 25, so the division traps exactly when a program reads
-   it. *)
+   in a fused innermost loop; [idxs] holds a single 0, at element 25, so
+   the division traps exactly when a program reads it. *)
 
 let zero_at = 25
 
@@ -435,16 +617,11 @@ let fuel_sweep ~looped ~trapping () =
         let obs strategy =
           F.observe ~strategy ~fuel ~tracing ~n_threads:1 ~width:4 prog
         in
-        let t = obs Interp.Tree in
-        List.iter
-          (fun config ->
-            match F.diff_observations t (obs (Interp.Compiled config)) with
-            | None -> ()
-            | Some what ->
-                Alcotest.failf
-                  "fuel %d (tracing=%b): Tree and Compiled(%s) differ on %s"
-                  fuel tracing (Optimize.tag config) what)
-          [ Optimize.none; Optimize.default ])
+        match F.diff_observations (obs Interp.Tree) (obs Interp.Compiled) with
+        | None -> ()
+        | Some what ->
+            Alcotest.failf "fuel %d (tracing=%b): Tree and Compiled differ on %s"
+              fuel tracing what)
       [ false; true ];
     F.observe ~strategy:Interp.Tree ~fuel ~tracing:false ~n_threads:1 ~width:4
       prog
@@ -519,7 +696,7 @@ let test_bounded_ladder () =
                   let n = check_bounds ~what run full in
                   cuts := !cuts + n;
                   if s.parallel then threaded_cuts := !threaded_cuts + n)
-                [ Interp.Tree; Interp.Compiled Optimize.default ])
+                [ Interp.Tree; Interp.Compiled ])
             steps)
         [ Machine.westmere; Machine.knights_ferry ])
     Ninja_kernels.Registry.all;
@@ -560,7 +737,7 @@ let prop_bounded_random =
                   | _ -> QCheck.Test.fail_reportf "%s: trap %S not kept under bound %h" what m bound)
                 [ 0.; 1e9; Float.infinity ]);
           true)
-        [ Interp.Tree; Interp.Compiled Optimize.default ])
+        [ Interp.Tree; Interp.Compiled ])
 
 (* Every budget B from 0 to past the total, over the sweep programs (one
    block and a fused loop, with and without the division trap) launched
@@ -627,39 +804,13 @@ let bounded_sweep ~looped ~trapping ~runs () =
         [ enough + 1; 100 * enough ];
       Alcotest.(check bool) "outcome as designed" trapping
         (match unbounded with Trapped _ -> true | _ -> false))
-    [ Interp.Tree; Interp.Compiled Optimize.none; Interp.Compiled Optimize.default ]
+    [ Interp.Tree; Interp.Compiled ]
 
 (* ------------------------------------------------------------------ *)
-(* Placeholder threading over every ladder program. *)
-
-let control_targets (code : Decode.dop array) =
-  let t = Array.make (Array.length code + 1) false in
-  Array.iter
-    (fun (op : Decode.dop) ->
-      match op with
-      | Dfor { exit = k; _ } | Dwhile { exit = k; _ } | Dforback { body = k; _ }
-      | Dif { else_ = k; _ } | Djmp k -> t.(k) <- true
-      | _ -> ())
-    code;
-  t
-
-(* a forward jump whose skipped slots nothing targets *)
-let droppable code =
-  let t = control_targets code in
-  let found = ref None in
-  Array.iteri
-    (fun i (op : Decode.dop) ->
-      match op with
-      | Djmp k when k > i && !found = None ->
-          let free = ref true in
-          for j = i + 1 to k - 1 do if t.(j) then free := false done;
-          if !free then found := Some i
-      | _ -> ())
-    code;
-  !found
+(* Jump threading over every ladder program. *)
 
 let test_thread_ladder () =
-  let dropped = ref 0 in
+  let threaded = ref 0 in
   let fingerprint (r : Ninja_arch.Timing.report) =
     ( r.instructions, Printf.sprintf "%h" r.cycles, r.dram_read_bytes,
       r.dram_write_bytes, r.level_accesses )
@@ -672,14 +823,11 @@ let test_thread_ladder () =
           List.iter
             (fun (s : Ninja_kernels.Driver.step) ->
               let what = Fmt.str "%s / %s / %s" bench.b_name m.name s.step_name in
-              let d = Optimize.run (Decode.decode (s.make ~machine:m)) in
+              let d = Decode.decode (s.make ~machine:m) in
               Array.iter
                 (fun (ph : Decode.phase) ->
                   let th = Compile.thread ph.code in
-                  dropped := !dropped + Array.length ph.code - Array.length th;
-                  (match droppable th with
-                  | Some i -> Alcotest.failf "%s: droppable jump left at %d" what i
-                  | None -> ());
+                  if compare th ph.code <> 0 then incr threaded;
                   if compare (Compile.thread th) th <> 0 then
                     Alcotest.failf "%s: threading twice changed the array" what)
                 d.phases;
@@ -692,7 +840,7 @@ let test_thread_ladder () =
             steps)
         [ Ninja_arch.Machine.westmere; Ninja_arch.Machine.knights_ferry ])
     Ninja_kernels.Registry.all;
-  Alcotest.(check bool) "placeholder jumps were dropped" true (!dropped > 0)
+  Alcotest.(check bool) "some phase's jumps were threaded" true (!threaded > 0)
 
 let test_thread_shapes () =
   let nop =
@@ -705,18 +853,18 @@ let test_thread_shapes () =
     Alcotest.(check bool) (what ^ ", idempotent") true
       (compare (Compile.thread want) want = 0)
   in
-  threads "a chain is retargeted, a skip over a target is kept"
+  threads "every jump on a chain goes to its end"
     [| Dif { cond = 0; else_ = 3 };
-       Djmp 2; (* placeholder chain 1 -> 2 -> 5 -> 7 *)
-       Djmp 5; (* skips 3 and 4, but 3 is the Dif's target: kept *)
+       Djmp 2; (* chain 1 -> 2 -> 5 -> 7 *)
+       Djmp 5;
        nop; nop;
-       Djmp 7; (* skips 6, which nothing targets: dropped *)
+       Djmp 7;
        nop; nop |]
-    [| Dif { cond = 0; else_ = 3 }; Djmp 5; Djmp 5; nop; nop; nop |];
-  threads "retargeting frees a region"
+    [| Dif { cond = 0; else_ = 3 }; Djmp 7; Djmp 7; nop; nop; Djmp 7; nop; nop |];
+  threads "a branch onto a chain goes to its end"
     [| Dif { cond = 0; else_ = 2 }; Djmp 4; Djmp 4; nop; nop |]
-    [| Dif { cond = 0; else_ = 1 }; nop |];
-  threads "a jump cycle stays a cycle" [| Djmp 1; Djmp 0 |] [| Djmp 0 |];
+    [| Dif { cond = 0; else_ = 4 }; Djmp 4; Djmp 4; nop; nop |];
+  threads "a jump cycle stays a cycle" [| Djmp 1; Djmp 0 |] [| Djmp 1; Djmp 0 |];
   threads "out-of-range targets are left alone" [| Djmp 5; nop |] [| Djmp 5; nop |]
 
 let suite =
@@ -724,7 +872,7 @@ let suite =
     List.concat
       [
         [
-          QCheck_alcotest.to_alcotest prop_supplied_optimized;
+          QCheck_alcotest.to_alcotest prop_supplied_threaded;
           QCheck_alcotest.to_alcotest prop_supplied_plain;
           Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;
           Alcotest.test_case "trap: fuel runs out before a store" `Quick
@@ -735,6 +883,10 @@ let suite =
             test_trap_oob_vector_store;
           Alcotest.test_case "trap: non-positive loop step" `Quick
             test_trap_nonpositive_step;
+          Alcotest.test_case "constant branches agree with the tree walker" `Quick
+            test_constant_branches_agree;
+          Alcotest.test_case "an overwritten def agrees with the tree walker" `Quick
+            test_overwritten_def_agrees;
           Alcotest.test_case "clean compiled arrays match the reference" `Quick
             test_compiled_clean_arrays_agree;
           Alcotest.test_case "fuel sweep: one block" `Quick
@@ -761,5 +913,8 @@ let suite =
           Alcotest.test_case "threading: every ladder program" `Quick
             test_thread_ladder;
         ];
+        imm_cases;
         mutations;
+        immediate_mutations;
+        check_flat_cases;
       ] )

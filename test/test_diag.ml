@@ -192,6 +192,52 @@ let test_rejection_label_has_code () =
         true
         (String.length msg > 16 && String.sub msg 0 16 = "NON_UNIT_STRIDE:")
 
+(* Golden opt-report: the per-loop source opt-reports for every
+   benchmark Cee source, then the auto-tuner's static plans, rendered
+   exactly as tools/gen_opt_golden.ml renders them and byte-compared
+   against the checked-in transcript. An opt-report diagnostic (code,
+   span, blocking-dependence remark) that changes for any benchmark fails
+   here. The tune-plan section pins the auto-tuner's static search space
+   (fixed enumeration, legality / compile / verify pruning, fingerprint
+   dedup) on the reference machine, with zero simulations. Regenerate
+   with `dune exec tools/gen_opt_golden.exe > test/golden_opt_report.txt`. *)
+
+let render_golden_source_reports () =
+  Ninja_kernels.Registry.all
+  |> List.concat_map (fun (b : Ninja_kernels.Driver.benchmark) ->
+         b.Ninja_kernels.Driver.b_sources
+         |> List.map (fun (vname, src) ->
+                let name = b.Ninja_kernels.Driver.b_name ^ "/" ^ vname in
+                Fmt.str "# opt-report %s@.%a" name Optreport.pp
+                  (Optreport.analyze_src ~name src)))
+  |> String.concat "\n"
+
+let render_golden_tune_plans () =
+  let machine = Ninja_arch.Machine.westmere in
+  Ninja_kernels.Registry.all
+  |> List.map (fun (b : Ninja_kernels.Driver.benchmark) ->
+         let steps = b.steps ~scale:1 in
+         Fmt.str "# tune-plan %s@.%a" b.Ninja_kernels.Driver.b_name
+           Ninja_core.Tuner.pp_plan
+           (Ninja_core.Tuner.plan ~machine ~steps b))
+  |> String.concat "\n"
+
+let test_golden_opt_report () =
+  let got = render_golden_source_reports () ^ "\n" ^ render_golden_tune_plans () in
+  let path =
+    if Sys.file_exists "golden_opt_report.txt" then "golden_opt_report.txt"
+    else Filename.concat "test" "golden_opt_report.txt"
+  in
+  let ic = open_in_bin path in
+  let want =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Alcotest.(check bool) "opt-reports and tune plans match the golden byte-for-byte"
+    true (want = got);
+  if want <> got then Alcotest.(check string) "diff" want got
+
 let suite =
   ( "diag",
     [ Alcotest.test_case "code names stable" `Quick test_code_names;
@@ -218,4 +264,5 @@ let suite =
       Alcotest.test_case "race checker quiet on the suite" `Quick
         test_race_checker_quiet_on_suite;
       Alcotest.test_case "rejection label has code" `Quick
-        test_rejection_label_has_code ] )
+        test_rejection_label_has_code;
+      Alcotest.test_case "golden opt-report" `Slow test_golden_opt_report ] )

@@ -1,7 +1,7 @@
 (* Differential properties for the simulator's hot paths:
 
    - random verifier-clean programs run under both execution strategies
-     ([Tree] vs [Compiled config]) must agree on every observable: final
+     ([Tree] vs [Compiled]) must agree on every observable: final
      register files, memory, per-thread instruction counts, the
      memory-access event stream, the profiling trace, and — for programs
      that fault — the trap message and the memory state at the fault;
@@ -314,12 +314,13 @@ let seed_arb =
     ~shrink:QCheck.Shrink.array
     QCheck.Gen.(array_size (4 -- 48) (int_bound 1_000_000))
 
-(* The backend differential: [Tree] vs [Compiled config] on random
-   programs, with and without tracing. The optimized flat form must also
-   lint clean. The optimizer's per-pass properties (test_optimize.ml)
-   instantiate it with every pass list. *)
-let tree_vs_compiled ~name ~count config =
-  QCheck.Test.make ~count ~name seed_arb (fun seed ->
+(* The backend differential: [Tree] vs [Compiled] on random programs,
+   with and without tracing. The decoded flat form must also lint
+   clean. *)
+let prop_tree_vs_compiled =
+  QCheck.Test.make ~count:150
+    ~name:"random programs: Tree and Compiled agree on all observables" seed_arb
+    (fun seed ->
       let prog, n_threads, width = build_program seed in
       let issues =
         Verify.verify ~width ~n_threads
@@ -330,32 +331,25 @@ let tree_vs_compiled ~name ~count config =
         QCheck.Test.fail_reportf "generator produced a non-verifier-clean program:@ %a"
           Fmt.(list ~sep:semi Verify.pp_issue)
           issues;
-      (match Verify.check_flat (Optimize.run ~config (Decode.decode prog)) with
+      (match Verify.check_flat (Decode.decode prog) with
       | [] -> ()
       | issues ->
-          QCheck.Test.fail_reportf "optimized array fails check_flat:@ %a"
+          QCheck.Test.fail_reportf "decoded array fails check_flat:@ %a"
             Fmt.(list ~sep:semi Verify.pp_issue)
             issues);
       List.for_all
         (fun tracing ->
           let t = observe ~strategy:Interp.Tree ~tracing ~n_threads ~width prog in
-          let c =
-            observe ~strategy:(Interp.Compiled config) ~tracing ~n_threads ~width prog
-          in
+          let c = observe ~strategy:Interp.Compiled ~tracing ~n_threads ~width prog in
           match diff_observations t c with
           | None -> true
           | Some what ->
-              QCheck.Test.fail_reportf "Tree vs Compiled(%s) diverge (tracing=%b) on: %s"
-                (Optimize.tag config) tracing what)
+              QCheck.Test.fail_reportf "Tree vs Compiled diverge (tracing=%b) on: %s"
+                tracing what)
         [ false; true ])
 
-let prop_tree_vs_compiled_plain =
-  tree_vs_compiled ~count:150
-    ~name:"random programs: Tree and Compiled(no passes) agree on all observables"
-    Optimize.none
-
 (* Replace the first op [f] maps to [Some op'] — a hand-seeded bug in a
-   flat form, for the optimizer's and compiler's mutation tests. *)
+   flat form, for the compiler's mutation tests. *)
 let mutate (d : Decode.t) f =
   let found = ref false in
   let phases =
@@ -380,11 +374,10 @@ let mutate (d : Decode.t) f =
 
 (* ---- deterministic trap differentials (not verifier-clean on purpose:
    they fault, and every backend must fault identically — same message,
-   same memory state at the fault). Here the compiled side runs the plain
-   decoded arrays; test_compile.ml runs the same harness over optimized
-   ones. ---- *)
+   same memory state at the fault). test_compile.ml runs the same harness
+   over its own trap programs. ---- *)
 
-let trap_pair ?(width = 4) ?(fuel = 1_000) ?(configs = [ Optimize.none ]) build args =
+let trap_pair ?(width = 4) ?(fuel = 1_000) build args =
   let obs strategy =
     let b = Builder.create ~name:"trap" in
     build b;
@@ -405,13 +398,8 @@ let trap_pair ?(width = 4) ?(fuel = 1_000) ?(configs = [ Optimize.none ]) build 
     (r, snapshot)
   in
   let t = obs Interp.Tree in
-  List.iter
-    (fun config ->
-      Alcotest.(check bool)
-        (Fmt.str "Tree and Compiled(%s) trap identically" (Optimize.tag config))
-        true
-        (compare t (obs (Interp.Compiled config)) = 0))
-    configs;
+  Alcotest.(check bool) "Tree and Compiled trap identically" true
+    (compare t (obs Interp.Compiled) = 0);
   match fst t with
   | Ok msg -> msg
   | Error e -> Alcotest.fail ("expected a trap, got: " ^ e)
@@ -863,7 +851,7 @@ let prop_port_wide_matches_model =
 
 let suite =
   ( "fastpath",
-    [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled_plain;
+    [ QCheck_alcotest.to_alcotest prop_tree_vs_compiled;
       Alcotest.test_case "trap: partial oob vector store" `Quick test_trap_oob_vector_store;
       Alcotest.test_case "trap: integer division by zero" `Quick test_trap_div_by_zero;
       Alcotest.test_case "trap: fuel exhaustion" `Quick test_trap_fuel_exhausted;

@@ -11,11 +11,9 @@
    must be deterministic.
 
    Mutants that survive to a compiled program additionally run through
-   the [Ninja_vm.Optimize] pass pipeline and the closure-compiling
-   [Interp.Compiled] backend: the compiled form of both the plain and the
-   optimized op arrays must behave bit-identically to the tree walker
-   (values, traps, events, traces, final registers and memory) on every
-   survivor. *)
+   the closure-compiling [Interp.Compiled] backend, which must behave
+   bit-identically to the tree walker (values, traps, events, traces,
+   final registers and memory) on every survivor. *)
 
 module Parser = Ninja_lang.Parser
 module Check = Ninja_lang.Check
@@ -26,9 +24,6 @@ module Deps = Ninja_lang.Deps
 module Registry = Ninja_kernels.Registry
 module Driver = Ninja_kernels.Driver
 module Isa = Ninja_vm.Isa
-module Decode = Ninja_vm.Decode
-module Optimize = Ninja_vm.Optimize
-module Verify = Ninja_vm.Verify
 module Interp = Ninja_vm.Interp
 module Memory = Ninja_vm.Memory
 module Trace = Ninja_vm.Trace
@@ -259,19 +254,18 @@ let run_pipeline ~flags src =
           | r -> Compiled r
           | exception Codegen.Compile_error m -> Compile_rejected m))
 
-(* ---- surviving mutants through the optimizer pass pipeline ----
+(* ---- surviving mutants through the compiled backend ----
 
    A mutant that still compiles is exactly the odd-shaped input the
-   {!Ninja_vm.Optimize} pipeline never sees from the curated registry:
-   shifted constants, duplicated statements, swapped operators. Each
-   survivor's program is executed under the tree walker and the compiled
-   backend, without and with the full optimizer pipeline, against the
-   same deterministic buffers, and everything observable — result, counts, trap message, memory events,
-   profiling trace, final registers, final memory — must match. The
-   optimized array must also stay clean under the static lint whenever
-   the unoptimized decode is. *)
+   closure compiler never sees from the curated registry: shifted
+   constants (and with them different immediate operands), duplicated
+   statements, swapped operators. Each survivor's program is executed
+   under the tree walker and the compiled backend against the same
+   deterministic buffers, and everything observable — result, counts,
+   trap message, memory events, profiling trace, final registers, final
+   memory — must match. *)
 
-let opt_bindings (prog : Isa.program) =
+let survivor_bindings (prog : Isa.program) =
   (* fixed-size deterministic buffers; mutants that index past 64
      elements trap, and the trap must be identical either way *)
   let n = 64 in
@@ -296,8 +290,8 @@ let copy_state (t : Interp.thread_state) =
 
 (* everything one strategy observed; [compare]d across strategies
    (polymorphic compare, so NaN lanes still count as equal) *)
-let opt_observe ~strategy ~tracing (prog : Isa.program) =
-  let bufs = opt_bindings prog in
+let survivor_observe ~strategy ~tracing (prog : Isa.program) =
+  let bufs = survivor_bindings prog in
   let mem = Memory.create prog bufs in
   let events = ref [] in
   let trace = ref [] in
@@ -320,31 +314,15 @@ let opt_observe ~strategy ~tracing (prog : Isa.program) =
   in
   (outcome, List.rev !events, List.rev !trace, !states, bufs)
 
-let check_optimizer_agrees name (prog : Isa.program) =
-  let d = Decode.decode prog in
-  let opt = Optimize.run ~config:Optimize.default d in
-  if Verify.check_flat d = [] && Verify.check_flat opt <> [] then
-    QCheck.Test.fail_reportf
-      "%s: optimizer broke the static lint: %a" name
-      Fmt.(list ~sep:(any "; ") Verify.pp_issue)
-      (Verify.check_flat opt);
+let check_compiled_agrees name (prog : Isa.program) =
   List.iter
     (fun tracing ->
-      let reference = opt_observe ~strategy:Interp.Tree ~tracing prog in
-      (* clean-implies-clean held above, so the compiled backend runs
-         clean arrays with and without the optimizer: both must match the
-         tree walker *)
-      List.iter
-        (fun config ->
-          let compiled =
-            opt_observe ~strategy:(Interp.Compiled config) ~tracing prog
-          in
-          if compare reference compiled <> 0 then
-            QCheck.Test.fail_reportf
-              "%s: compiled backend (passes %s) diverged from the tree walker \
-               (tracing %b)"
-              name (Optimize.tag config) tracing)
-        [ Optimize.none; Optimize.default ])
+      let reference = survivor_observe ~strategy:Interp.Tree ~tracing prog in
+      let compiled = survivor_observe ~strategy:Interp.Compiled ~tracing prog in
+      if compare reference compiled <> 0 then
+        QCheck.Test.fail_reportf
+          "%s: compiled backend diverged from the tree walker (tracing %b)" name
+          tracing)
     [ false; true ]
 
 let mutant_arb =
@@ -386,9 +364,9 @@ let prop_mutants_never_escape =
                 (Diag.code_name d.Diag.code)
         | Compile_rejected _ -> ()
         | Compiled r ->
-            (* the surviving mutant also goes through the full optimizer
-               pipeline: same behavior, never divergence *)
-            check_optimizer_agrees name r.Codegen.program);
+            (* the surviving mutant also runs compiled: same behavior,
+               never divergence *)
+            check_compiled_agrees name r.Codegen.program);
         (* the opt-report replays the same analyses and must also never
            raise, and render deterministically *)
         let report () = Fmt.str "%a" Optreport.pp (Optreport.analyze_src ~name src) in
@@ -461,14 +439,14 @@ let test_mutation_mix () =
   Alcotest.(check bool) ("mutants get rejected: " ^ show) true (!syntax > 20);
   Alcotest.(check bool) ("mutants still compile: " ^ show) true (!ok > 20)
 
-let test_corpus_optimizer_agrees () =
+let test_corpus_compiled_agrees () =
   (* control group for the mutant check above: every unmutated source,
-     compiled at full optimization, behaves identically with and without
-     the optimizer pipeline *)
+     compiled at full optimization, behaves identically under both
+     backends *)
   Array.iter
     (fun (name, src) ->
       match run_pipeline ~flags:Codegen.o2_vec_par src with
-      | Compiled r -> check_optimizer_agrees name r.Codegen.program
+      | Compiled r -> check_compiled_agrees name r.Codegen.program
       | Syntax_rejected _ | Type_rejected _ | Compile_rejected _ ->
           Alcotest.failf "%s: corpus source no longer compiles" name)
     corpus
@@ -483,6 +461,6 @@ let suite =
     [ Alcotest.test_case "corpus is present" `Quick test_corpus_nonempty;
       Alcotest.test_case "mutation mix rejects and compiles" `Quick test_mutation_mix;
       Alcotest.test_case "corpus compiles deterministically" `Quick test_corpus_compiles;
-      Alcotest.test_case "optimizer agrees on the corpus" `Quick
-        test_corpus_optimizer_agrees;
+      Alcotest.test_case "compiled backend agrees on the corpus" `Quick
+        test_corpus_compiled_agrees;
       QCheck_alcotest.to_alcotest prop_mutants_never_escape ] )

@@ -300,33 +300,28 @@ let test_salt_invalidates () =
         <> None))
 
 let test_backend_tag_changes_key () =
-  (* the program fingerprint hashes the *unoptimized* decode, so the
-     backend tag — pass list included — is the only thing separating
-     entries produced by the tree walker from compiled ones, and compiled
-     ones under different pass lists from each other *)
+  (* both backends run the same decode, so the program fingerprint is
+     the same for both and the backend tag is the only thing separating
+     entries produced by the tree walker from compiled ones *)
   Alcotest.(check string) "version salt" "ninja-store/v5" Store.version_salt;
   with_temp_dir (fun dir ->
       let st = Store.open_ ~dir () in
       let machine = Machine.westmere in
       let b = Registry.find "BlackScholes" in
       let prog = prog_of ~machine b "ninja" in
-      let module O = Ninja_vm.Optimize in
       let module I = Ninja_vm.Interp in
       let key strategy =
         Store.key ~backend:(I.strategy_tag strategy) st ~machine
           ~step_name:"ninja" prog
       in
       let k_tree = key I.Tree in
-      let k_compiled = key (I.Compiled O.default) in
-      let k_imm = key (I.Compiled { O.passes = [ O.Imm ] }) in
+      let k_compiled = key I.Compiled in
       Alcotest.(check bool) "compiled key differs from tree" true
         (k_tree <> k_compiled);
-      Alcotest.(check bool) "pass list is part of the key" true
-        (k_compiled <> k_imm);
       Alcotest.(check bool) "tagged keys differ from the untagged key" true
         (List.for_all
            (( <> ) (Store.key st ~machine ~step_name:"ninja" prog))
-           [ k_tree; k_compiled; k_imm ]);
+           [ k_tree; k_compiled ]);
       (* an entry written under the compiled key is invisible to the tree
          lookup, and vice versa *)
       Store.save st ~key:k_compiled ~machine ~step_name:"ninja" ~cost_s:0.1

@@ -90,12 +90,10 @@ let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs
 let check_selfbench ~path j =
   let configurations = get ~path "configurations" j in
   List.iter
-    (fun (name, prefix) ->
+    (fun (name, want) ->
       let tag = str ~path name configurations in
-      if not (String.length tag >= String.length prefix
-              && String.sub tag 0 (String.length prefix) = prefix) then
-        fail "%s: configuration %S has tag %S (want %S...)" path name tag prefix)
-    [ ("compiled", "compiled:"); ("baseline", "tree") ];
+      if tag <> want then fail "%s: configuration %S has tag %S (want %S)" path name tag want)
+    [ ("compiled", "compiled"); ("baseline", "tree") ];
   let benches = list_ ~path "benchmarks" j in
   if benches = [] then fail "%s: empty benchmarks list" path;
   let recompute field = geomean (List.map (fun b -> positive ~path field b) benches) in

@@ -1,43 +1,18 @@
-(* Regenerate test/golden_opt_report.txt: the optimizer's per-pass
-   rewrite statistics for every registered benchmark's full ladder on
-   both evaluation machines, followed by the per-loop source opt-reports
-   for every benchmark Cee source, rendered exactly as
-   test/test_optimize.ml's golden test renders them. The golden pins the
-   pipeline's static behavior: a pass that starts rewriting more (or
-   fewer) ops — or rewriting them in a different order — fails the byte
-   comparison even when the differential tests still pass, which is
-   exactly the point: rewrite counts are part of the optimizer's
-   observable contract. The opt-report half likewise pins the
-   diagnostics (codes, spans, blocking-dependence remarks) the icc-style
-   report emits for every benchmark. The tune-plan half pins the
-   auto-tuner's static search space on the reference machine: the fixed
-   candidate enumeration, which candidates the legality/compile/verify
-   pruning admits, and the fingerprint dedup — all without running a
-   single simulation.
+(* Regenerate test/golden_opt_report.txt: the per-loop source opt-reports
+   for every benchmark Cee source, followed by the auto-tuner's static
+   plans, rendered exactly as the golden test renders them. The
+   opt-report half pins the diagnostics (codes, spans, blocking-dependence
+   remarks) the icc-style report emits for every benchmark. The tune-plan
+   half pins the auto-tuner's static search space on the reference
+   machine: the fixed candidate enumeration, which candidates the
+   legality/compile/verify pruning admits, and the fingerprint dedup —
+   all without running a single simulation.
 
    Usage: dune exec tools/gen_opt_golden.exe > test/golden_opt_report.txt *)
 
 module Driver = Ninja_kernels.Driver
 module Machine = Ninja_arch.Machine
-module Decode = Ninja_vm.Decode
-module Optimize = Ninja_vm.Optimize
 module Optreport = Ninja_lang.Optreport
-
-let render () =
-  let machines = [ Machine.westmere; Machine.knights_ferry ] in
-  Ninja_kernels.Registry.all
-  |> List.concat_map (fun (b : Driver.benchmark) ->
-         let steps = b.steps ~scale:1 in
-         machines
-         |> List.concat_map (fun (m : Machine.t) ->
-                steps
-                |> List.map (fun (s : Driver.step) ->
-                       let d = Decode.decode (s.make ~machine:m) in
-                       let _, rep = Optimize.run_report d in
-                       Fmt.str "# %s / %s / %s@.%a" b.Driver.b_name
-                         m.Machine.name s.Driver.step_name Optimize.pp_report
-                         rep)))
-  |> String.concat "\n"
 
 (* Per-loop source opt-reports (machine-independent: pure static analysis). *)
 let render_opt_reports () =
@@ -63,4 +38,4 @@ let render_tune_plans () =
 
 let () =
   print_string
-    (render () ^ "\n" ^ render_opt_reports () ^ "\n" ^ render_tune_plans ())
+    (render_opt_reports () ^ "\n" ^ render_tune_plans ())
