@@ -235,6 +235,44 @@ let imm_cases =
     imm_traps "a known index past the end traps as the tree walker does"
       ~contains:"out-of-bounds" (fun b ~data:_ ~idxs x ->
         Builder.emit b (Storei { buf = idxs; idx = Builder.iconst b F.data_len; src = x }));
+    imm_case "negative immediates" (fun b ~data:_ ~idxs x ->
+        let store slot v = Builder.emit b (Storei { buf = idxs; idx = Builder.iconst b slot; src = v }) in
+        store 41 (Builder.ibin b Iadd x (Builder.iconst b (-3)));
+        store 42 (Builder.ibin b Imul (Builder.iconst b (-2)) x);
+        store 43 (Builder.ibin b Isub x (Builder.iconst b (-5))));
+    (* the last element sits on the in-range compare's boundary *)
+    imm_case "loads and stores at the last known index" (fun b ~data ~idxs x ->
+        let last = Builder.iconst b (F.data_len - 1) in
+        let f = Builder.sf b and k = Builder.si b in
+        Builder.emit b (Loadf { dst = f; buf = data; idx = last; chain = false });
+        Builder.emit b (Loadi { dst = k; buf = idxs; idx = last; chain = true });
+        Builder.emit b (Storef { buf = data; idx = last; src = Builder.fbin b Fadd f f });
+        Builder.emit b (Storei { buf = idxs; idx = last; src = Builder.ibin b Iadd k x }));
+    imm_traps "a known int load past the end traps as the tree walker does"
+      ~contains:"out-of-bounds" (fun b ~data:_ ~idxs _ ->
+        let k = Builder.si b in
+        Builder.emit b (Loadi { dst = k; buf = idxs; idx = Builder.iconst b F.data_len; chain = false }));
+    imm_traps "a known float store past the end traps as the tree walker does"
+      ~contains:"out-of-bounds" (fun b ~data ~idxs:_ _ ->
+        Builder.emit b
+          (Storef { buf = data; idx = Builder.iconst b (F.data_len + 5); src = Builder.fconst b 1.5 }));
+    (* the loop header is a block leader: [r] is 2 only on the first trip *)
+    imm_case "a constant bumped in a loop body is forgotten at the loop header"
+      (fun b ~data:_ ~idxs x ->
+        let r = Builder.iconst b 2 in
+        let one = Builder.iconst b 1 in
+        Builder.for_ b ~lo:(Builder.iconst b 0) ~hi:(Builder.iconst b 4) ~step:one (fun _ ->
+            Builder.emit b (Storei { buf = idxs; idx = r; src = Builder.ibin b Iadd x r });
+            Builder.emit b (Ibin (Iadd, r, r, one))));
+    (* [Denter]/[Dexit] start no block, so the constant stays known through
+       the scope, with and without tracing *)
+    imm_case "a constant stays known across a profiling region" (fun b ~data ~idxs x ->
+        let r = Builder.iconst b 5 in
+        Builder.region b "scoped" (fun () ->
+            Builder.emit b (Storei { buf = idxs; idx = r; src = Builder.ibin b Imul x r }));
+        let f = Builder.sf b in
+        Builder.emit b (Loadf { dst = f; buf = data; idx = r; chain = false });
+        Builder.emit b (Storef { buf = data; idx = Builder.ibin b Iadd r x; src = f }));
   ]
 
 (* Branches on constant conditions (each arm a block of its own, so
